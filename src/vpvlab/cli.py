@@ -2,8 +2,8 @@
 audits, and lattice enumeration, with JSON/CSV/human output.
 
 Exit codes: 0 success; 1 usage, domain, or validation error; 2
-tolerance unachievable (tail bound or non-convergence); 3 internal
-error.
+tolerance unachievable (tail bound, non-convergence, or a verify2/verify3
+error above 3*tol); 3 internal error.
 """
 from __future__ import annotations
 
@@ -44,6 +44,10 @@ _DEFAULT_DELTAS = (0.5, 0.4, 0.3, 0.2)
 
 
 class _UsageError(Exception):
+    pass
+
+
+class _NotVerified(Exception):
     pass
 
 
@@ -522,16 +526,23 @@ def _render_audit(records, fmt: str) -> str:
 # subcommand bodies
 # ---------------------------------------------------------------------------
 
-def _cmd_verify2(res: dict) -> str:
-    case = IdentityCase(2, res["s"], res["x"], res["y"], label="verify2")
+def _verified(case: IdentityCase, res: dict) -> str:
     report = verify(case, res["tol"], degree_cap_max=res["degree_cap_max"])
+    if not report.passed:
+        raise _NotVerified(
+            f"abs_err {report.abs_err!r} exceeds 3*tol = {3 * res['tol']!r} "
+            f"(tail_bound {report.tail_bound!r}); the identity is not verified"
+        )
     return _render_verify(report, res["format"])
+
+
+def _cmd_verify2(res: dict) -> str:
+    return _verified(IdentityCase(2, res["s"], res["x"], res["y"], label="verify2"), res)
 
 
 def _cmd_verify3(res: dict) -> str:
     case = IdentityCase(3, res["s"], res["x"], res["y"], t=res["t"], z=res["z"], label="verify3")
-    report = verify(case, res["tol"], degree_cap_max=res["degree_cap_max"])
-    return _render_verify(report, res["format"])
+    return _verified(case, res)
 
 
 def _cmd_catalog(res: dict) -> str:
@@ -650,7 +661,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (TailBoundExceedsTol, NonConvergence) as exc:
+    except (TailBoundExceedsTol, NonConvergence, _NotVerified) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_TOLERANCE
     except (DomainError, ValueError) as exc:

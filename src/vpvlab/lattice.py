@@ -2,9 +2,10 @@
 
 A lattice point is visible from the origin exactly when its coordinates
 are coprime; every positive lattice point is a unique positive integer
-multiple of a visible point. The streaming enumerators below are the
-shared geometry for the product evaluators and are deterministic:
-ascending coordinate sum, then ascending earlier coordinates.
+multiple of a visible point. The streaming enumerators below define
+the point set that the product kernel walks inline (the tests compare
+its term counts with them) and are deterministic: ascending coordinate
+sum, then ascending earlier coordinates.
 """
 from __future__ import annotations
 

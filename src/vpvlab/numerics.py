@@ -67,12 +67,9 @@ def log1m(w: complex) -> complex:
     relative error below |w|^8, i.e. under 1e-32 at the cutoff.
     """
     if abs(w) < 1e-4:
-        total = 0j
-        wk = complex(w)
-        for k in range(1, 9):
-            total -= wk / k
-            wk *= w
-        return total
+        # -(w + w^2/2 + ... + w^8/8) in Horner form; 1/3 etc. fold to constants
+        return -w * (1 + w * (1 / 2 + w * (1 / 3 + w * (1 / 4 + w * (
+            1 / 5 + w * (1 / 6 + w * (1 / 7 + w * (1 / 8))))))))
     return cmath.log(1 - w)
 
 

@@ -18,10 +18,9 @@ import cmath
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 from .errors import ComputationError, DomainError, TailBoundExceedsTol
-from .lattice import visible_points_2d, visible_points_3d
 from .numerics import KahanSum, dirichlet_tail, log1m, power_geometric_tail, require_finite
 from .polylog import EPS_DOMAIN, EPS_ZETA, polylog, polylog_neg_int, zeta_real
 
@@ -153,6 +152,11 @@ class IdentityReport:
         bound = self.truncation.tail_bound
         return 0.0 if bound is None else bound
 
+    @property
+    def passed(self) -> bool:
+        """The success criterion: abs_err <= 3 * tol."""
+        return self.abs_err <= 3 * self.truncation.tol
+
 
 # ---------------------------------------------------------------------------
 # tail bounds (shared envelope: |a^-s b^-t| <= d^sigma with d the diagonal,
@@ -215,54 +219,58 @@ def _log_table(cap: int) -> list[float]:
     return [0.0] + [math.log(k) for k in range(1, cap + 1)]
 
 
-def product_log_sum_2d(
-    s: complex, t: complex, x: complex, y: complex, degree_cap: int
+def product_log_sum(
+    orders: Sequence[complex], args: Sequence[complex], degree_cap: int
 ) -> tuple[complex, int]:
-    """Sum of -a^-s b^-t log(1 - x^a y^b) over visible (a, b), a + b <= cap.
+    """Sum of -prod a_i^-s_i log(1 - prod x_i^a_i) over visible points
+    (a_1, ..., a_n) with a_1 + ... + a_n <= degree_cap, for n >= 2.
 
     Returns (value, number of product factors summed). Orders are taken
-    as given; the product equals exp(Li_s(x) Li_t(y)) only when
-    s + t = 1.
+    as given; the product equals exp(prod Li_s_i(x_i)) only when the
+    orders sum to 1.
+
+    The point set is the one visible_points_2d/3d enumerate, walked one
+    diagonal d = a_1 + ... + a_n at a time. A point is visible exactly
+    when gcd(d, a_1, ..., a_(n-1)) = 1, so the gcd of d with the leading
+    coordinates is carried down and the last coordinate never enters
+    it. Each diagonal is summed exactly with fsum, and so are the
+    diagonal partials.
     """
-    s = complex(s)
-    t = complex(t)
-    x = complex(x)
-    y = complex(y)
+    n = len(orders)
+    if n < 2 or len(args) != n:
+        raise DomainError(f"need n >= 2 orders and as many arguments, got {n} and {len(args)}")
     ln = _log_table(degree_cap)
-    xp = _pow_table(x, degree_cap)
-    yp = _pow_table(y, degree_cap)
-    acc = KahanSum()
-    count = 0
-    for vp in visible_points_2d(degree_cap):
-        a = vp.a
-        b = vp.b
-        w = xp[a] * yp[b]
-        acc.add(-cmath.exp(-s * ln[a] - t * ln[b]) * log1m(w))
-        count += 1
-    return require_finite(acc.value, "product_log_sum_2d"), count
+    weights = [[cmath.exp(-complex(s) * lk) for lk in ln] for s in orders]
+    powers = [_pow_table(complex(x), degree_cap) for x in args]
+    gcd = math.gcd
+    wb, wc = weights[-2:]
+    pb, pc = powers[-2:]
 
+    def points(i, g, r, w, p, out):
+        # coordinates before i are fixed: g is their gcd with d, r what is
+        # left of d, w and p their weight and power products
+        if i == n - 2:
+            out += [w * wb[b] * wc[r - b] * log1m(p * pb[b] * pc[r - b])
+                    for b in range(1, r) if gcd(g, b) == 1]
+            return
+        wi = weights[i]
+        pi = powers[i]
+        # each of the n - 1 - i later coordinates needs at least 1
+        for a in range(1, r - (n - 2 - i)):
+            points(i + 1, gcd(g, a), r - a, w * wi[a], p * pi[a], out)
 
-def product_log_sum_3d(
-    s: complex, t: complex, u: complex, x: complex, y: complex, z: complex, degree_cap: int
-) -> tuple[complex, int]:
-    """3D analog of product_log_sum_2d over visible (a, b, c)."""
-    s = complex(s)
-    t = complex(t)
-    u = complex(u)
-    ln = _log_table(degree_cap)
-    xp = _pow_table(complex(x), degree_cap)
-    yp = _pow_table(complex(y), degree_cap)
-    zp = _pow_table(complex(z), degree_cap)
-    acc = KahanSum()
+    re_parts = []
+    im_parts = []
     count = 0
-    for vp in visible_points_3d(degree_cap):
-        a = vp.a
-        b = vp.b
-        c = vp.c
-        w = xp[a] * yp[b] * zp[c]
-        acc.add(-cmath.exp(-s * ln[a] - t * ln[b] - u * ln[c]) * log1m(w))
-        count += 1
-    return require_finite(acc.value, "product_log_sum_3d"), count
+    for d in range(n, degree_cap + 1):
+        terms = []
+        points(0, d, d, 1.0, 1.0, terms)
+        count += len(terms)
+        re_parts.append(math.fsum([z.real for z in terms]))
+        im_parts.append(math.fsum([z.imag for z in terms]))
+    # 0j - total, not -total: a zero part stays +0.0, as in a running sum
+    value = 0j - complex(math.fsum(re_parts), math.fsum(im_parts))
+    return require_finite(value, "product_log_sum"), count
 
 
 def lattice_double_sum_2d(
@@ -408,11 +416,11 @@ def _eval_lhs(case: IdentityCase, degree_cap: int) -> tuple[complex, float, int]
     if case.dimension == 2:
         if case.is_zeta_mode:
             return _zeta_mode_log_sum(case.s, case.order_t, case.y, degree_cap)
-        value, count = product_log_sum_2d(case.s, case.order_t, case.x, case.y, degree_cap)
+        value, count = product_log_sum((case.s, case.order_t), (case.x, case.y), degree_cap)
         bound = tail_bound_2d(case.s, case.order_t, case.x, case.y, degree_cap)
         return value, bound, count
-    value, count = product_log_sum_3d(
-        case.s, case.t, case.order_u, case.x, case.y, case.z, degree_cap
+    value, count = product_log_sum(
+        (case.s, case.t, case.order_u), (case.x, case.y, case.z), degree_cap
     )
     bound = tail_bound_3d(case.s, case.t, case.order_u, case.x, case.y, case.z, degree_cap)
     return value, bound, count
@@ -457,7 +465,18 @@ def _series_magnitude_bound(order: complex, arg: complex) -> float:
     if r == 0.0:
         return 0.0
     sigma_minus = max(0.0, -complex(order).real)
-    return power_geometric_tail(0, sigma_minus, r)
+    bound = power_geometric_tail(0, sigma_minus, r)
+    if bound == math.inf:
+        # 2^sigma r >= 1: the terms k^sigma r^k still rise at k = 1, so sum
+        # them directly to twice their peak at sigma / ln(1/r), where the
+        # geometric tail bound applies. A peak past the float range keeps inf.
+        cap = int(2.0 * sigma_minus / -math.log(r)) + 1
+        try:
+            head = math.fsum(k ** sigma_minus * r ** k for k in range(1, cap + 1))
+        except OverflowError:
+            return math.inf
+        bound = head + power_geometric_tail(cap, sigma_minus, r)
+    return bound
 
 
 def _factor_estimate(case: IdentityCase, order: complex, arg: complex, leading: bool) -> float:
@@ -554,8 +573,9 @@ def verify(
 
     The degree cap is chosen from the tail-bound formula so the
     left-side truncation error is certified <= tol/2; the right-side
-    factors get the other half of the budget. The recorded (not
-    enforced) success criterion is abs_err <= 3 * tol.
+    factors get the other half of the budget. The success criterion,
+    abs_err <= 3 * tol, is the report's `passed`; the report comes back
+    either way, so callers must check it.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")

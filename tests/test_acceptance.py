@@ -25,8 +25,7 @@ from vpvlab import (
     lhs_log_product_2d,
     lhs_log_product_3d,
     polylog,
-    product_log_sum_2d,
-    product_log_sum_3d,
+    product_log_sum,
     tail_bound_2d,
     tail_bound_3d,
     trivial_zero_probe,
@@ -153,7 +152,7 @@ def test_acceptance_06_oracle_equivalence():
         y = 0.5 * math.sqrt(rng.random()) * cmath.exp(2j * math.pi * rng.random())
         draws.append(s)
         cap = choose_degree_cap(IdentityCase(2, s, x, y), 1e-9)
-        lhs, _ = product_log_sum_2d(s, 1 - s, x, y, cap)
+        lhs, _ = product_log_sum((s, 1 - s), (x, y), cap)
         oracle = lattice_double_sum_2d(s, 1 - s, x, y, cap)
         allowance = 2 * tail_bound_2d(s, 1 - s, x, y, cap)
         gap = abs(lhs - oracle)
@@ -167,7 +166,7 @@ def test_acceptance_06_oracle_equivalence():
         y = 0.4 * math.sqrt(rng.random()) * cmath.exp(2j * math.pi * rng.random())
         z = 0.4 * math.sqrt(rng.random()) * cmath.exp(2j * math.pi * rng.random())
         cap = choose_degree_cap(IdentityCase(3, s, x, y, t=t, z=z), 1e-8)
-        lhs, _ = product_log_sum_3d(s, t, u, x, y, z, cap)
+        lhs, _ = product_log_sum((s, t, u), (x, y, z), cap)
         oracle = lattice_triple_sum_3d(s, t, u, x, y, z, cap)
         allowance = 2 * tail_bound_3d(s, t, u, x, y, z, cap)
         gap = abs(lhs - oracle)
@@ -179,7 +178,7 @@ def test_acceptance_06_oracle_equivalence():
     for s in draws[:50]:
         t = 1 - s + 0.1
         cap = choose_degree_cap(IdentityCase(2, s, 0.4, 0.4), 1e-9)
-        lhs, _ = product_log_sum_2d(s, t, 0.4, 0.4, cap)
+        lhs, _ = product_log_sum((s, t), (0.4, 0.4), cap)
         oracle = lattice_double_sum_2d(s, t, 0.4, 0.4, cap)
         allowance = 2 * tail_bound_2d(s, t, 0.4, 0.4, cap)
         min_break = min(min_break, abs(lhs - oracle) / allowance)

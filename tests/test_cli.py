@@ -149,6 +149,16 @@ def test_unachievable_tolerance_exit_code(capsys):
     assert err
 
 
+def test_unverified_result_exit_code(capsys):
+    # abs_err ~ 7e21 against 3*tol: a typed refusal, not a silent exit 0.
+    code, out, err = _run(capsys, ["verify2", "--s=-30", "--x", "0.5", "--y", "0.5",
+                                   "--format", "json"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_internal_errors_do_not_leak_tracebacks(capsys):
     # An unknown subcommand is a usage error, not an internal one.
     code, _, err = _run(capsys, ["frobnicate"])

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from vpvlab.explorer import EXPONENT_TOL
 from vpvlab import (
     DomainError,
     audit_special_values,
@@ -177,6 +178,15 @@ def test_scan_rows():
     for row in rows:
         assert row.abs_err <= 1e-6
         assert row.exponent_dev <= 1e-14
+
+
+def test_scan_at_large_height():
+    # The split-exponent roundoff grows with |T|; at T = 500 it is past
+    # the unscaled 1e-14 yet well within EXPONENT_TOL * |T|.
+    (row,) = critical_line_scan([500.0], x=0.2, y=0.2, tol=1e-8)
+    assert row.t_value == 500.0
+    assert row.abs_err <= 3e-8
+    assert row.exponent_dev <= 500 * EXPONENT_TOL
 
 
 def test_scan_at_zero_is_real_and_positive():

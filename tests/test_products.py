@@ -1,9 +1,11 @@
 """Product-log evaluator, RHS assembly, oracle, and report tests."""
 
 import cmath
+import itertools
 import math
 import random
 
+import mpmath
 import pytest
 
 from vpvlab import (
@@ -20,13 +22,14 @@ from vpvlab import (
     lhs_log_product_2d,
     lhs_log_product_3d,
     polylog,
-    product_log_sum_2d,
-    product_log_sum_3d,
+    product_log_sum,
     report_to_dict,
     rhs_log,
     tail_bound_2d,
     tail_bound_3d,
     verify,
+    visible_points_2d,
+    visible_points_3d,
     zeta_real,
 )
 
@@ -170,7 +173,7 @@ def test_oracle_equivalence_random_2d():
         x = _rand_disk(rng, 0.5)
         y = _rand_disk(rng, 0.5)
         cap = choose_degree_cap(IdentityCase(2, s, x, y), 1e-9)
-        lhs, _ = product_log_sum_2d(s, 1 - s, x, y, cap)
+        lhs, _ = product_log_sum((s, 1 - s), (x, y), cap)
         oracle = lattice_double_sum_2d(s, 1 - s, x, y, cap)
         allowance = 2 * tail_bound_2d(s, 1 - s, x, y, cap)
         assert abs(lhs - oracle) <= allowance, (s, x, y)
@@ -186,7 +189,7 @@ def test_oracle_equivalence_random_3d():
         y = _rand_disk(rng, 0.4)
         z = _rand_disk(rng, 0.4)
         cap = choose_degree_cap(IdentityCase(3, s, x, y, t=t, z=z), 1e-8)
-        lhs, _ = product_log_sum_3d(s, t, u, x, y, z, cap)
+        lhs, _ = product_log_sum((s, t, u), (x, y, z), cap)
         oracle = lattice_triple_sum_3d(s, t, u, x, y, z, cap)
         allowance = 2 * tail_bound_3d(s, t, u, x, y, z, cap)
         assert abs(lhs - oracle) <= allowance, (s, t, x, y, z)
@@ -199,7 +202,7 @@ def test_constraint_perturbation_is_detected():
         s = complex(rng.uniform(-3, 4), rng.uniform(-20, 20))
         t = 1 - s + 0.1
         cap = 70
-        lhs, _ = product_log_sum_2d(s, t, 0.4, 0.4, cap)
+        lhs, _ = product_log_sum((s, t), (0.4, 0.4), cap)
         oracle = lattice_double_sum_2d(s, t, 0.4, 0.4, cap)
         allowance = 2 * tail_bound_2d(s, t, 0.4, 0.4, cap)
         assert abs(lhs - oracle) > 100 * allowance, s
@@ -277,3 +280,87 @@ def test_report_error_definitions():
 def test_brute_force_3d_zero_argument():
     case = IdentityCase(3, 1.0, 0.2, 0.0, t=1.0, z=0.2)
     assert brute_force_log_3d(case, 40) == 0
+
+
+def test_product_log_sum_counts_every_visible_point():
+    # The kernel tests visibility against the diagonal d, not the last
+    # coordinate; the enumerators test the coordinates themselves.
+    for cap in range(2, 41):
+        _, count = product_log_sum((0.5, 0.5), (0.3, 0.3), cap)
+        assert count == sum(1 for _ in visible_points_2d(cap)), cap
+    for cap in range(3, 21):
+        _, count = product_log_sum((0.3, 0.3, 0.4), (0.3, 0.3, 0.3), cap)
+        assert count == sum(1 for _ in visible_points_3d(cap)), cap
+    # n = 4 has no enumerator: count the coprime quadruples directly.
+    cap = 12
+    quads = itertools.product(range(1, cap), repeat=4)
+    want = sum(1 for p in quads if sum(p) <= cap and math.gcd(*p) == 1)
+    _, count = product_log_sum((0.25,) * 4, (0.3,) * 4, cap)
+    assert count == want
+
+
+_CRITICAL = complex(0.5, 14.134725)
+_STRIP = complex(0.3, 2.5)
+
+
+@pytest.mark.parametrize(
+    "orders, args, cap",
+    [
+        ((_CRITICAL, 1 - _CRITICAL), (0.6 + 0.2j, -0.5j), 14),
+        ((_STRIP, 1 - _STRIP), (0.7, 0.4 - 0.3j), 14),
+        ((_CRITICAL, 0.2 - 3j, 0.3 - 11.134725j), (0.5j, 0.6, -0.4 + 0.3j), 9),
+        ((_STRIP, 0.6 - 1j, 0.1 - 1.5j), (0.6, 0.5 + 0.2j, 0.4j), 9),
+    ],
+)
+def test_product_log_sum_matches_mpmath(orders, args, cap):
+    points = visible_points_2d(cap) if len(orders) == 2 else visible_points_3d(cap)
+    with mpmath.workdps(30):
+        ref = mpmath.mpf(0)
+        magnitude = mpmath.mpf(0)
+        for p in points:
+            coords = [p.a, p.b] if len(orders) == 2 else [p.a, p.b, p.c]
+            weight = mpmath.mpf(1)
+            w = mpmath.mpf(1)
+            for k, s, x in zip(coords, orders, args):
+                weight *= mpmath.power(k, -mpmath.mpc(s))
+                w *= mpmath.power(mpmath.mpc(x), k)
+            term = -weight * mpmath.log(1 - w)
+            ref += term
+            magnitude += abs(term)
+        ref = complex(ref)
+    value, _ = product_log_sum(orders, args, cap)
+    # Relative to the sum of |terms|: each term carries a few ulp of its
+    # own size, and the last case cancels to a tenth of that sum.
+    assert abs(value - ref) <= 1e-14 * float(magnitude)
+
+
+def test_product_log_sum_rejects_mismatched_shapes():
+    with pytest.raises(DomainError):
+        product_log_sum((0.5,), (0.3,), 10)
+    with pytest.raises(DomainError):
+        product_log_sum((0.5, 0.5), (0.3, 0.3, 0.3), 10)
+
+
+def test_report_passed_is_the_three_tol_criterion():
+    good = verify(IdentityCase(2, 2.0, 0.5, 0.3), 1e-8)
+    assert good.passed
+    # |Li_-30(0.5)| ~ 2e37: double rounding of either side swamps 3*tol.
+    huge = verify(IdentityCase(2, -30.0, 0.5, 0.5), 1e-8)
+    assert huge.abs_err > 3e-8
+    assert not huge.passed
+    zeta = verify(IdentityCase(2, 6.0, 1.0, 0.9), 1e-8)
+    assert zeta.abs_err > 3e-8
+    assert not zeta.passed
+
+
+@pytest.mark.parametrize("s, x, y", [(2.5, 0.5, 0.6), (3.7, 1.0, 0.9)])
+def test_verify_with_rising_leading_terms(s, x, y):
+    # 2^(s-1) |y| >= 1, so the plain geometric bound on |Li_{1-s}(y)| is
+    # infinite and the factor estimate must sum the rising terms.
+    report = verify(IdentityCase(2, s, x, y), 1e-8)
+    assert report.passed
+    with mpmath.workdps(30):
+        first = mpmath.zeta(s) if x == 1 else mpmath.polylog(s, x)
+        ref = complex(first * mpmath.polylog(1 - s, y))
+    assert abs(report.rhs_log - ref) <= 1e-8
+    assert abs(report.lhs_log - ref) <= 2e-8
