@@ -2,8 +2,9 @@
 audits, and lattice enumeration, with JSON/CSV/human output.
 
 Exit codes: 0 success; 1 usage, domain, or validation error; 2
-tolerance unachievable (tail bound, non-convergence, or a verify2/verify3
-error above 3*tol); 3 internal error.
+tolerance unachievable (tail bound, non-convergence, an overflowing or
+non-finite evaluation, or a verify2/verify3 error above 3*tol); 3
+internal error.
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .errors import DomainError, NonConvergence, TailBoundExceedsTol
+from .errors import ComputationError, DomainError, NonConvergence, TailBoundExceedsTol
 from .explorer import (
     DEFAULT_T_VALUES,
     audit_special_values,
@@ -661,7 +662,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (TailBoundExceedsTol, NonConvergence, _NotVerified) as exc:
+    except (TailBoundExceedsTol, NonConvergence, ComputationError, _NotVerified) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_TOLERANCE
     except (DomainError, ValueError) as exc:

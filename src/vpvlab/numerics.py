@@ -79,8 +79,8 @@ def power_geometric_tail(cap: int, p: float, r: float) -> float:
     Past the peak of d^p r^d the term ratio is at most
     q = ((cap + 2)/(cap + 1))^p * r, so the tail is dominated by the
     geometric series t0 * (1 + q + q^2 + ...) with t0 the first dropped
-    term. Returns inf when q >= 1 (cap not yet past the peak); the
-    caller then increases cap.
+    term. Returns inf when q >= 1 (cap not yet past the peak) or when
+    the bound is past the float range; the caller then increases cap.
     """
     if r < 0 or r >= 1:
         raise ValueError("r must lie in [0, 1)")
@@ -96,50 +96,34 @@ def power_geometric_tail(cap: int, p: float, r: float) -> float:
     # exp(log(...)) can land an ulp under the exact tail; inflate so the
     # result stays a true upper bound (|log_t0| <= 740 keeps the
     # round-trip relative error well under 1e-12).
-    return math.exp(log_t0) / (1.0 - q) * (1.0 + 1e-12) + TINY_BOUND
+    try:
+        return math.exp(log_t0) / (1.0 - q) * (1.0 + 1e-12) + TINY_BOUND
+    except OverflowError:
+        return math.inf
 
 
-def dirichlet_tail(s: complex, start: int, corrections: int = 6):
-    """(value, remainder_bound) for sum_{k >= start} k^-s with Re s > 1.
+def dirichlet_tail(s: float, start: int, corrections: int = 6):
+    """(value, remainder_bound) for sum_{k >= start} k^-s with real s > 1.
 
     Euler-Maclaurin: integral term, half term, then `corrections`
     Bernoulli correction terms. The remainder bound is the magnitude of
-    the first omitted correction; for complex s it carries the standard
-    |s + 2m + 1| / (Re s + 2m + 1) safety factor (the factor is 1 for
-    real s, where the classical alternating-remainder result applies).
+    the first omitted correction (the classical alternating-remainder
+    result for real s).
     """
     if start < 1:
         raise ValueError("start must be >= 1")
-    s = complex(s)
-    sigma = s.real
-    if sigma <= 1.0:
-        raise ValueError("dirichlet_tail requires Re s > 1")
+    sr = float(s)
+    if sr <= 1.0:
+        raise ValueError("dirichlet_tail requires s > 1")
     n = float(start)
-    if s.imag == 0.0:
-        sr = sigma
-        val: complex = complex(n ** (1.0 - sr) / (sr - 1.0) + 0.5 * n ** (-sr))
-        poch = sr
-        for j in range(1, corrections + 1):
-            b2j = float(_BERNOULLI[j - 1])
-            val += complex(b2j / math.factorial(2 * j) * poch * n ** (-sr - 2 * j + 1))
-            poch *= (sr + 2 * j - 1) * (sr + 2 * j)
-        m = corrections
-        rem = abs(float(_BERNOULLI[m])) / math.factorial(2 * m + 2) * poch * n ** (-sr - 2 * m - 1)
-        return val, rem
-    ln_n = math.log(n)
-    val = cmath.exp((1 - s) * ln_n) / (s - 1) + 0.5 * cmath.exp(-s * ln_n)
-    poch = s
+    val = complex(n ** (1.0 - sr) / (sr - 1.0) + 0.5 * n ** (-sr))
+    poch = sr
     for j in range(1, corrections + 1):
         b2j = float(_BERNOULLI[j - 1])
-        val += b2j / math.factorial(2 * j) * poch * cmath.exp((-s - 2 * j + 1) * ln_n)
-        poch *= (s + 2 * j - 1) * (s + 2 * j)
+        val += complex(b2j / math.factorial(2 * j) * poch * n ** (-sr - 2 * j + 1))
+        poch *= (sr + 2 * j - 1) * (sr + 2 * j)
     m = corrections
-    rem = (
-        abs(float(_BERNOULLI[m])) / math.factorial(2 * m + 2)
-        * abs(poch)
-        * math.exp((-sigma - 2 * m - 1) * ln_n)
-        * (abs(s + 2 * m + 1) / (sigma + 2 * m + 1))
-    )
+    rem = abs(float(_BERNOULLI[m])) / math.factorial(2 * m + 2) * poch * n ** (-sr - 2 * m - 1)
     return val, rem
 
 

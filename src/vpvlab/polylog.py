@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import DomainError, NonConvergence
+from .errors import ComputationError, DomainError, NonConvergence
 from .numerics import KahanSum, dirichlet_tail, log1m, power_geometric_tail, require_finite
 
 # Arguments must stay this far inside the unit circle for the series.
@@ -79,58 +79,86 @@ def polylog(
         return _polylog_mp(s, z, tol, term_cap, dps)
     if z == 0:
         return SeriesResult(0j, 1, 0.0)
+    n, bound = _stopping_index(s, z, r, tol, term_cap)
+    return SeriesResult(require_finite(polylog_partial(s, z, n), "polylog"), n, bound)
+
+
+def _stopping_index(s: complex, z, r: float, tol: float, term_cap: int) -> tuple[int, float]:
+    """(k, bound): the first k >= 1 with _series_tail(k, ...) = bound <= tol.
+
+    The bound is inf before the peak of k^sigma r^k and strictly
+    decreasing after it, so a doubling search followed by a bisection
+    finds the same k as testing every k in turn.
+
+    Raises:
+        NonConvergence: no k <= term_cap meets tol.
+    """
     sigma_minus = max(0.0, -s.real)
-    acc = KahanSum()
-    zk = 1 + 0j
-    for k in range(1, term_cap + 1):
-        zk *= z
-        term = zk if k == 1 else zk * cmath.exp(-s * math.log(k))
-        acc.add(term)
-        bound = _series_tail(k, sigma_minus, float(r))
-        if bound <= tol:
-            return SeriesResult(require_finite(acc.value, "polylog"), k, bound)
-    raise NonConvergence(
-        f"polylog(s={s!r}, z={z!r}) did not reach tol={tol!r} within {term_cap} terms"
-    )
+    lo, hi = 0, 1
+    while (bound := _series_tail(hi, sigma_minus, r)) > tol:
+        if hi >= term_cap:
+            raise NonConvergence(
+                f"polylog(s={s!r}, z={z!r}) did not reach tol={tol!r} within {term_cap} terms"
+            )
+        lo, hi = hi, min(2 * hi, term_cap)
+    # _series_tail(lo) > tol >= _series_tail(hi) = bound
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        mid_bound = _series_tail(mid, sigma_minus, r)
+        if mid_bound <= tol:
+            hi, bound = mid, mid_bound
+        else:
+            lo = mid
+    return hi, bound
 
 
 def _polylog_mp(s: complex, z, tol: float, term_cap: int, dps: int) -> SeriesResult:
-    from mpmath import mp, mpc, mpf
+    from mpmath import mp, mpc
 
     with mp.workdps(dps):
         zc = mpc(z)
         sc = mpc(s)
         if zc == 0:
             return SeriesResult(mpc(0), 1, 0.0)
-        r = abs(zc)
-        sigma_minus = max(0.0, -float(sc.real))
+        n, bound = _stopping_index(s, z, float(abs(zc)), tol, term_cap)
         total = mpc(0)
         zk = mpc(1)
-        tolm = mpf(tol)
-        for k in range(1, term_cap + 1):
+        for k in range(1, n + 1):
             zk *= zc
             total += zk if k == 1 else zk * mp.exp(-sc * mp.log(k))
-            bound = power_geometric_tail(k, sigma_minus, float(r))
-            if bound <= tolm:
-                return SeriesResult(total, k, bound)
-    raise NonConvergence(
-        f"polylog(s={s!r}, z={z!r}, dps={dps}) did not reach tol={tol!r} within {term_cap} terms"
-    )
+        return SeriesResult(total, n, bound)
 
 
 def polylog_partial(s: complex, z: complex, n_terms: int) -> complex:
     """Plain partial sum of the Li_s(z) series over exactly n_terms terms.
 
-    No domain or tolerance logic; used for tail-bound validation.
+    No domain or tolerance logic; polylog returns this sum at its
+    stopping index. Kahan-compensated, as KahanSum.add, inlined.
+
+    Raises:
+        ComputationError: a term k^-s overflows (-Re s ln k past ~709).
     """
     s = complex(s)
     z = complex(z)
-    acc = KahanSum()
+    re = im = cre = cim = 0.0
     zk = 1 + 0j
-    for k in range(1, n_terms + 1):
-        zk *= z
-        acc.add(zk if k == 1 else zk * cmath.exp(-s * math.log(k)))
-    return acc.value
+    try:
+        for k in range(1, n_terms + 1):
+            zk *= z
+            term = zk if k == 1 else zk * cmath.exp(-s * math.log(k))
+            y = term.real - cre
+            t = re + y
+            cre = (t - re) - y
+            re = t
+            y = term.imag - cim
+            t = im + y
+            cim = (t - im) - y
+            im = t
+    except OverflowError:
+        raise ComputationError(
+            f"Li_s(z) series term overflows at k = {k} for s = {s!r}"
+        ) from None
+    return complex(re, im)
 
 
 def polylog_closed_form(n: int, z: complex) -> complex:

@@ -21,7 +21,7 @@ from enum import Enum
 from typing import Callable, Optional, Sequence
 
 from .errors import ComputationError, DomainError, TailBoundExceedsTol
-from .numerics import KahanSum, dirichlet_tail, log1m, power_geometric_tail, require_finite
+from .numerics import KahanSum, log1m, power_geometric_tail, require_finite
 from .polylog import EPS_DOMAIN, EPS_ZETA, polylog, polylog_neg_int, zeta_real
 
 # Largest degree cap verify() will consider.
@@ -318,94 +318,48 @@ def lattice_triple_sum_3d(
 
 
 # ---------------------------------------------------------------------------
-# x = 1 zeta mode: per-b coprime Dirichlet sums with Euler-Maclaurin tails
+# x = 1 zeta mode: sum over gcd(a, b) = 1 of a^-s = zeta(s) prod_{p | b} (1 - p^-s)
 # ---------------------------------------------------------------------------
 
-def _divisors(b: int) -> list[int]:
-    out = []
-    for d in range(1, int(math.isqrt(b)) + 1):
-        if b % d == 0:
-            out.append(d)
-            if d != b // d:
-                out.append(b // d)
-    out.sort()
-    return out
+def _coprime_factors(s: float, cap: int) -> list[float]:
+    """c_b = prod over the distinct primes p | b of (1 - p^-s), for b <= cap.
 
-
-def _mobius(n: int) -> int:
-    if n == 1:
-        return 1
-    m = 1
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            n //= p
-            if n % p == 0:
-                return 0
-            m = -m
-        p += 1
-    if n > 1:
-        m = -m
-    return m
-
-
-def _coprime_dirichlet(s: complex, b: int, a_cap: int) -> tuple[complex, float, int]:
-    """(value, remainder_bound, head_terms) for sum over gcd(a, b) = 1 of a^-s.
-
-    Head: direct sum to a_cap. Tail: exact Mobius split over divisors of
-    b into plain Dirichlet tails, each Euler-Maclaurin evaluated with a
-    certified remainder. Requires Re s > 1.
+    Euler product: the Dirichlet series over a coprime to b is zeta(s)
+    with the factors of the primes dividing b removed (Apostol,
+    Introduction to Analytic Number Theory, ch. 11).
     """
-    s = complex(s)
-    real_s = s.imag == 0.0
-    head_r = 0.0
-    head_c = 0j
-    count = 0
-    if real_s:
-        sr = s.real
-        for a in range(1, a_cap + 1):
-            if math.gcd(a, b) == 1:
-                head_r += a ** -sr
-                count += 1
-    else:
-        for a in range(1, a_cap + 1):
-            if math.gcd(a, b) == 1:
-                head_c += cmath.exp(-s * math.log(a)) if a > 1 else 1.0
-                count += 1
-    head = complex(head_r) if real_s else head_c
-    tail = 0j
-    rem_total = 0.0
-    for d in _divisors(b):
-        mu = _mobius(d)
-        if mu == 0:
-            continue
-        tail_val, rem = dirichlet_tail(s, a_cap // d + 1)
-        weight = d ** -s.real if real_s else cmath.exp(-s * math.log(d))
-        tail += mu * (weight if not real_s else complex(weight)) * tail_val
-        rem_total += abs(weight) * rem
-    return head + tail, rem_total, count
+    c = [1.0] * (cap + 1)
+    sieved = bytearray(cap + 1)
+    for p in range(2, cap + 1):
+        if not sieved[p]:
+            f = 1.0 - p ** -s
+            for m in range(p, cap + 1, p):
+                c[m] *= f
+                sieved[m] = 1
+    return c
 
 
 def _zeta_mode_log_sum(
     s: complex, t: complex, y: complex, b_cap: int
 ) -> tuple[complex, float, int]:
-    """Zeta-mode left side: sum_b (-b^-t log(1 - y^b)) * (coprime a-sum).
+    """Zeta-mode left side: zeta(s) * sum_b (-b^-t log(1 - y^b)) c_b.
 
-    Returns (value, certified bound, product factors counted in heads).
+    Returns (value, certified bound, product factors summed = b_cap).
+    zeta(s) is evaluated once; its remainder times sum_b |f_b| c_b is
+    added to the bound, and its tolerance keeps that share <= 1e-15.
     """
-    acc = KahanSum()
-    rem_total = 0.0
-    terms = 0
+    sr = complex(s).real
     yp = _pow_table(complex(y), b_cap)
+    c = _coprime_factors(sr, b_cap)
+    acc = KahanSum()
+    weight = 0.0
     for b in range(1, b_cap + 1):
-        a_cap = max(128, 16 * b)
-        s_b, rem, count = _coprime_dirichlet(s, b, a_cap)
         f = -cmath.exp(-t * math.log(b)) * log1m(yp[b]) if b > 1 else -log1m(yp[1])
-        acc.add(f * s_b)
-        rem_total += abs(f) * rem
-        terms += count
-    bound = _zeta_mode_b_tail(s, t, y, b_cap) + rem_total
-    return require_finite(acc.value, "zeta_mode_log_sum"), bound, terms
+        acc.add(f * c[b])
+        weight += abs(f) * c[b]
+    zeta = zeta_real(sr, 1e-15 / max(1.0, weight))
+    bound = _zeta_mode_b_tail(s, t, y, b_cap) + zeta.tail_bound * weight
+    return require_finite(zeta.value * acc.value, "zeta_mode_log_sum"), bound, b_cap
 
 
 # ---------------------------------------------------------------------------

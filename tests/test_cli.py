@@ -159,6 +159,22 @@ def test_unverified_result_exit_code(capsys):
     assert len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify2", "--s=-200.5", "--x", "0.5", "--y", "0.5"],
+        ["polylog", "--s=-200.5", "--z", "0.5"],
+    ],
+)
+def test_overflowing_series_exit_code(capsys, argv):
+    # k^200.5 passes the float range at k = 35: a typed refusal, not exit 3.
+    code, out, err = _run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_internal_errors_do_not_leak_tracebacks(capsys):
     # An unknown subcommand is a usage error, not an internal one.
     code, _, err = _run(capsys, ["frobnicate"])

@@ -12,6 +12,8 @@ import random
 import pytest
 
 from vpvlab import (
+    TERM_CAP,
+    ComputationError,
     DomainError,
     NonConvergence,
     polylog,
@@ -165,6 +167,52 @@ def test_domain_and_convergence_errors():
         polylog(2, 0.5, 0.0)
     with pytest.raises(NonConvergence):
         polylog(2, 0.5, 1e-12, term_cap=5)
+
+
+def _scan_stop(s, z, tol, term_cap):
+    """(k, bound) for the first k whose tail bound meets tol, testing every
+    k in turn; None when no k <= term_cap does."""
+    sigma_minus = max(0.0, -complex(s).real)
+    for k in range(1, term_cap + 1):
+        bound = power_geometric_tail(k, sigma_minus, abs(z))
+        if bound <= tol:
+            return k, bound
+    return None
+
+
+def test_stopping_index_matches_per_term_scan():
+    rng = random.Random(2246)
+    for i in range(150):
+        s = complex(rng.uniform(-4, 4), rng.uniform(-30, 30))
+        r = 0.999 * rng.random() if i % 3 else 0.999 - 0.05 * rng.random()
+        z = r * cmath.exp(2j * math.pi * rng.random())
+        tol = 10 ** rng.uniform(-15, -3)
+        k, bound = _scan_stop(s, z, tol, TERM_CAP)
+        res = polylog(s, z, tol)
+        assert (res.terms_used, res.tail_bound) == (k, bound), (s, z, tol)
+        assert res.value == polylog_partial(s, z, k)
+        # NonConvergence exactly when the scan passes term_cap.
+        cap = rng.randrange(1, 2 * k + 1)
+        if _scan_stop(s, z, tol, cap) is None:
+            with pytest.raises(NonConvergence):
+                polylog(s, z, tol, term_cap=cap)
+        else:
+            assert polylog(s, z, tol, term_cap=cap).terms_used == k
+
+
+def test_stopping_index_same_in_extended_precision():
+    s, z, tol = -1.5 + 4j, 0.9 * cmath.exp(1j), 1e-12
+    assert polylog(s, z, tol, dps=30).terms_used == polylog(s, z, tol).terms_used
+    with pytest.raises(NonConvergence):
+        polylog(s, z, tol, term_cap=10, dps=30)
+
+
+def test_overflowing_terms_raise_computation_error():
+    # k^200.5 passes the float range at k = 35; the bound is met far later.
+    with pytest.raises(ComputationError):
+        polylog(-200.5, 0.5, 1e-12)
+    res = polylog(-200.5, 0.5, 1e-12, dps=30)
+    assert res.terms_used > 35
 
 
 def test_zeta_special_values():

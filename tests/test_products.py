@@ -137,6 +137,18 @@ def test_zeta_mode_rhs_value():
         brute_force_log_2d(case, 60)  # no finite-lattice oracle at x=1
 
 
+@pytest.mark.parametrize("s", [1.01, 1.3, 2.0, 2.5, 3.0, 4.0])
+def test_zeta_mode_matches_mpmath(s):
+    # The coprime sum over a is zeta(s) prod_{p | b} (1 - p^-s), so the left
+    # side is zeta(s) Li_{1-s}(y) up to its certified bound, one term per b.
+    for y in (0.1, 0.3, 0.6, 0.85, 0.92, -0.8, 0.5 + 0.5j):
+        report = verify(IdentityCase(2, s, 1.0, y), 1e-8)
+        with mpmath.workdps(30):
+            ref = complex(mpmath.zeta(s) * mpmath.polylog(1 - s, y))
+        assert abs(report.lhs_log - ref) <= report.tail_bound, (s, y)
+        assert report.terms == report.degree_cap
+
+
 def test_critical_line_rhs_factorization():
     s = 0.5 + 5j
     case = IdentityCase(2, s, 0.2, 0.2)
