@@ -14,7 +14,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional, Sequence
 
 from .errors import ComputationError, DomainError, NonConvergence, TailBoundExceedsTol
@@ -32,7 +32,6 @@ from .products import (
     DEFAULT_DEGREE_CAP_MAX,
     IdentityCase,
     IdentityReport,
-    report_to_dict,
     verify,
 )
 
@@ -166,7 +165,6 @@ _COMMANDS: dict[str, tuple[_Opt, ...]] = {
     "catalog": (
         _Opt("tol", "float", 1e-8, help="tolerance applied to every catalog case"),
         _Opt("degree_cap_max", "int", DEFAULT_DEGREE_CAP_MAX, help="largest degree cap to consider"),
-        _Opt("threads", "int", 1, help="verify this many cases concurrently"),
     ),
     "scan": (
         _Opt("T", "float_list", tuple(DEFAULT_T_VALUES), help="comma-separated T values for s = 1/2 + iT"),
@@ -174,7 +172,6 @@ _COMMANDS: dict[str, tuple[_Opt, ...]] = {
         _Opt("y", "complex", complex(0.2), help="second argument"),
         _Opt("tol", "float", 1e-8, help="per-row tolerance"),
         _Opt("degree_cap_max", "int", DEFAULT_DEGREE_CAP_MAX, help="largest degree cap to consider"),
-        _Opt("threads", "int", 1, help="verify this many rows concurrently"),
     ),
     "probe": (
         _Opt("order", "int", 3, help="positive order (2, 3, or 4); the probed factor has order 1-order"),
@@ -311,12 +308,11 @@ def _validate_common(res: dict) -> None:
         raise DomainError(f"tol must be positive, got {res['tol']!r}")
     if "degree_cap_max" in res and res["degree_cap_max"] < 2:
         raise DomainError(f"degree-cap-max must be >= 2, got {res['degree_cap_max']!r}")
-    if "threads" in res and res["threads"] < 1:
-        raise DomainError(f"threads must be >= 1, got {res['threads']!r}")
 
 
 # ---------------------------------------------------------------------------
-# rendering
+# rendering: a record is one output row, ordered (column, value,
+# is_complex) triples; json and csv flatten every record the same way
 # ---------------------------------------------------------------------------
 
 def _fmt_complex(v: complex) -> str:
@@ -324,203 +320,115 @@ def _fmt_complex(v: complex) -> str:
     return f"{v.real!r} {sign} {abs(v.imag)!r}i"
 
 
+def _json_text(payload) -> str:
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def _json_record(record) -> dict:
+    return {name: {"re": v.real, "im": v.imag} if cx and v is not None else v
+            for name, v, cx in record}
+
+
 def _csv_text(header: Sequence[str], rows: Sequence[Sequence[object]],
               comments: Sequence[str] = ()) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    for row in rows:
-        writer.writerow(["" if v is None else v for v in row])
-    text = buf.getvalue()
-    for comment in comments:
-        text += f"# {comment}\n"
+    writer.writerows(rows)
+    return buf.getvalue() + "".join(f"# {comment}\n" for comment in comments)
+
+
+# csv stems of the audit's complex columns
+_CSV_STEMS = {
+    "printed_form_value": "printed",
+    "series_value": "series",
+    "candidate_corrected_value": "corrected",
+}
+
+
+def _csv_records(records, comments: Sequence[str] = ()) -> str:
+    """A complex column becomes <stem>_re,<stem>_im; None becomes empty cells,
+    as the csv module writes it."""
+    header = []
+    for name, _, cx in records[0]:
+        stem = _CSV_STEMS.get(name, name)
+        header += [f"{stem}_re", f"{stem}_im"] if cx else [name]
+    rows = []
+    for record in records:
+        row = []
+        for _, v, cx in record:
+            if not cx:
+                row.append(v)
+            else:
+                row += [None, None] if v is None else [v.real, v.imag]
+        rows.append(row)
+    return _csv_text(header, rows, comments)
+
+
+def _human_line(line: str, record) -> str:
+    values = {name: _fmt_complex(v) if cx and v is not None else v for name, v, cx in record}
+    return line.format(**values) + "\n"
+
+
+def _render(fmt: str, records, line: Optional[str] = None) -> str:
+    """Render a table of records, or one result when no human line is given.
+
+    A single result is a JSON object and `key: value` lines; a table is
+    a JSON list and one formatted line per record.
+    """
+    if fmt == "json":
+        dicts = [_json_record(r) for r in records]
+        return _json_text(dicts if line else dicts[0])
+    if fmt == "csv":
+        return _csv_records(records)
+    if line:
+        return "".join(_human_line(line, r) for r in records)
+    text = ""
+    for name, v, cx in records[0]:
+        if cx:
+            v = _fmt_complex(v)
+        text += f"{name}: {v if isinstance(v, str) else repr(v)}\n"
     return text
 
 
-_REPORT_HEADER = (
-    "label", "lhs_log_re", "lhs_log_im", "rhs_log_re", "rhs_log_im",
-    "abs_err", "rel_err", "degree_cap", "tail_bound", "terms",
-)
+def _fields_record(row, **names):
+    """A result dataclass as a record: one column per field, in field order,
+    renamed by `names`. A field is complex when its annotation names
+    complex, so a None value still gets its two csv columns."""
+    return [(names.get(f.name, f.name), getattr(row, f.name), "complex" in str(f.type))
+            for f in fields(row)]
 
 
-def _report_row(label: str, r: IdentityReport) -> tuple:
-    return (
-        label, r.lhs_log.real, r.lhs_log.imag, r.rhs_log.real, r.rhs_log.imag,
-        r.abs_err, r.rel_err, r.degree_cap, r.tail_bound, r.terms,
-    )
-
-
-def _report_human(label: str, r: IdentityReport) -> str:
-    return "\n".join([
-        f"case: {label}",
-        f"lhs_log: {_fmt_complex(r.lhs_log)}",
-        f"rhs_log: {_fmt_complex(r.rhs_log)}",
-        f"abs_err: {r.abs_err!r}",
-        f"rel_err: {r.rel_err!r}",
-        f"degree_cap: {r.degree_cap}",
-        f"tail_bound: {r.tail_bound!r}",
-        f"terms: {r.terms}",
-    ]) + "\n"
-
-
-def _render_verify(report: IdentityReport, fmt: str) -> str:
-    label = report.case.label or f"verify{report.case.dimension}"
-    if fmt == "json":
-        return json.dumps(report_to_dict(report), indent=2) + "\n"
-    if fmt == "csv":
-        return _csv_text(_REPORT_HEADER, [_report_row(label, report)])
-    return _report_human(label, report)
-
-
-def _render_catalog(reports, fmt: str) -> str:
-    if fmt == "json":
-        payload = [dict(label=r.case.label, **report_to_dict(r)) for r in reports]
-        return json.dumps(payload, indent=2) + "\n"
-    if fmt == "csv":
-        return _csv_text(_REPORT_HEADER, [_report_row(r.case.label, r) for r in reports])
-    lines = [
-        f"{r.case.label:14s} abs_err={r.abs_err:.3e} rel_err={r.rel_err:.3e} "
-        f"degree_cap={r.degree_cap} tail_bound={r.tail_bound:.3e} terms={r.terms}"
-        for r in reports
+def _report_record(r: IdentityReport):
+    return [
+        ("lhs_log", r.lhs_log, True),
+        ("rhs_log", r.rhs_log, True),
+        ("abs_err", r.abs_err, False),
+        ("rel_err", r.rel_err, False),
+        ("degree_cap", r.degree_cap, False),
+        ("tail_bound", r.tail_bound, False),
+        ("terms", r.terms, False),
     ]
-    return "\n".join(lines) + "\n"
 
 
-_SCAN_HEADER = (
-    "T", "lhs_log_re", "lhs_log_im", "rhs_log_re", "rhs_log_im", "abs_err",
-    "li_s_x_re", "li_s_x_im", "li_t_y_re", "li_t_y_im",
-    "exponent_dev", "degree_cap", "tail_bound",
-)
-
-
-def _render_scan(rows, fmt: str) -> str:
-    if fmt == "json":
-        payload = [
-            {
-                "T": r.t_value,
-                "lhs_log": {"re": r.lhs_log.real, "im": r.lhs_log.imag},
-                "rhs_log": {"re": r.rhs_log.real, "im": r.rhs_log.imag},
-                "abs_err": r.abs_err,
-                "li_s_x": {"re": r.li_s_x.real, "im": r.li_s_x.imag},
-                "li_t_y": {"re": r.li_t_y.real, "im": r.li_t_y.imag},
-                "exponent_dev": r.exponent_dev,
-                "degree_cap": r.degree_cap,
-                "tail_bound": r.tail_bound,
-            }
-            for r in rows
-        ]
-        return json.dumps(payload, indent=2) + "\n"
-    if fmt == "csv":
-        data = [
-            (r.t_value, r.lhs_log.real, r.lhs_log.imag, r.rhs_log.real, r.rhs_log.imag,
-             r.abs_err, r.li_s_x.real, r.li_s_x.imag, r.li_t_y.real, r.li_t_y.imag,
-             r.exponent_dev, r.degree_cap, r.tail_bound)
-            for r in rows
-        ]
-        return _csv_text(_SCAN_HEADER, data)
-    lines = [
-        f"T={r.t_value:<12g} abs_err={r.abs_err:.3e} exponent_dev={r.exponent_dev:.3e} "
-        f"lhs_log={_fmt_complex(r.lhs_log)} degree_cap={r.degree_cap}"
-        for r in rows
+def _series_record(value, result):
+    # value: complex for polylog, float for ez31, or the digit string of
+    # an extended-precision polylog in human output
+    return [
+        ("value", value, isinstance(value, complex)),
+        ("terms", result.terms_used, False),
+        ("tail_bound", result.tail_bound, False),
     ]
-    return "\n".join(lines) + "\n"
 
 
-_PROBE_HEADER = (
-    "delta", "y", "lhs_log_re", "lhs_log_im", "rhs_log_re", "rhs_log_im",
-    "abs_err", "rhs_exponent_magnitude", "closed_factor_re", "closed_factor_im",
-    "degree_cap", "tail_bound", "error",
-)
-
-
-def _render_probe(order, rows, note, fmt: str) -> str:
-    if fmt == "json":
-        payload = {
-            "order": order,
-            "rows": [
-                {
-                    "delta": r.delta,
-                    "y": r.y,
-                    "lhs_log": None if r.lhs_log is None else {"re": r.lhs_log.real, "im": r.lhs_log.imag},
-                    "rhs_log": None if r.rhs_log is None else {"re": r.rhs_log.real, "im": r.rhs_log.imag},
-                    "abs_err": r.abs_err,
-                    "rhs_exponent_magnitude": r.rhs_exponent_magnitude,
-                    "closed_factor": None if r.closed_factor is None else
-                        {"re": r.closed_factor.real, "im": r.closed_factor.imag},
-                    "degree_cap": r.degree_cap,
-                    "tail_bound": r.tail_bound,
-                    "error": r.error,
-                }
-                for r in rows
-            ],
-            "note": note,
-        }
-        return json.dumps(payload, indent=2) + "\n"
-    if fmt == "csv":
-        data = []
-        for r in rows:
-            data.append((
-                r.delta, r.y,
-                None if r.lhs_log is None else r.lhs_log.real,
-                None if r.lhs_log is None else r.lhs_log.imag,
-                None if r.rhs_log is None else r.rhs_log.real,
-                None if r.rhs_log is None else r.rhs_log.imag,
-                r.abs_err, r.rhs_exponent_magnitude,
-                None if r.closed_factor is None else r.closed_factor.real,
-                None if r.closed_factor is None else r.closed_factor.imag,
-                r.degree_cap, r.tail_bound, r.error,
-            ))
-        return _csv_text(_PROBE_HEADER, data, comments=[f"note: {note}"])
-    lines = []
-    for r in rows:
-        if r.error is not None:
-            lines.append(f"delta={r.delta:<8g} error: {r.error}")
-        else:
-            lines.append(
-                f"delta={r.delta:<8g} abs_err={r.abs_err:.3e} "
-                f"|rhs_log|={r.rhs_exponent_magnitude:.6e} degree_cap={r.degree_cap}"
-            )
-    return "\n".join(lines) + f"\n\nnote: {note}\n"
-
-
-_AUDIT_HEADER = (
-    "name", "verdict", "printed_re", "printed_im", "series_re", "series_im",
-    "discrepancy", "corrected_re", "corrected_im", "corrected_formula", "note",
-)
-
-
-def _render_audit(records, fmt: str) -> str:
-    if fmt == "json":
-        payload = [
-            {
-                "name": r.name,
-                "verdict": r.verdict,
-                "printed_form_value": {"re": r.printed_form_value.real, "im": r.printed_form_value.imag},
-                "series_value": {"re": r.series_value.real, "im": r.series_value.imag},
-                "discrepancy": r.discrepancy,
-                "candidate_corrected_value": None if r.candidate_corrected_value is None else
-                    {"re": r.candidate_corrected_value.real, "im": r.candidate_corrected_value.imag},
-                "corrected_formula": r.corrected_formula,
-                "note": r.note,
-            }
-            for r in records
-        ]
-        return json.dumps(payload, indent=2) + "\n"
-    if fmt == "csv":
-        data = [
-            (r.name, r.verdict, r.printed_form_value.real, r.printed_form_value.imag,
-             r.series_value.real, r.series_value.imag, r.discrepancy,
-             None if r.candidate_corrected_value is None else r.candidate_corrected_value.real,
-             None if r.candidate_corrected_value is None else r.candidate_corrected_value.imag,
-             r.corrected_formula, r.note)
-            for r in records
-        ]
-        return _csv_text(_AUDIT_HEADER, data)
-    lines = [
-        f"{r.name:9s} {r.verdict:17s} discrepancy={r.discrepancy:.3e}  {r.note}"
-        for r in records
-    ]
-    return "\n".join(lines) + "\n"
+_CATALOG_LINE = ("{label:14s} abs_err={abs_err:.3e} rel_err={rel_err:.3e} "
+                 "degree_cap={degree_cap} tail_bound={tail_bound:.3e} terms={terms}")
+_SCAN_LINE = ("T={T:<12g} abs_err={abs_err:.3e} exponent_dev={exponent_dev:.3e} "
+              "lhs_log={lhs_log} degree_cap={degree_cap}")
+_PROBE_LINE = ("delta={delta:<8g} abs_err={abs_err:.3e} "
+               "|rhs_log|={rhs_exponent_magnitude:.6e} degree_cap={degree_cap}")
+_PROBE_ERROR_LINE = "delta={delta:<8g} error: {error}"
+_AUDIT_LINE = "{name:9s} {verdict:17s} discrepancy={discrepancy:.3e}  {note}"
 
 
 # ---------------------------------------------------------------------------
@@ -534,7 +442,11 @@ def _verified(case: IdentityCase, res: dict) -> str:
             f"abs_err {report.abs_err!r} exceeds 3*tol = {3 * res['tol']!r} "
             f"(tail_bound {report.tail_bound!r}); the identity is not verified"
         )
-    return _render_verify(report, res["format"])
+    fmt = res["format"]
+    # the label is a csv column and the human "case" line, not a json key
+    label = {"json": [], "csv": [("label", case.label, False)],
+             "human": [("case", case.label, False)]}[fmt]
+    return _render(fmt, [label + _report_record(report)])
 
 
 def _cmd_verify2(res: dict) -> str:
@@ -547,39 +459,42 @@ def _cmd_verify3(res: dict) -> str:
 
 
 def _cmd_catalog(res: dict) -> str:
-    reports = run_catalog(res["tol"], threads=res["threads"],
-                          degree_cap_max=res["degree_cap_max"])
-    return _render_catalog(reports, res["format"])
+    reports = run_catalog(res["tol"], degree_cap_max=res["degree_cap_max"])
+    records = [[("label", r.case.label, False)] + _report_record(r) for r in reports]
+    return _render(res["format"], records, _CATALOG_LINE)
 
 
 def _cmd_scan(res: dict) -> str:
     rows = critical_line_scan(res["T"], res["x"], res["y"], res["tol"],
-                              threads=res["threads"], degree_cap_max=res["degree_cap_max"])
-    return _render_scan(rows, res["format"])
+                              degree_cap_max=res["degree_cap_max"])
+    records = [_fields_record(r, t_value="T") for r in rows]
+    return _render(res["format"], records, _SCAN_LINE)
 
 
 def _cmd_probe(res: dict) -> str:
     rows, note = trivial_zero_probe(res["order"], res["x"], res["deltas"],
                                     tol=res["tol"], degree_cap_max=res["degree_cap_max"])
-    return _render_probe(res["order"], rows, note, res["format"])
+    records = [_fields_record(r) for r in rows]
+    if res["format"] == "json":
+        rows_json = [_json_record(r) for r in records]
+        return _json_text({"order": res["order"], "rows": rows_json, "note": note})
+    if res["format"] == "csv":
+        return _csv_records(records, [f"note: {note}"])
+    lines = [
+        _human_line(_PROBE_LINE if r.error is None else _PROBE_ERROR_LINE, record)
+        for r, record in zip(rows, records)
+    ]
+    return "".join(lines) + f"\nnote: {note}\n"
 
 
 def _cmd_audit(res: dict) -> str:
-    records = audit_special_values(res["tol"], dps=res["precision"])
-    return _render_audit(records, res["format"])
+    records = [_fields_record(r) for r in audit_special_values(res["tol"], dps=res["precision"])]
+    return _render(res["format"], records, _AUDIT_LINE)
 
 
 def _cmd_ez31(res: dict) -> str:
     result = euler_zagier_31(res["tol"])
-    value = result.value.real if isinstance(result.value, complex) else result.value
-    if res["format"] == "json":
-        payload = {"value": value, "terms": result.terms_used, "tail_bound": result.tail_bound}
-        return json.dumps(payload, indent=2) + "\n"
-    if res["format"] == "csv":
-        return _csv_text(("value", "terms", "tail_bound"),
-                         [(value, result.terms_used, result.tail_bound)])
-    return (f"value: {value!r}\nterms: {result.terms_used}\n"
-            f"tail_bound: {result.tail_bound!r}\n")
+    return _render(res["format"], [_series_record(result.value, result)])
 
 
 def _cmd_visible(res: dict) -> str:
@@ -594,9 +509,8 @@ def _cmd_visible(res: dict) -> str:
     else:
         raise DomainError(f"dimension must be 2 or 3, got {dimension!r}")
     if res["format"] == "json":
-        payload = {"dimension": dimension, "degree_cap": cap,
-                   "points": [list(p) for p in points]}
-        return json.dumps(payload, indent=2) + "\n"
+        return _json_text({"dimension": dimension, "degree_cap": cap,
+                           "points": [list(p) for p in points]})
     if res["format"] == "csv":
         return _csv_text(header, points)
     return "\n".join(" ".join(str(c) for c in p) for p in points) + "\n"
@@ -608,22 +522,10 @@ def _cmd_polylog(res: dict) -> str:
         import mpmath
 
         # extended mode: print all computed digits, not the ambient default
-        digits = mpmath.nstr(result.value, res["precision"])
-        return (f"value: {digits}\nterms: {result.terms_used}\n"
-                f"tail_bound: {result.tail_bound!r}\n")
-    value = complex(result.value)
-    if res["format"] == "json":
-        payload = {
-            "value": {"re": value.real, "im": value.imag},
-            "terms": result.terms_used,
-            "tail_bound": result.tail_bound,
-        }
-        return json.dumps(payload, indent=2) + "\n"
-    if res["format"] == "csv":
-        return _csv_text(("value_re", "value_im", "terms", "tail_bound"),
-                         [(value.real, value.imag, result.terms_used, result.tail_bound)])
-    return (f"value: {_fmt_complex(value)}\nterms: {result.terms_used}\n"
-            f"tail_bound: {result.tail_bound!r}\n")
+        value = mpmath.nstr(result.value, res["precision"])
+    else:
+        value = complex(result.value)
+    return _render(res["format"], [_series_record(value, result)])
 
 
 _DISPATCH = {

@@ -8,7 +8,6 @@ from __future__ import annotations
 import cmath
 import contextlib
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import product as _iproduct
 from typing import Iterable, Optional, Sequence
@@ -54,10 +53,10 @@ class SpecialValueRecord:
     """
 
     name: str
+    verdict: str
     printed_form_value: complex
     series_value: complex
     discrepancy: float
-    verdict: str
     candidate_corrected_value: Optional[complex] = None
     corrected_formula: Optional[str] = None
     note: str = ""
@@ -356,17 +355,10 @@ def catalog() -> list[IdentityCase]:
 def run_catalog(
     tol: float = 1e-8,
     *,
-    threads: int = 1,
     degree_cap_max: int = DEFAULT_DEGREE_CAP_MAX,
 ) -> list[IdentityReport]:
     """Verify every catalog case; reports come back in catalog order."""
-    if threads < 1:
-        raise DomainError("threads must be >= 1")
-    cases = catalog()
-    if threads == 1:
-        return [verify(c, tol, degree_cap_max=degree_cap_max) for c in cases]
-    with ThreadPoolExecutor(max_workers=threads) as ex:
-        return list(ex.map(lambda c: verify(c, tol, degree_cap_max=degree_cap_max), cases))
+    return [verify(c, tol, degree_cap_max=degree_cap_max) for c in catalog()]
 
 
 # ---------------------------------------------------------------------------
@@ -463,7 +455,6 @@ def critical_line_scan(
     y: complex = 0.2,
     tol: float = 1e-8,
     *,
-    threads: int = 1,
     degree_cap_max: int = DEFAULT_DEGREE_CAP_MAX,
 ) -> list[ScanRow]:
     """Verify the 2D identity at s = 1/2 + iT for each T.
@@ -473,8 +464,6 @@ def critical_line_scan(
     EXPONENT_TOL * max(1, |T|) or the row raises ComputationError. Rows
     come back in input order.
     """
-    if threads < 1:
-        raise DomainError("threads must be >= 1")
 
     def one(t_value: float) -> ScanRow:
         t_value = float(t_value)
@@ -500,7 +489,4 @@ def critical_line_scan(
             tail_bound=report.tail_bound,
         )
 
-    if threads == 1:
-        return [one(t) for t in t_values]
-    with ThreadPoolExecutor(max_workers=threads) as ex:
-        return list(ex.map(one, t_values))
+    return [one(t) for t in t_values]

@@ -219,6 +219,8 @@ def polylog_neg_int(n: int, z: complex) -> complex:
 
     Raises:
         DomainError: n negative or non-integer, or z = 1 (the pole).
+        ComputationError: the value, or a step of its evaluation, leaves
+            the float range (from n = 170 at z = 1/2).
     """
     if not isinstance(n, int) or isinstance(n, bool) or n < 0:
         raise DomainError(f"polylog_neg_int expects an integer n >= 0, got {n!r}")
@@ -227,9 +229,15 @@ def polylog_neg_int(n: int, z: complex) -> complex:
         raise DomainError("z = 1 is the pole of Li_{-n}")
     coeffs = _neg_order_poly(n)
     num = 0j
-    for c in reversed(coeffs):
-        num = num * z + c
-    return num / (1 - z) ** (n + 1)
+    try:
+        for c in reversed(coeffs):
+            num = num * z + c
+        value = num / (1 - z) ** (n + 1)
+    except (OverflowError, ZeroDivisionError):
+        raise ComputationError(
+            f"Li_{{-{n}}}(z) leaves the float range at z = {z!r}"
+        ) from None
+    return require_finite(value, f"Li_{{-{n}}}({z!r})")
 
 
 def zeta_real(

@@ -549,16 +549,3 @@ def verify(
         truncation=TruncationSpec(degree_cap=cap, tol=tol, tail_bound=bound),
         terms=terms,
     )
-
-
-def report_to_dict(report: IdentityReport) -> dict:
-    """JSON-ready view of a report; complex values become {re, im} pairs."""
-    return {
-        "lhs_log": {"re": report.lhs_log.real, "im": report.lhs_log.imag},
-        "rhs_log": {"re": report.rhs_log.real, "im": report.rhs_log.imag},
-        "abs_err": report.abs_err,
-        "rel_err": report.rel_err,
-        "degree_cap": report.degree_cap,
-        "tail_bound": report.tail_bound,
-        "terms": report.terms,
-    }

@@ -1,9 +1,11 @@
 """End-to-end command-line tests driven through main(argv)."""
 
+import csv
 import json
 
 import pytest
 
+from vpvlab import catalog
 from vpvlab.cli import main
 
 
@@ -164,10 +166,13 @@ def test_unverified_result_exit_code(capsys):
     [
         ["verify2", "--s=-200.5", "--x", "0.5", "--y", "0.5"],
         ["polylog", "--s=-200.5", "--z", "0.5"],
+        ["verify2", "--s=-300", "--x", ".5", "--y", ".5"],
+        ["verify2", "--s", "300", "--x", "1", "--y", "0.5"],
     ],
 )
 def test_overflowing_series_exit_code(capsys, argv):
-    # k^200.5 passes the float range at k = 35: a typed refusal, not exit 3.
+    # k^200.5 passes the float range at k = 35, and Li_{-n}(1/2) does from
+    # n = 170 on: a typed refusal, not exit 3.
     code, out, err = _run(capsys, argv)
     assert code == 2
     assert out == ""
@@ -347,3 +352,87 @@ def test_tolerance_validation(capsys):
         capsys, ["verify2", "--s", "1", "--x", "0.3", "--y", "0.4", "--tol", "-1"]
     )
     assert code == 1
+
+
+_REPORT_CSV = "lhs_log_re,lhs_log_im,rhs_log_re,rhs_log_im,abs_err,rel_err,degree_cap,tail_bound,terms"
+_REPORT_KEYS = ["lhs_log", "rhs_log", "abs_err", "rel_err", "degree_cap", "tail_bound", "terms"]
+_REPORT_HUMAN = [f"{key}: " for key in _REPORT_KEYS]
+_PROBE_ROW_KEYS = [
+    "delta", "y", "lhs_log", "rhs_log", "abs_err", "rhs_exponent_magnitude",
+    "closed_factor", "degree_cap", "tail_bound", "error",
+]
+_SERIES_HUMAN = ["value: ", "terms: ", "tail_bound: "]
+
+# command: (flags, csv header, json keys (of each row, for a list), human line prefixes)
+_SCHEMAS = {
+    "verify2": (
+        ["--s", "2", "--x", "0.5", "--y", "0.3"],
+        "label," + _REPORT_CSV, _REPORT_KEYS, ["case: verify2"] + _REPORT_HUMAN,
+    ),
+    "verify3": (
+        ["--s", "1", "--t", "1", "--x", "0.2", "--y", "0.2", "--z", "0.2"],
+        "label," + _REPORT_CSV, _REPORT_KEYS, ["case: verify3"] + _REPORT_HUMAN,
+    ),
+    "catalog": (
+        [], "label," + _REPORT_CSV, ["label"] + _REPORT_KEYS,
+        [f"{c.label:14s} abs_err=" for c in catalog()],
+    ),
+    "scan": (
+        ["--T", "0,5"],
+        "T,lhs_log_re,lhs_log_im,rhs_log_re,rhs_log_im,abs_err,li_s_x_re,li_s_x_im,"
+        "li_t_y_re,li_t_y_im,exponent_dev,degree_cap,tail_bound",
+        ["T", "lhs_log", "rhs_log", "abs_err", "li_s_x", "li_t_y", "exponent_dev",
+         "degree_cap", "tail_bound"],
+        ["T=0            abs_err=", "T=5            abs_err="],
+    ),
+    "probe": (
+        ["--deltas", "0.5,0.0005"],
+        "delta,y,lhs_log_re,lhs_log_im,rhs_log_re,rhs_log_im,abs_err,"
+        "rhs_exponent_magnitude,closed_factor_re,closed_factor_im,degree_cap,tail_bound,error",
+        ["order", "rows", "note"],
+        ["delta=0.5      abs_err=", "delta=0.0005   error: DomainError: ", "", "note: The "],
+    ),
+    "audit": (
+        [],
+        "name,verdict,printed_re,printed_im,series_re,series_im,discrepancy,"
+        "corrected_re,corrected_im,corrected_formula,note",
+        ["name", "verdict", "printed_form_value", "series_value", "discrepancy",
+         "candidate_corrected_value", "corrected_formula", "note"],
+        ["LI1_HALF  MATCHES_PRINTED   discrepancy=", "LI2_HALF  MATCHES_PRINTED   discrepancy=",
+         "LI3_HALF  MATCHES_CORRECTED discrepancy=", "LI4_HALF  MATCHES_CORRECTED discrepancy="],
+    ),
+    "ez31": ([], "value,terms,tail_bound", ["value", "terms", "tail_bound"], _SERIES_HUMAN),
+    "visible": (
+        ["--degree-cap", "4"], "a,b", ["dimension", "degree_cap", "points"],
+        ["1 1", "1 2", "2 1", "1 3", "3 1"],
+    ),
+    "polylog": (
+        ["--s", "2", "--z", "0.5"], "value_re,value_im,terms,tail_bound",
+        ["value", "terms", "tail_bound"], _SERIES_HUMAN,
+    ),
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json", "human"])
+@pytest.mark.parametrize("command", list(_SCHEMAS))
+def test_output_schema(capsys, command, fmt):
+    flags, header, keys, human = _SCHEMAS[command]
+    code, out, err = _run(capsys, [command, *flags, "--format", fmt])
+    assert (code, err) == (0, "")
+    if fmt == "csv":
+        assert out.split("\n")[0] == header
+        # an errored probe row still fills both cells of each complex column
+        data = [line for line in out.splitlines() if not line.startswith("#")]
+        assert {len(row) for row in csv.reader(data)} == {header.count(",") + 1}
+    elif fmt == "json":
+        payload = json.loads(out)
+        rows = payload if isinstance(payload, list) else [payload]
+        assert [list(row) for row in rows] == [keys] * len(rows)
+        if command == "probe":
+            assert [list(row) for row in payload["rows"]] == [_PROBE_ROW_KEYS] * 2
+    else:
+        lines = out.split("\n")
+        assert lines[-1] == ""
+        assert len(lines) - 1 == len(human)
+        for line, prefix in zip(lines, human):
+            assert line.startswith(prefix)

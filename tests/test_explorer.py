@@ -123,13 +123,9 @@ def test_catalog_zeta_quadratic_instance():
     assert report.rel_err <= 1e-7
 
 
-def test_catalog_parallel_matches_serial():
-    serial = run_catalog(1e-8, threads=1)
-    threaded = run_catalog(1e-8, threads=4)
-    assert [r.case.label for r in serial] == [r.case.label for r in threaded]
-    for a, b in zip(serial, threaded):
-        assert abs(a.lhs_log - b.lhs_log) <= 1e-12
-        assert abs(a.rhs_log - b.rhs_log) <= 1e-12
+def test_catalog_reports_follow_catalog_order():
+    reports = run_catalog(1e-8)
+    assert [r.case.label for r in reports] == [c.label for c in catalog()]
 
 
 def test_probe_rows_and_growth():
@@ -205,13 +201,11 @@ def test_scan_hermitian_symmetry():
     assert abs(up.lhs_log - down.lhs_log.conjugate()) <= 1e-12
 
 
-def test_scan_parallel_matches_serial():
-    ts = [0.0, 1.0, 5.0]
-    serial = critical_line_scan(ts, x=0.2, y=0.2, tol=1e-8, threads=1)
-    threaded = critical_line_scan(ts, x=0.2, y=0.2, tol=1e-8, threads=3)
-    for a, b in zip(serial, threaded):
-        assert a.t_value == b.t_value
-        assert abs(a.lhs_log - b.lhs_log) <= 1e-12
+def test_scan_rows_follow_input_order():
+    ts = [5.0, 0.0, 1.0]
+    rows = critical_line_scan(ts, x=0.2, y=0.2, tol=1e-8)
+    assert [r.t_value for r in rows] == ts
+    assert rows == [critical_line_scan([t], x=0.2, y=0.2, tol=1e-8)[0] for t in ts]
 
 
 def test_exponent_rewriting_deviation_is_roundoff():

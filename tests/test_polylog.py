@@ -110,6 +110,14 @@ def test_neg_int_rejects_bad_inputs():
         polylog_neg_int(2, 1.0)
 
 
+@pytest.mark.parametrize("n, z", [(170, 0.5), (171, 0.5), (172, 0.5), (120, 0.999)])
+def test_neg_int_out_of_float_range_raises_computation_error(n, z):
+    # Li_{-170}(1/2) overflows to inf, n = 171 gives nan, n = 172 overflows
+    # the Horner step, and (1 - z)^121 underflows to 0 at z = 0.999.
+    with pytest.raises(ComputationError):
+        polylog_neg_int(n, z)
+
+
 def test_series_closed_form_agreement_grid():
     # |series - closed form| <= 10 * tol over a grid with |z| <= 0.9.
     # tol sits above the closed forms' own roundoff (values reach ~2e6

@@ -23,7 +23,6 @@ from vpvlab import (
     lhs_log_product_3d,
     polylog,
     product_log_sum,
-    report_to_dict,
     rhs_log,
     tail_bound_2d,
     tail_bound_3d,
@@ -261,26 +260,6 @@ def test_verify_rejects_bad_tolerance():
     case = IdentityCase(2, 1.0, 0.3, 0.4)
     with pytest.raises(ValueError):
         verify(case, 0.0)
-
-
-def test_report_serialization_keys():
-    report = verify(IdentityCase(2, 1.0, 0.3, 0.4), 1e-8)
-    payload = report_to_dict(report)
-    assert set(payload) == {
-        "lhs_log",
-        "rhs_log",
-        "abs_err",
-        "rel_err",
-        "degree_cap",
-        "tail_bound",
-        "terms",
-    }
-    assert set(payload["lhs_log"]) == {"re", "im"}
-    assert set(payload["rhs_log"]) == {"re", "im"}
-    back = complex(payload["lhs_log"]["re"], payload["lhs_log"]["im"])
-    rhs = complex(payload["rhs_log"]["re"], payload["rhs_log"]["im"])
-    assert abs(abs(back - rhs) - payload["abs_err"]) <= 1e-15 * max(1.0, abs(back))
-    assert payload["tail_bound"] >= 0.0
 
 
 def test_report_error_definitions():
