@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -212,7 +213,10 @@ _COMMAND_HELP = {
 }
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The argument parser, built on the first call and reused by every
+    later main() in the process: parsing does not change it."""
     parser = _Parser(
         prog="vpvlab",
         description=(

@@ -8,12 +8,12 @@ from __future__ import annotations
 import cmath
 import contextlib
 import math
+from collections import deque
 from dataclasses import dataclass
 from itertools import product as _iproduct
 from typing import Iterable, Optional, Sequence
 
 from .errors import ComputationError, DomainError, NonConvergence, VpvError
-from .numerics import KahanSum
 from .polylog import TERM_CAP, SeriesResult, polylog, polylog_neg_int, zeta_real
 from .products import (
     DEFAULT_DEGREE_CAP_MAX,
@@ -115,17 +115,21 @@ def euler_zagier_31(tol: float = 1e-10, *, term_cap: int = TERM_CAP) -> SeriesRe
     """
     if not tol >= 1e-14:
         raise ValueError(f"tol must be >= 1e-14, got {tol!r}")
-    acc = KahanSum()
-    window: list[float] = []
+    total = comp = 0.0  # Kahan sum of the m-groups and its compensation
+    window: deque[float] = deque(maxlen=64)
     s_inner = 0.0  # alternating harmonic partial sum S(m-1)
+    sign = -1.0  # (-1)^m
+    cube = 1.0  # m^-3
     m = 1
     while True:
-        acc.add(((-1) ** m) * m ** -3.0 * s_inner)
-        window.append(acc.value.real)
-        if len(window) > 64:
-            window.pop(0)
-        s_inner += ((-1) ** m) / m
-        omitted = abs(s_inner) * (m + 1) ** -3.0
+        y = sign * cube * s_inner - comp
+        t = total + y
+        comp = (t - total) - y
+        total = t
+        window.append(total)
+        s_inner += sign / m
+        next_cube = (m + 1) ** -3.0
+        omitted = abs(s_inner) * next_cube
         if m >= 2 and omitted <= tol:
             break
         if m >= term_cap:
@@ -133,8 +137,10 @@ def euler_zagier_31(tol: float = 1e-10, *, term_cap: int = TERM_CAP) -> SeriesRe
                 f"alternating double zeta did not reach tol={tol!r} within {term_cap} terms"
             )
         m += 1
-    p_last = window[-1]
-    p_next = p_last + ((-1) ** (m + 1)) * (m + 1) ** -3.0 * s_inner
+        sign = -sign
+        cube = next_cube
+    p_last = total
+    p_next = p_last - sign * next_cube * s_inner
     lo, hi = min(p_last, p_next), max(p_last, p_next)
     value = min(max(_averaged_estimate(window), lo), hi)
     return SeriesResult(value=value, terms_used=m, tail_bound=omitted + 1e-15)

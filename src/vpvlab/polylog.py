@@ -187,28 +187,24 @@ def polylog_closed_form(n: int, z: complex) -> complex:
 def _neg_order_poly(n: int) -> tuple[int, ...]:
     """Integer coefficients (ascending) of P_n with Li_{-n}(z) = P_n(z)/(1-z)^{n+1}.
 
-    P_0 = z and P_{n+1}(z) = z * ((1 - z) P_n'(z) + (n + 1) P_n(z)),
-    which is the z d/dz recurrence applied to the rational form.
+    P_0 = z and P_{k+1}(z) = z * ((1 - z) P_k'(z) + (k + 1) P_k(z)),
+    which is the z d/dz recurrence applied to the rational form. It runs
+    as a loop, so orders in the hundreds do not exhaust the stack.
     """
-    if n == 0:
-        return (0, 1)
-    p = _neg_order_poly(n - 1)
-    dp = [i * p[i] for i in range(1, len(p))]
-    # (1 - z) * P' : subtract the shifted derivative
-    q = [0] * (len(dp) + 1)
-    for i, c in enumerate(dp):
-        q[i] += c
-        q[i + 1] -= c
-    # + n * P
-    for i, c in enumerate(p):
-        if i < len(q):
-            q[i] += n * c
-        else:
-            q.append(n * c)
-    while q and q[-1] == 0:
-        q.pop()
-    # * z
-    return tuple([0] + q)
+    p = [0, 1]
+    for k in range(1, n + 1):
+        # q = z * ((1 - z) P' + k P) for P = P_(k-1); the factor z shifts each index by one
+        q = [0] * (len(p) + 1)
+        for i in range(1, len(p)):
+            dc = i * p[i]
+            q[i] += dc
+            q[i + 1] -= dc
+        for i, c in enumerate(p):
+            q[i + 1] += k * c
+        while q[-1] == 0:
+            q.pop()
+        p = q
+    return tuple(p)
 
 
 def polylog_neg_int(n: int, z: complex) -> complex:

@@ -6,7 +6,7 @@ import json
 import pytest
 
 from vpvlab import catalog
-from vpvlab.cli import main
+from vpvlab.cli import _build_parser, main
 
 
 def _run(capsys, argv):
@@ -168,11 +168,13 @@ def test_unverified_result_exit_code(capsys):
         ["polylog", "--s=-200.5", "--z", "0.5"],
         ["verify2", "--s=-300", "--x", ".5", "--y", ".5"],
         ["verify2", "--s", "300", "--x", "1", "--y", "0.5"],
+        ["verify2", "--s=-500", "--x", ".5", "--y", ".5"],
     ],
 )
 def test_overflowing_series_exit_code(capsys, argv):
     # k^200.5 passes the float range at k = 35, and Li_{-n}(1/2) does from
-    # n = 170 on: a typed refusal, not exit 3.
+    # n = 170 on: a typed refusal, not exit 3 (nor a RecursionError while
+    # building P_500).
     code, out, err = _run(capsys, argv)
     assert code == 2
     assert out == ""
@@ -436,3 +438,62 @@ def test_output_schema(capsys, command, fmt):
         assert len(lines) - 1 == len(human)
         for line, prefix in zip(lines, human):
             assert line.startswith(prefix)
+
+
+def _invoke(capsys, argv, target):
+    """stdout, stderr, exit code (or SystemExit code) and the --output file
+    of one main() call; the file is removed afterwards."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = ("SystemExit", exc.code)
+    captured = capsys.readouterr()
+    written = target.read_text() if target.exists() else None
+    if written is not None:
+        target.unlink()
+    return code, captured.out, captured.err, written
+
+
+def test_reused_parser_matches_fresh_parser(tmp_path, capsys):
+    # main() builds the parser once per process. Every call through the
+    # reused parser must print what a freshly built one prints.
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("s = 1\nx = 0.3\ny = 0.4\n")
+    bad_cfg = tmp_path / "bad.cfg"
+    bad_cfg.write_text("s = 1\nbogus = 7\n")
+    target = tmp_path / "out.txt"
+    verify = ["verify2", "--s", "1", "--x", "0.3", "--y", "0.4"]
+    argvs = [
+        [],
+        ["--help"],
+        verify,
+        ["verify2", "--s", "1"],
+        ["frobnicate"],
+        verify + ["--format", "json"],
+        ["ez31", "--help"],
+        ["verify2", "--config", str(cfg), "--format", "csv"],
+        ["verify2", "--config", str(bad_cfg)],
+        ["ez31", "--tol", "1e-20"],
+        verify + ["--format", "csv"],
+        ["polylog", "--s", "2", "--z", "0.5", "--bogus", "1"],
+        verify + ["--format", "json", "--output", str(target)],
+        ["visible", "--dimension", "3", "--degree-cap", "5", "--format", "csv"],
+        ["polylog", "--s", "2", "--z", "0.5", "--format", "json"],
+        ["ez31", "--tol", "1e-8"],
+        [],
+        ["verify2", "--s=2", "--s-re=1", "--x", "0.3", "--y", "0.4"],
+        verify,
+    ]
+    fresh = []
+    for argv in argvs:
+        _build_parser.cache_clear()
+        fresh.append(_invoke(capsys, argv, target))
+    _build_parser.cache_clear()
+    reused = [_invoke(capsys, argv, target) for argv in argvs]
+    assert _build_parser.cache_info().misses == 1
+    for argv, want, got in zip(argvs, fresh, reused):
+        assert got == want, argv
+    codes = [r[0] for r in reused]
+    assert codes.count(0) == 9 and codes.count(1) == 8
+    assert codes.count(("SystemExit", 0)) == 2
+    assert reused[12][3] is not None  # --output wrote the file

@@ -4,9 +4,12 @@ import math
 
 import pytest
 
-from vpvlab.explorer import EXPONENT_TOL
+from vpvlab.explorer import EXPONENT_TOL, _averaged_estimate
+from vpvlab.numerics import KahanSum
 from vpvlab import (
+    TERM_CAP,
     DomainError,
+    NonConvergence,
     audit_special_values,
     catalog,
     critical_line_scan,
@@ -70,6 +73,52 @@ def test_alternating_double_sum_stability():
 def test_alternating_double_sum_rejects_tiny_tol():
     with pytest.raises(ValueError):
         euler_zagier_31(1e-16)
+
+
+def _ez31_reference(tol, term_cap=TERM_CAP):
+    # The loop euler_zagier_31 had before its rewrite: a KahanSum
+    # accumulator, (-1) ** m signs and a list window. The rewrite must
+    # agree with it bit for bit.
+    acc = KahanSum()
+    window = []
+    s_inner = 0.0
+    m = 1
+    while True:
+        acc.add(((-1) ** m) * m ** -3.0 * s_inner)
+        window.append(acc.value.real)
+        if len(window) > 64:
+            window.pop(0)
+        s_inner += ((-1) ** m) / m
+        omitted = abs(s_inner) * (m + 1) ** -3.0
+        if m >= 2 and omitted <= tol:
+            break
+        if m >= term_cap:
+            raise NonConvergence(
+                f"alternating double zeta did not reach tol={tol!r} within {term_cap} terms"
+            )
+        m += 1
+    p_last = window[-1]
+    p_next = p_last + ((-1) ** (m + 1)) * (m + 1) ** -3.0 * s_inner
+    lo, hi = min(p_last, p_next), max(p_last, p_next)
+    value = min(max(_averaged_estimate(window), lo), hi)
+    return value, m, omitted + 1e-15
+
+
+@pytest.mark.parametrize(
+    "tol", [1e-14, 3e-14, 1e-13, 1e-12, 7e-12, 1e-10, 1e-8, 1e-6, 1e-3, 0.05, 0.5, 10.0]
+)
+def test_alternating_double_sum_matches_reference_loop(tol):
+    res = euler_zagier_31(tol)
+    assert (res.value, res.terms_used, res.tail_bound) == _ez31_reference(tol)
+
+
+@pytest.mark.parametrize("term_cap", [1, 2, 3, 64, 65, 1000])
+def test_alternating_double_sum_term_cap_matches_reference_loop(term_cap):
+    with pytest.raises(NonConvergence) as want:
+        _ez31_reference(1e-13, term_cap)
+    with pytest.raises(NonConvergence) as got:
+        euler_zagier_31(1e-13, term_cap=term_cap)
+    assert str(got.value) == str(want.value)
 
 
 def test_audit_verdict_sequence():

@@ -23,6 +23,7 @@ from vpvlab import (
     zeta_real,
 )
 from vpvlab.numerics import dirichlet_tail, log1m, power_geometric_tail
+from vpvlab.polylog import _neg_order_poly
 
 # Frozen oracle values (1e7-term partial sums, double precision).
 LI2_HALF = 0.5822405264650125
@@ -116,6 +117,17 @@ def test_neg_int_out_of_float_range_raises_computation_error(n, z):
     # the Horner step, and (1 - z)^121 underflows to 0 at z = 0.999.
     with pytest.raises(ComputationError):
         polylog_neg_int(n, z)
+
+
+def test_neg_order_poly_builds_high_orders_without_recursion():
+    # From a cold cache: the recursive build raised RecursionError near
+    # n = 500. The Eulerian coefficients of P_n sum to n! and are
+    # symmetric.
+    _neg_order_poly.cache_clear()
+    coeffs = _neg_order_poly(600)
+    assert len(coeffs) == 601 and coeffs[0] == 0 and coeffs[1] == coeffs[-1] == 1
+    assert coeffs[1:] == coeffs[:0:-1]
+    assert sum(coeffs) == math.factorial(600)
 
 
 def test_series_closed_form_agreement_grid():
