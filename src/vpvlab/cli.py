@@ -504,14 +504,13 @@ def _cmd_ez31(res: dict) -> str:
 def _cmd_visible(res: dict) -> str:
     dimension = res["dimension"]
     cap = res["degree_cap"]
-    if dimension == 2:
-        points = [(p.a, p.b) for p in visible_points_2d(cap)]
-        header = ("a", "b")
-    elif dimension == 3:
-        points = [(p.a, p.b, p.c) for p in visible_points_3d(cap)]
-        header = ("a", "b", "c")
-    else:
+    # Looked up in the module globals at each call: bench/run.py counts
+    # points by patching these two names (ROADMAP item 1).
+    enumerate_points = {2: visible_points_2d, 3: visible_points_3d}.get(dimension)
+    if enumerate_points is None:
         raise DomainError(f"dimension must be 2 or 3, got {dimension!r}")
+    points = list(enumerate_points(cap))
+    header = ("a", "b", "c")[:dimension]
     if res["format"] == "json":
         return _json_text({"dimension": dimension, "degree_cap": cap,
                            "points": [list(p) for p in points]})

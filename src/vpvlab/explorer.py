@@ -224,10 +224,20 @@ def audit_special_values(tol: float = 1e-12, *, dps: Optional[int] = None) -> li
     printed form are searched; a unique variant within CANDIDATE_TOL
     yields MATCHES_CORRECTED, otherwise UNRESOLVED. The audit only
     reports; no other module substitutes corrected forms.
+
+    Raises DomainError when the working precision cannot certify the
+    series values to min(tol, CANDIDATE_TOL): below that floor the
+    verdicts would compare rounding noise.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     series_tol = 1e-15 if dps is None else max(10.0 ** (2 - dps), 1e-45)
+    if series_tol > min(tol, CANDIDATE_TOL):
+        precision = "double" if dps is None else f"extended:{dps}"
+        raise DomainError(
+            f"{precision} precision certifies the series only to {series_tol!r}; the audit "
+            f"needs that floor <= min(tol, {CANDIDATE_TOL!r}), got tol={tol!r}"
+        )
     if dps is None:
         ctx = contextlib.nullcontext()
     else:

@@ -1,106 +1,64 @@
-"""Visible lattice points and the multiplier decomposition.
+"""Visible lattice points and the multiplier decomposition, in any
+dimension n >= 2.
 
 A lattice point is visible from the origin exactly when its coordinates
 are coprime; every positive lattice point is a unique positive integer
-multiple of a visible point. The streaming enumerators below define
+multiple of a visible point. The streaming enumerator below defines
 the point set that the product kernel walks inline (the tests compare
-its term counts with them) and are deterministic: ascending coordinate
+its term counts with it) and is deterministic: ascending coordinate
 sum, then ascending earlier coordinates.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterator, Union
+from functools import partial
+from typing import Iterator
 
 from .errors import DomainError
 
 
-@dataclass(frozen=True)
-class VisiblePoint2:
-    a: int
-    b: int
+def visible_points(n: int, degree_cap: int) -> Iterator[tuple[int, ...]]:
+    """Yield all visible (a_1, ..., a_n) with a_1 + ... + a_n <= degree_cap.
 
-    def __post_init__(self) -> None:
-        if self.a < 1 or self.b < 1:
-            raise DomainError(f"coordinates must be positive, got ({self.a}, {self.b})")
-        if math.gcd(self.a, self.b) != 1:
-            raise DomainError(f"({self.a}, {self.b}) is not visible: gcd > 1")
-
-
-@dataclass(frozen=True)
-class VisiblePoint3:
-    a: int
-    b: int
-    c: int
-
-    def __post_init__(self) -> None:
-        if self.a < 1 or self.b < 1 or self.c < 1:
-            raise DomainError(
-                f"coordinates must be positive, got ({self.a}, {self.b}, {self.c})"
-            )
-        if math.gcd(math.gcd(self.a, self.b), self.c) != 1:
-            raise DomainError(f"({self.a}, {self.b}, {self.c}) is not visible: gcd > 1")
-
-
-@dataclass(frozen=True)
-class Decomposition:
-    """point = multiplier * visible, with gcd(visible) = 1."""
-
-    multiplier: int
-    visible: Union[VisiblePoint2, VisiblePoint3]
-
-
-def visible_points_2d(degree_cap: int) -> Iterator[VisiblePoint2]:
-    """Yield all visible (a, b) with a + b <= degree_cap.
-
-    Order: ascending a + b, then ascending a. Streaming; nothing is
-    materialized.
+    Order: ascending coordinate sum, then ascending a_1, then ascending
+    a_2, and so on. Streaming; nothing is materialized.
     """
+    if not isinstance(n, int) or isinstance(n, bool) or n < 2:
+        raise DomainError(f"dimension must be an integer >= 2, got {n!r}")
     if not isinstance(degree_cap, int) or isinstance(degree_cap, bool):
         raise DomainError("degree_cap must be an integer")
-    for d in range(2, degree_cap + 1):
-        for a in range(1, d):
-            b = d - a
-            if math.gcd(a, b) == 1:
-                yield VisiblePoint2(a, b)
+    gcd = math.gcd
+
+    def points(k, g, r, head):
+        # head holds the leading coordinates and g their gcd; k coordinates
+        # are left to place, summing to r, each at least 1
+        if k == 1:
+            if gcd(g, r) == 1:
+                yield head + (r,)
+            return
+        for a in range(1, r - k + 2):
+            yield from points(k - 1, gcd(g, a), r - a, head + (a,))
+
+    for d in range(n, degree_cap + 1):
+        yield from points(n, 0, d, ())
 
 
-def visible_points_3d(degree_cap: int) -> Iterator[VisiblePoint3]:
-    """Yield all visible (a, b, c) with a + b + c <= degree_cap.
+# bench/run.py enumerates and counts points through these two names;
+# ROADMAP item 1 frees them.
+visible_points_2d = partial(visible_points, 2)
+visible_points_3d = partial(visible_points, 3)
 
-    Order: ascending a + b + c, then ascending a, then ascending b.
+
+def decompose(*point: int) -> tuple[int, tuple[int, ...]]:
+    """Factor a positive lattice point as (multiplier, visible point).
+
+    The factorization is unique: the multiplier is the gcd of the
+    coordinates.
     """
-    if not isinstance(degree_cap, int) or isinstance(degree_cap, bool):
-        raise DomainError("degree_cap must be an integer")
-    for d in range(3, degree_cap + 1):
-        for a in range(1, d - 1):
-            for b in range(1, d - a):
-                c = d - a - b
-                if math.gcd(math.gcd(a, b), c) == 1:
-                    yield VisiblePoint3(a, b, c)
-
-
-def decompose(m: int, n: int) -> Decomposition:
-    """Factor a positive lattice point as multiplier x visible point.
-
-    The factorization is unique: the multiplier is gcd(m, n).
-    """
-    _require_positive_int(m, "m")
-    _require_positive_int(n, "n")
-    g = math.gcd(m, n)
-    return Decomposition(g, VisiblePoint2(m // g, n // g))
-
-
-def decompose3(m: int, n: int, p: int) -> Decomposition:
-    """3D analog of decompose: multiplier is gcd(m, n, p)."""
-    _require_positive_int(m, "m")
-    _require_positive_int(n, "n")
-    _require_positive_int(p, "p")
-    g = math.gcd(math.gcd(m, n), p)
-    return Decomposition(g, VisiblePoint3(m // g, n // g, p // g))
-
-
-def _require_positive_int(v: int, name: str) -> None:
-    if not isinstance(v, int) or isinstance(v, bool) or v < 1:
-        raise DomainError(f"{name} must be a positive integer, got {v!r}")
+    if len(point) < 2:
+        raise DomainError(f"a lattice point needs at least 2 coordinates, got {point!r}")
+    for v in point:
+        if not isinstance(v, int) or isinstance(v, bool) or v < 1:
+            raise DomainError(f"coordinates must be positive integers, got {point!r}")
+    g = math.gcd(*point)
+    return g, tuple(v // g for v in point)

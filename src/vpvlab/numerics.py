@@ -2,7 +2,7 @@
 geometric-dominance tail bounds, and Euler-Maclaurin Dirichlet tails.
 
 Everything here is stated once and reused by the series and product
-evaluators in both the 2D and 3D paths.
+evaluators, in every dimension.
 """
 from __future__ import annotations
 

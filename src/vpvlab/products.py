@@ -15,6 +15,7 @@ tests can demonstrate the identity fails without the constraint.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -50,9 +51,12 @@ _CLOSED_FORM_CONSTANTS: dict[str, Callable[[float], complex]] = {
 class IdentityCase:
     """One verifiable product identity instance.
 
-    2D: orders (s, 1 - s) pair with arguments (x, y); x = 1 switches the
-    first factor to zeta (requires real s > 1 + EPS_ZETA).
+    Operations read the orders and arguments as the `orders` and `args`
+    tuples. 2D: orders (s, 1 - s) pair with arguments (x, y); x = 1
+    switches the first factor to zeta (requires real s > 1 + EPS_ZETA).
     3D: orders (s, t, 1 - s - t) with arguments (x, y, z).
+    The 2D/3D constructor stays because bench/run.py builds cases with
+    it; ROADMAP item 1 frees it.
     """
 
     dimension: int
@@ -94,22 +98,21 @@ class IdentityCase:
                 raise DomainError(
                     f"x = 1 needs real s > 1 + {EPS_ZETA!r} so the first factor is zeta(s)"
                 )
-        elif abs(self.x) > 1.0 - EPS_DOMAIN:
-            raise DomainError(f"|x| = {abs(self.x)!r} too close to the unit circle")
-        if abs(self.y) > 1.0 - EPS_DOMAIN:
-            raise DomainError(f"|y| = {abs(self.y)!r} too close to the unit circle")
-        if self.dimension == 3 and abs(self.z) > 1.0 - EPS_DOMAIN:
-            raise DomainError(f"|z| = {abs(self.z)!r} too close to the unit circle")
+        for name, arg in zip("xyz", self.args):
+            if abs(arg) > 1.0 - EPS_DOMAIN and not (name == "x" and self.is_zeta_mode):
+                raise DomainError(f"|{name}| = {abs(arg)!r} too close to the unit circle")
 
     @property
-    def order_t(self) -> complex:
-        return self.t if self.dimension == 3 else 1 - self.s
+    def orders(self) -> tuple[complex, ...]:
+        """(s, 1 - s) or (s, t, 1 - s - t): the orders sum to 1."""
+        if self.dimension == 2:
+            return (self.s, 1 - self.s)
+        return (self.s, self.t, 1 - self.s - self.t)
 
     @property
-    def order_u(self) -> complex:
-        if self.dimension != 3:
-            raise DomainError("order_u only exists for 3D cases")
-        return 1 - self.s - self.t
+    def args(self) -> tuple[complex, ...]:
+        """(x, y) or (x, y, z), paired with orders."""
+        return (self.x, self.y) if self.dimension == 2 else (self.x, self.y, self.z)
 
     @property
     def is_zeta_mode(self) -> bool:
@@ -229,12 +232,12 @@ def product_log_sum(
     as given; the product equals exp(prod Li_s_i(x_i)) only when the
     orders sum to 1.
 
-    The point set is the one visible_points_2d/3d enumerate, walked one
-    diagonal d = a_1 + ... + a_n at a time. A point is visible exactly
-    when gcd(d, a_1, ..., a_(n-1)) = 1, so the gcd of d with the leading
-    coordinates is carried down and the last coordinate never enters
-    it. Each diagonal is summed exactly with fsum, and so are the
-    diagonal partials.
+    The point set is the one lattice.visible_points(n, degree_cap)
+    enumerates, walked one diagonal d = a_1 + ... + a_n at a time. A
+    point is visible exactly when gcd(d, a_1, ..., a_(n-1)) = 1, so the
+    gcd of d with the leading coordinates is carried down and the last
+    coordinate never enters it. Each diagonal is summed exactly with
+    fsum, and so are the diagonal partials.
     """
     n = len(orders)
     if n < 2 or len(args) != n:
@@ -273,48 +276,33 @@ def product_log_sum(
     return require_finite(value, "product_log_sum"), count
 
 
-def lattice_double_sum_2d(
-    s: complex, t: complex, x: complex, y: complex, degree_cap: int
-) -> complex:
-    """Full-lattice oracle: sum of m^-s n^-t x^m y^n over m + n <= cap.
+def lattice_sum(orders: Sequence[complex], args: Sequence[complex], degree_cap: int) -> complex:
+    """Full-lattice oracle: sum of prod k_i^-s_i x_i^k_i over all positive
+    (k_1, ..., k_n) with k_1 + ... + k_n <= degree_cap, for n >= 2.
 
-    Deliberately independent of the visible-point path: a plain double
-    loop with no gcd filtering, no log factors, and its own power
-    tables.
+    Deliberately independent of the visible-point path: no gcd
+    filtering, no log factors, its own tables, and its own walk. The
+    points of each diagonal d are the (n - 1)-subsets of the cut points
+    1 .. d - 1, which itertools yields in ascending lexicographic order.
     """
-    s = complex(s)
-    t = complex(t)
-    x = complex(x)
-    y = complex(y)
+    n = len(orders)
+    if n < 2 or len(args) != n:
+        raise DomainError(f"need n >= 2 orders and as many arguments, got {n} and {len(args)}")
+    orders = [complex(o) for o in orders]
     lg = [0.0] + [math.log(k) for k in range(1, degree_cap + 1)]
-    xq = [x ** k for k in range(degree_cap + 1)]
-    yq = [y ** k for k in range(degree_cap + 1)]
+    powers = [[complex(x) ** k for k in range(degree_cap + 1)] for x in args]
     acc = KahanSum()
-    for d in range(2, degree_cap + 1):
-        for m in range(1, d):
-            n = d - m
-            acc.add(cmath.exp(-s * lg[m] - t * lg[n]) * xq[m] * yq[n])
-    return require_finite(acc.value, "lattice_double_sum_2d")
-
-
-def lattice_triple_sum_3d(
-    s: complex, t: complex, u: complex, x: complex, y: complex, z: complex, degree_cap: int
-) -> complex:
-    """Full-lattice oracle in 3D: sum over m + n + p <= cap, no filtering."""
-    s = complex(s)
-    t = complex(t)
-    u = complex(u)
-    lg = [0.0] + [math.log(k) for k in range(1, degree_cap + 1)]
-    xq = [complex(x) ** k for k in range(degree_cap + 1)]
-    yq = [complex(y) ** k for k in range(degree_cap + 1)]
-    zq = [complex(z) ** k for k in range(degree_cap + 1)]
-    acc = KahanSum()
-    for d in range(3, degree_cap + 1):
-        for m in range(1, d - 1):
-            for n in range(1, d - m):
-                p = d - m - n
-                acc.add(cmath.exp(-s * lg[m] - t * lg[n] - u * lg[p]) * xq[m] * yq[n] * zq[p])
-    return require_finite(acc.value, "lattice_triple_sum_3d")
+    for d in range(n, degree_cap + 1):
+        for cuts in itertools.combinations(range(1, d), n - 1):
+            point = [hi - lo for lo, hi in zip((0,) + cuts, cuts + (d,))]
+            exponent = -orders[0] * lg[point[0]]
+            for order, k in zip(orders[1:], point[1:]):
+                exponent -= order * lg[k]
+            term = cmath.exp(exponent)
+            for table, k in zip(powers, point):
+                term *= table[k]
+            acc.add(term)
+    return require_finite(acc.value, "lattice_sum")
 
 
 # ---------------------------------------------------------------------------
@@ -366,52 +354,37 @@ def _zeta_mode_log_sum(
 # case-level operations
 # ---------------------------------------------------------------------------
 
+def _tail_bound(case: IdentityCase, degree_cap: int) -> float:
+    if case.is_zeta_mode:
+        return _zeta_mode_b_tail(*case.orders, case.y, degree_cap)
+    # Called through the module globals: bench/run.py counts the cap
+    # search's evaluations by patching these names (ROADMAP item 1).
+    bound = tail_bound_2d if case.dimension == 2 else tail_bound_3d
+    return bound(*case.orders, *case.args, degree_cap)
+
+
 def _eval_lhs(case: IdentityCase, degree_cap: int) -> tuple[complex, float, int]:
-    if case.dimension == 2:
-        if case.is_zeta_mode:
-            return _zeta_mode_log_sum(case.s, case.order_t, case.y, degree_cap)
-        value, count = product_log_sum((case.s, case.order_t), (case.x, case.y), degree_cap)
-        bound = tail_bound_2d(case.s, case.order_t, case.x, case.y, degree_cap)
-        return value, bound, count
-    value, count = product_log_sum(
-        (case.s, case.t, case.order_u), (case.x, case.y, case.z), degree_cap
-    )
-    bound = tail_bound_3d(case.s, case.t, case.order_u, case.x, case.y, case.z, degree_cap)
-    return value, bound, count
+    if case.is_zeta_mode:
+        return _zeta_mode_log_sum(*case.orders, case.y, degree_cap)
+    value, count = product_log_sum(case.orders, case.args, degree_cap)
+    return value, _tail_bound(case, degree_cap), count
 
 
-def lhs_log_product_2d(case: IdentityCase, trunc: TruncationSpec) -> tuple[complex, TruncationSpec]:
+def lhs_log_product(case: IdentityCase, trunc: TruncationSpec) -> tuple[complex, TruncationSpec]:
     """Left-side log at the given truncation, with the certified bound filled in."""
-    if case.dimension != 2:
-        raise DomainError("lhs_log_product_2d takes a 2D case")
     value, bound, _ = _eval_lhs(case, trunc.degree_cap)
     return value, replace(trunc, tail_bound=bound)
 
 
-def lhs_log_product_3d(case: IdentityCase, trunc: TruncationSpec) -> tuple[complex, TruncationSpec]:
-    """3D analog of lhs_log_product_2d."""
-    if case.dimension != 3:
-        raise DomainError("lhs_log_product_3d takes a 3D case")
-    value, bound, _ = _eval_lhs(case, trunc.degree_cap)
-    return value, replace(trunc, tail_bound=bound)
+# bench/run.py calls the left side by these names; ROADMAP item 1 frees them.
+lhs_log_product_2d = lhs_log_product_3d = lhs_log_product
 
 
-def brute_force_log_2d(case: IdentityCase, degree_cap: int) -> complex:
-    """Independent full-lattice oracle for the 2D right-side log."""
-    if case.dimension != 2:
-        raise DomainError("brute_force_log_2d takes a 2D case")
+def brute_force_log(case: IdentityCase, degree_cap: int) -> complex:
+    """Independent full-lattice oracle for the right-side log."""
     if case.is_zeta_mode:
         raise DomainError("the lattice oracle requires |x| < 1")
-    return lattice_double_sum_2d(case.s, case.order_t, case.x, case.y, degree_cap)
-
-
-def brute_force_log_3d(case: IdentityCase, degree_cap: int) -> complex:
-    """Independent full-lattice oracle for the 3D right-side log."""
-    if case.dimension != 3:
-        raise DomainError("brute_force_log_3d takes a 3D case")
-    return lattice_triple_sum_3d(
-        case.s, case.t, case.order_u, case.x, case.y, case.z, degree_cap
-    )
+    return lattice_sum(case.orders, case.args, degree_cap)
 
 
 def _series_magnitude_bound(order: complex, arg: complex) -> float:
@@ -468,19 +441,16 @@ def rhs_factors(case: IdentityCase, tol: float = 1e-12) -> tuple[complex, ...]:
     magnitudes of its cofactors so the product meets tol."""
     if tol <= 0:
         raise ValueError("tol must be positive")
-    if case.dimension == 2:
-        specs = [(case.s, case.x, True), (case.order_t, case.y, False)]
-    else:
-        specs = [(case.s, case.x, True), (case.t, case.y, False), (case.order_u, case.z, False)]
-    ests = [max(1.0, _factor_estimate(case, o, a, lead)) for o, a, lead in specs]
+    specs = list(zip(case.orders, case.args))
+    ests = [max(1.0, _factor_estimate(case, o, a, i == 0)) for i, (o, a) in enumerate(specs)]
     values = []
-    for i, (order, arg, leading) in enumerate(specs):
+    for i, (order, arg) in enumerate(specs):
         cofactor = 1.0
         for j, e in enumerate(ests):
             if j != i:
                 cofactor *= e
         tol_f = tol / (2 * len(specs) * max(1.0, cofactor))
-        values.append(_eval_factor(case, order, arg, tol_f, leading))
+        values.append(_eval_factor(case, order, arg, tol_f, i == 0))
     return tuple(values)
 
 
@@ -500,22 +470,14 @@ def choose_degree_cap(case: IdentityCase, tol: float, degree_cap_max: int = DEFA
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    start = 2 if case.dimension == 2 else 3
-    if case.is_zeta_mode:
-        bound_at = lambda cap: _zeta_mode_b_tail(case.s, case.order_t, case.y, cap)
-    elif case.dimension == 2:
-        bound_at = lambda cap: tail_bound_2d(case.s, case.order_t, case.x, case.y, cap)
-    else:
-        bound_at = lambda cap: tail_bound_3d(
-            case.s, case.t, case.order_u, case.x, case.y, case.z, cap
-        )
-    for cap in range(start, degree_cap_max + 1):
-        if bound_at(cap) <= tol:
+    # the first diagonal holding a point is d = n
+    for cap in range(case.dimension, degree_cap_max + 1):
+        if _tail_bound(case, cap) <= tol:
             return cap
+    best = _tail_bound(case, degree_cap_max)
     raise TailBoundExceedsTol(
-        f"no degree cap <= {degree_cap_max} meets tol={tol!r}; "
-        f"achievable bound is {bound_at(degree_cap_max)!r}",
-        achievable_bound=bound_at(degree_cap_max),
+        f"no degree cap <= {degree_cap_max} meets tol={tol!r}; achievable bound is {best!r}",
+        achievable_bound=best,
         degree_cap=degree_cap_max,
     )
 

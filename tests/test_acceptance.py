@@ -18,12 +18,9 @@ from vpvlab import (
     choose_degree_cap,
     critical_line_scan,
     decompose,
-    decompose3,
     euler_zagier_31,
-    lattice_double_sum_2d,
-    lattice_triple_sum_3d,
-    lhs_log_product_2d,
-    lhs_log_product_3d,
+    lattice_sum,
+    lhs_log_product,
     polylog,
     product_log_sum,
     tail_bound_2d,
@@ -153,7 +150,7 @@ def test_acceptance_06_oracle_equivalence():
         draws.append(s)
         cap = choose_degree_cap(IdentityCase(2, s, x, y), 1e-9)
         lhs, _ = product_log_sum((s, 1 - s), (x, y), cap)
-        oracle = lattice_double_sum_2d(s, 1 - s, x, y, cap)
+        oracle = lattice_sum((s, 1 - s), (x, y), cap)
         allowance = 2 * tail_bound_2d(s, 1 - s, x, y, cap)
         gap = abs(lhs - oracle)
         worst_ratio = max(worst_ratio, gap / allowance)
@@ -167,7 +164,7 @@ def test_acceptance_06_oracle_equivalence():
         z = 0.4 * math.sqrt(rng.random()) * cmath.exp(2j * math.pi * rng.random())
         cap = choose_degree_cap(IdentityCase(3, s, x, y, t=t, z=z), 1e-8)
         lhs, _ = product_log_sum((s, t, u), (x, y, z), cap)
-        oracle = lattice_triple_sum_3d(s, t, u, x, y, z, cap)
+        oracle = lattice_sum((s, t, u), (x, y, z), cap)
         allowance = 2 * tail_bound_3d(s, t, u, x, y, z, cap)
         gap = abs(lhs - oracle)
         worst_ratio = max(worst_ratio, gap / allowance)
@@ -179,7 +176,7 @@ def test_acceptance_06_oracle_equivalence():
         t = 1 - s + 0.1
         cap = choose_degree_cap(IdentityCase(2, s, 0.4, 0.4), 1e-9)
         lhs, _ = product_log_sum((s, t), (0.4, 0.4), cap)
-        oracle = lattice_double_sum_2d(s, t, 0.4, 0.4, cap)
+        oracle = lattice_sum((s, t), (0.4, 0.4), cap)
         allowance = 2 * tail_bound_2d(s, t, 0.4, 0.4, cap)
         min_break = min(min_break, abs(lhs - oracle) / allowance)
     ok = ok and min_break >= 100
@@ -246,24 +243,14 @@ def test_acceptance_09_partition_and_density():
     ok = True
     for m in range(1, 201):
         for n in range(1, 201):
-            d = decompose(m, n)
-            if (
-                math.gcd(d.visible.a, d.visible.b) != 1
-                or d.multiplier * d.visible.a != m
-                or d.multiplier * d.visible.b != n
-            ):
+            g, (a, b) = decompose(m, n)
+            if math.gcd(a, b) != 1 or g * a != m or g * b != n:
                 ok = False
     for m in range(1, 41):
         for n in range(1, 41):
             for p in range(1, 41):
-                d = decompose3(m, n, p)
-                v = d.visible
-                if (
-                    math.gcd(math.gcd(v.a, v.b), v.c) != 1
-                    or d.multiplier * v.a != m
-                    or d.multiplier * v.b != n
-                    or d.multiplier * v.c != p
-                ):
+                g, (a, b, c) = decompose(m, n, p)
+                if math.gcd(a, b, c) != 1 or (g * a, g * b, g * c) != (m, n, p):
                     ok = False
     n_box = 2000
     count = 0
@@ -288,9 +275,8 @@ def test_acceptance_10_tail_bound_soundness():
     for case in catalog():
         report = verify(case, 1e-8)
         cap = report.degree_cap
-        evaluate = lhs_log_product_3d if case.dimension == 3 else lhs_log_product_2d
-        v1, t1 = evaluate(case, TruncationSpec(cap, 1e-8))
-        v2, _ = evaluate(case, TruncationSpec(2 * cap, 1e-8))
+        v1, t1 = lhs_log_product(case, TruncationSpec(cap, 1e-8))
+        v2, _ = lhs_log_product(case, TruncationSpec(2 * cap, 1e-8))
         moved = abs(v2 - v1)
         worst = max(worst, moved / max(t1.tail_bound, 1e-300))
         ok = ok and moved < t1.tail_bound

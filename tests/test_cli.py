@@ -130,6 +130,25 @@ def test_domain_error_exit_code(capsys):
     assert err
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [["--precision", "extended:8"], ["--precision", "extended:1"], ["--tol", "1e-16"]],
+)
+def test_audit_below_working_precision_is_refused(capsys, flags):
+    # Each of these once printed wrong verdicts with exit 0.
+    code, out, err = _run(capsys, ["audit"] + flags)
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("precision", ["double", "extended:30"])
+def test_audit_at_working_precision_is_allowed(capsys, precision):
+    code, out, _ = _run(capsys, ["audit", "--tol", "1e-12", "--precision", precision])
+    assert code == 0
+    assert out.count("\n") == 4
+
+
 def test_unachievable_tolerance_exit_code(capsys):
     code, _, err = _run(
         capsys,

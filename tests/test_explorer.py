@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from vpvlab.explorer import EXPONENT_TOL, _averaged_estimate
+from vpvlab.explorer import CANDIDATE_TOL, EXPONENT_TOL, _averaged_estimate
 from vpvlab.numerics import KahanSum
 from vpvlab import (
     TERM_CAP,
@@ -146,6 +146,24 @@ def test_audit_extended_precision_agrees():
     assert [r.verdict for r in double] == [r.verdict for r in wide]
     for d, w in zip(double, wide):
         assert abs(d.series_value - w.series_value) <= 1e-12
+
+
+def test_audit_refuses_tol_below_working_precision():
+    # Where the series is certified to min(tol, CANDIDATE_TOL), every
+    # precision gives the double-mode verdicts and corrected formulas.
+    want = [(r.verdict, r.corrected_formula) for r in audit_special_values(1e-12)]
+    allowed = 0
+    for tol in (1e-6, 1e-12, 1e-15, 1e-26):
+        for dps in (None, 14, 20, 30):
+            series_tol = 1e-15 if dps is None else 10.0 ** (2 - dps)
+            if series_tol > min(tol, CANDIDATE_TOL):
+                with pytest.raises(DomainError, match=repr(series_tol)):
+                    audit_special_values(tol, dps=dps)
+                continue
+            got = audit_special_values(tol, dps=dps)
+            assert [(r.verdict, r.corrected_formula) for r in got] == want, (tol, dps)
+            allowed += 1
+    assert allowed == 12
 
 
 def test_catalog_shape():

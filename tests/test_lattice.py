@@ -1,54 +1,38 @@
 """Visible-point enumeration and multiplier decomposition tests."""
 
+import itertools
 import math
 
 import pytest
 
-from vpvlab import (
-    DomainError,
-    VisiblePoint2,
-    VisiblePoint3,
-    decompose,
-    decompose3,
-    visible_points_2d,
-    visible_points_3d,
-)
-
-
-def test_point_types_enforce_coprimality():
-    VisiblePoint2(3, 5)
-    VisiblePoint3(2, 4, 7)
-    with pytest.raises(DomainError):
-        VisiblePoint2(2, 4)
-    with pytest.raises(DomainError):
-        VisiblePoint2(0, 1)
-    with pytest.raises(DomainError):
-        VisiblePoint3(2, 2, 2)
-    with pytest.raises(DomainError):
-        VisiblePoint3(1, 1, 0)
+from vpvlab import DomainError, decompose, visible_points
 
 
 def test_smallest_caps():
-    assert [(p.a, p.b) for p in visible_points_2d(2)] == [(1, 1)]
-    assert [(p.a, p.b) for p in visible_points_2d(4)] == [
+    assert list(visible_points(2, 2)) == [(1, 1)]
+    assert list(visible_points(2, 4)) == [
         (1, 1),
         (1, 2),
         (2, 1),
         (1, 3),
         (3, 1),
     ]
-    assert [(p.a, p.b, p.c) for p in visible_points_3d(3)] == [(1, 1, 1)]
-    assert [(p.a, p.b, p.c) for p in visible_points_3d(4)] == [
+    assert list(visible_points(3, 3)) == [(1, 1, 1)]
+    assert list(visible_points(3, 4)) == [
         (1, 1, 1),
         (1, 1, 2),
         (1, 2, 1),
         (2, 1, 1),
     ]
+    assert list(visible_points(4, 4)) == [(1, 1, 1, 1)]
+    for n in (0, 1, True, 2.0):
+        with pytest.raises(DomainError):
+            list(visible_points(n, 5))
 
 
 def test_enumeration_order_and_determinism():
-    first = [(p.a, p.b) for p in visible_points_2d(40)]
-    second = [(p.a, p.b) for p in visible_points_2d(40)]
+    first = list(visible_points(2, 40))
+    second = list(visible_points(2, 40))
     assert first == second
     sums = [a + b for a, b in first]
     assert sums == sorted(sums)
@@ -66,30 +50,33 @@ def test_count_matches_brute_force_filter():
         for b in range(1, cap + 1 - a)
         if math.gcd(a, b) == 1
     )
-    got = sum(1 for _ in visible_points_2d(cap))
+    got = sum(1 for _ in visible_points(2, cap))
     assert got == want
+    cap = 12
+    quads = itertools.product(range(1, cap), repeat=4)
+    want = sum(1 for p in quads if sum(p) <= cap and math.gcd(*p) == 1)
+    assert sum(1 for _ in visible_points(4, cap)) == want
 
 
 def test_never_yields_hidden_points():
-    for p in visible_points_2d(60):
-        assert math.gcd(p.a, p.b) == 1
-        assert p.a + p.b <= 60
-    for p in visible_points_3d(20):
-        assert math.gcd(math.gcd(p.a, p.b), p.c) == 1
-        assert p.a + p.b + p.c <= 20
-        assert (p.a, p.b, p.c) != (2, 2, 2)
+    for a, b in visible_points(2, 60):
+        assert math.gcd(a, b) == 1
+        assert a + b <= 60
+    for a, b, c in visible_points(3, 20):
+        assert math.gcd(math.gcd(a, b), c) == 1
+        assert a + b + c <= 20
+        assert (a, b, c) != (2, 2, 2)
 
 
 def test_decompose_examples():
-    d = decompose(6, 4)
-    assert d.multiplier == 2 and (d.visible.a, d.visible.b) == (3, 2)
-    d = decompose(7, 7)
-    assert d.multiplier == 7 and (d.visible.a, d.visible.b) == (1, 1)
+    assert decompose(6, 4) == (2, (3, 2))
+    assert decompose(7, 7) == (7, (1, 1))
     for k in (1, 5, 12):
-        d = decompose(1, k)
-        assert d.multiplier == 1 and (d.visible.a, d.visible.b) == (1, k)
-    with pytest.raises(DomainError):
-        decompose(0, 3)
+        assert decompose(1, k) == (1, (1, k))
+    assert decompose(4, 8, 12, 16) == (4, (1, 2, 3, 4))
+    for point in ((0, 3), (6,), (2, 2, 0), (True, 2), (2.0, 4)):
+        with pytest.raises(DomainError):
+            decompose(*point)
 
 
 def test_partition_property_2d():
@@ -98,10 +85,10 @@ def test_partition_property_2d():
     seen = set()
     for m in range(1, box + 1):
         for n in range(1, box + 1):
-            d = decompose(m, n)
-            assert math.gcd(d.visible.a, d.visible.b) == 1
-            assert d.multiplier * d.visible.a == m
-            assert d.multiplier * d.visible.b == n
+            g, (a, b) = decompose(m, n)
+            assert math.gcd(a, b) == 1
+            assert g * a == m
+            assert g * b == n
             seen.add((m, n))
     # Reverse: multiples of visible points tile the box exactly once.
     hits = {}
@@ -123,14 +110,9 @@ def test_partition_property_3d():
     for m in range(1, box + 1):
         for n in range(1, box + 1):
             for p in range(1, box + 1):
-                d = decompose3(m, n, p)
-                v = d.visible
-                assert math.gcd(math.gcd(v.a, v.b), v.c) == 1
-                assert (d.multiplier * v.a, d.multiplier * v.b, d.multiplier * v.c) == (
-                    m,
-                    n,
-                    p,
-                )
+                g, (a, b, c) = decompose(m, n, p)
+                assert math.gcd(math.gcd(a, b), c) == 1
+                assert (g * a, g * b, g * c) == (m, n, p)
 
 
 def test_visible_density_tends_to_six_over_pi_squared():

@@ -1,7 +1,6 @@
 """Product-log evaluator, RHS assembly, oracle, and report tests."""
 
 import cmath
-import itertools
 import math
 import random
 
@@ -14,21 +13,17 @@ from vpvlab import (
     RhsForm,
     TailBoundExceedsTol,
     TruncationSpec,
-    brute_force_log_2d,
-    brute_force_log_3d,
+    brute_force_log,
     choose_degree_cap,
-    lattice_double_sum_2d,
-    lattice_triple_sum_3d,
-    lhs_log_product_2d,
-    lhs_log_product_3d,
+    lattice_sum,
+    lhs_log_product,
     polylog,
     product_log_sum,
     rhs_log,
     tail_bound_2d,
     tail_bound_3d,
     verify,
-    visible_points_2d,
-    visible_points_3d,
+    visible_points,
     zeta_real,
 )
 
@@ -59,9 +54,11 @@ def test_case_validation():
 
 def test_order_constraint_holds_by_construction():
     case = IdentityCase(2, 2.5 - 3j, 0.3, 0.4)
-    assert case.order_t == 1 - (2.5 - 3j)
+    assert case.orders == (2.5 - 3j, 1 - (2.5 - 3j))
+    assert case.args == (0.3, 0.4)
     case3 = IdentityCase(3, 1.0, 0.2, 0.2, t=2.0, z=0.2)
-    assert case3.order_u == 1 - 1.0 - 2.0
+    assert case3.orders == (1.0, 2.0, 1 - 1.0 - 2.0)
+    assert case3.args == (0.2, 0.2, 0.2)
 
 
 def test_zeta_mode_gating():
@@ -76,7 +73,7 @@ def test_zeta_mode_gating():
 
 def test_zero_argument_gives_zero_logs():
     case = IdentityCase(2, 2.0, 0.0, 0.4)
-    val, trunc = lhs_log_product_2d(case, TruncationSpec(40, 1e-10))
+    val, trunc = lhs_log_product(case, TruncationSpec(40, 1e-10))
     assert val == 0
     assert trunc.tail_bound == 0.0
     assert rhs_log(case) == 0
@@ -86,7 +83,7 @@ def test_log_identity_order_one():
     # s=1 (t=0): log-LHS equals (y/(1-y)) * ln(1/(1-x)).
     want = (0.4 / 0.6) * math.log(1 / 0.7)
     case = IdentityCase(2, 1.0, 0.3, 0.4)
-    val, trunc = lhs_log_product_2d(case, TruncationSpec(80, 1e-10))
+    val, trunc = lhs_log_product(case, TruncationSpec(80, 1e-10))
     assert abs(val - want) <= trunc.tail_bound + 1e-12
     assert abs(rhs_log(case) - want) <= 1e-12
 
@@ -102,7 +99,7 @@ def test_order_two_quarter_arguments():
 
 def test_brute_force_matches_closed_form():
     case = IdentityCase(2, 1.0, 0.3, 0.4)
-    val = brute_force_log_2d(case, 80)
+    val = brute_force_log(case, 80)
     want = (-math.log(0.7)) * (2 / 3)
     assert abs(val - want) <= 1e-10
 
@@ -133,7 +130,7 @@ def test_zeta_mode_rhs_value():
     report = verify(case, 1e-8)
     assert report.rel_err <= 1e-7
     with pytest.raises(DomainError):
-        brute_force_log_2d(case, 60)  # no finite-lattice oracle at x=1
+        brute_force_log(case, 60)  # no finite-lattice oracle at x=1
 
 
 @pytest.mark.parametrize("s", [1.01, 1.3, 2.0, 2.5, 3.0, 4.0])
@@ -185,7 +182,7 @@ def test_oracle_equivalence_random_2d():
         y = _rand_disk(rng, 0.5)
         cap = choose_degree_cap(IdentityCase(2, s, x, y), 1e-9)
         lhs, _ = product_log_sum((s, 1 - s), (x, y), cap)
-        oracle = lattice_double_sum_2d(s, 1 - s, x, y, cap)
+        oracle = lattice_sum((s, 1 - s), (x, y), cap)
         allowance = 2 * tail_bound_2d(s, 1 - s, x, y, cap)
         assert abs(lhs - oracle) <= allowance, (s, x, y)
 
@@ -201,7 +198,7 @@ def test_oracle_equivalence_random_3d():
         z = _rand_disk(rng, 0.4)
         cap = choose_degree_cap(IdentityCase(3, s, x, y, t=t, z=z), 1e-8)
         lhs, _ = product_log_sum((s, t, u), (x, y, z), cap)
-        oracle = lattice_triple_sum_3d(s, t, u, x, y, z, cap)
+        oracle = lattice_sum((s, t, u), (x, y, z), cap)
         allowance = 2 * tail_bound_3d(s, t, u, x, y, z, cap)
         assert abs(lhs - oracle) <= allowance, (s, t, x, y, z)
 
@@ -214,7 +211,7 @@ def test_constraint_perturbation_is_detected():
         t = 1 - s + 0.1
         cap = 70
         lhs, _ = product_log_sum((s, t), (0.4, 0.4), cap)
-        oracle = lattice_double_sum_2d(s, t, 0.4, 0.4, cap)
+        oracle = lattice_sum((s, t), (0.4, 0.4), cap)
         allowance = 2 * tail_bound_2d(s, t, 0.4, 0.4, cap)
         assert abs(lhs - oracle) > 100 * allowance, s
 
@@ -223,12 +220,12 @@ def test_tail_bound_monotone_and_valid():
     case = IdentityCase(2, 0.5 + 14.134725j, 0.3, 0.3)
     bounds = []
     for cap in range(10, 120, 10):
-        _, trunc = lhs_log_product_2d(case, TruncationSpec(cap, 1.0))
+        _, trunc = lhs_log_product(case, TruncationSpec(cap, 1.0))
         bounds.append(trunc.tail_bound)
     assert all(b2 <= b1 for b1, b2 in zip(bounds, bounds[1:]))
     # Doubling the cap moves the value by less than the reported bound.
-    v1, t1 = lhs_log_product_2d(case, TruncationSpec(40, 1.0))
-    v2, _ = lhs_log_product_2d(case, TruncationSpec(80, 1.0))
+    v1, t1 = lhs_log_product(case, TruncationSpec(40, 1.0))
+    v2, _ = lhs_log_product(case, TruncationSpec(80, 1.0))
     assert abs(v2 - v1) < t1.tail_bound
 
 
@@ -270,24 +267,16 @@ def test_report_error_definitions():
 
 def test_brute_force_3d_zero_argument():
     case = IdentityCase(3, 1.0, 0.2, 0.0, t=1.0, z=0.2)
-    assert brute_force_log_3d(case, 40) == 0
+    assert brute_force_log(case, 40) == 0
 
 
 def test_product_log_sum_counts_every_visible_point():
     # The kernel tests visibility against the diagonal d, not the last
-    # coordinate; the enumerators test the coordinates themselves.
-    for cap in range(2, 41):
-        _, count = product_log_sum((0.5, 0.5), (0.3, 0.3), cap)
-        assert count == sum(1 for _ in visible_points_2d(cap)), cap
-    for cap in range(3, 21):
-        _, count = product_log_sum((0.3, 0.3, 0.4), (0.3, 0.3, 0.3), cap)
-        assert count == sum(1 for _ in visible_points_3d(cap)), cap
-    # n = 4 has no enumerator: count the coprime quadruples directly.
-    cap = 12
-    quads = itertools.product(range(1, cap), repeat=4)
-    want = sum(1 for p in quads if sum(p) <= cap and math.gcd(*p) == 1)
-    _, count = product_log_sum((0.25,) * 4, (0.3,) * 4, cap)
-    assert count == want
+    # coordinate; the enumerator tests the coordinates themselves.
+    for n, top in ((2, 40), (3, 20), (4, 12)):
+        for cap in range(n, top + 1):
+            _, count = product_log_sum((1 / n,) * n, (0.3,) * n, cap)
+            assert count == sum(1 for _ in visible_points(n, cap)), (n, cap)
 
 
 _CRITICAL = complex(0.5, 14.134725)
@@ -304,15 +293,14 @@ _STRIP = complex(0.3, 2.5)
     ],
 )
 def test_product_log_sum_matches_mpmath(orders, args, cap):
-    points = visible_points_2d(cap) if len(orders) == 2 else visible_points_3d(cap)
+    points = visible_points(len(orders), cap)
     with mpmath.workdps(30):
         ref = mpmath.mpf(0)
         magnitude = mpmath.mpf(0)
         for p in points:
-            coords = [p.a, p.b] if len(orders) == 2 else [p.a, p.b, p.c]
             weight = mpmath.mpf(1)
             w = mpmath.mpf(1)
-            for k, s, x in zip(coords, orders, args):
+            for k, s, x in zip(p, orders, args):
                 weight *= mpmath.power(k, -mpmath.mpc(s))
                 w *= mpmath.power(mpmath.mpc(x), k)
             term = -weight * mpmath.log(1 - w)
@@ -325,11 +313,35 @@ def test_product_log_sum_matches_mpmath(orders, args, cap):
     assert abs(value - ref) <= 1e-14 * float(magnitude)
 
 
+@pytest.mark.parametrize(
+    "orders, args, cap",
+    [
+        ((0.25,) * 4, (0.3,) * 4, 28),
+        ((_CRITICAL, 0.2 - 3j, 0.1 - 5j, 0.2 - 6.134725j), (0.3, 0.2j, -0.25, 0.1 + 0.2j), 26),
+        ((-1.0, -0.5, 1.5, 1.0), (0.2, -0.2, 0.15j, 0.25), 26),
+    ],
+)
+def test_four_dimensional_identity_matches_mpmath(orders, args, cap):
+    # Orders summing to 1 make both the visible-point kernel and the
+    # full-lattice oracle equal prod Li_s_i(x_i) up to the dropped
+    # diagonals; with |x_i| <= 0.3 their envelope sum_{d > cap} d^3/6 0.3^d
+    # is under 1e-11.
+    with mpmath.workdps(30):
+        ref = mpmath.mpf(1)
+        for s, x in zip(orders, args):
+            ref *= mpmath.polylog(mpmath.mpc(s), mpmath.mpc(x))
+        ref = complex(ref)
+    value, _ = product_log_sum(orders, args, cap)
+    assert abs(value - ref) <= 1e-11
+    assert abs(lattice_sum(orders, args, cap) - ref) <= 1e-11
+
+
 def test_product_log_sum_rejects_mismatched_shapes():
-    with pytest.raises(DomainError):
-        product_log_sum((0.5,), (0.3,), 10)
-    with pytest.raises(DomainError):
-        product_log_sum((0.5, 0.5), (0.3, 0.3, 0.3), 10)
+    for kernel in (product_log_sum, lattice_sum):
+        with pytest.raises(DomainError):
+            kernel((0.5,), (0.3,), 10)
+        with pytest.raises(DomainError):
+            kernel((0.5, 0.5), (0.3, 0.3, 0.3), 10)
 
 
 def test_report_passed_is_the_three_tol_criterion():
