@@ -14,15 +14,8 @@ from itertools import product as _iproduct
 from typing import Iterable, Optional, Sequence
 
 from .errors import ComputationError, DomainError, NonConvergence, VpvError
-from .polylog import TERM_CAP, SeriesResult, polylog, polylog_neg_int, zeta_real
-from .products import (
-    DEFAULT_DEGREE_CAP_MAX,
-    IdentityCase,
-    IdentityReport,
-    RhsForm,
-    rhs_factors,
-    verify,
-)
+from .polylog import TERM_CAP, SeriesResult, polylog, zeta_real
+from .products import DEFAULT_DEGREE_CAP_MAX, IdentityCase, IdentityReport, verify
 
 # Ordinates of the first three nontrivial zeta zeros; natural default
 # probe heights for complex-order cases on the critical line.
@@ -229,7 +222,7 @@ def audit_special_values(tol: float = 1e-12, *, dps: Optional[int] = None) -> li
     series values to min(tol, CANDIDATE_TOL): below that floor the
     verdicts would compare rounding noise.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
     series_tol = 1e-15 if dps is None else max(10.0 ** (2 - dps), 1e-45)
     if series_tol > min(tol, CANDIDATE_TOL):
@@ -265,42 +258,28 @@ def _build_audit_records(li, pi, ln2, z3, ez, tol) -> list[SpecialValueRecord]:
 
     def record(name, series_value, printed, formula_printed, searcher):
         diff = abs(series_value - printed)
+        formula = value = None
         if diff <= tol:
-            records.append(SpecialValueRecord(
-                name=name,
-                printed_form_value=complex(printed),
-                series_value=complex(series_value),
-                discrepancy=float(diff),
-                verdict=MATCHES_PRINTED,
-                note=f"printed form {formula_printed} confirmed by the series",
-            ))
-            return
-        formula, value = searcher()
-        if formula is None:
-            records.append(SpecialValueRecord(
-                name=name,
-                printed_form_value=complex(printed),
-                series_value=complex(series_value),
-                discrepancy=float(diff),
-                verdict=UNRESOLVED,
-                note=(
-                    f"printed form {formula_printed} is off by {float(diff):.3e} and no "
-                    "unique sign/exponent variant matches the series value"
-                ),
-            ))
-            return
+            verdict = MATCHES_PRINTED
+            note = f"printed form {formula_printed} confirmed by the series"
+        else:
+            formula, value = searcher()
+            off = f"printed form {formula_printed} is off by {float(diff):.3e}"
+            if formula is None:
+                verdict = UNRESOLVED
+                note = f"{off} and no unique sign/exponent variant matches the series value"
+            else:
+                verdict = MATCHES_CORRECTED
+                note = f"{off}; the unique matching variant is {formula}"
         records.append(SpecialValueRecord(
             name=name,
+            verdict=verdict,
             printed_form_value=complex(printed),
             series_value=complex(series_value),
             discrepancy=float(diff),
-            verdict=MATCHES_CORRECTED,
-            candidate_corrected_value=complex(value),
+            candidate_corrected_value=None if value is None else complex(value),
             corrected_formula=formula,
-            note=(
-                f"printed form {formula_printed} is off by {float(diff):.3e}; the unique "
-                f"matching variant is {formula}"
-            ),
+            note=note,
         ))
 
     record(
@@ -358,10 +337,7 @@ def catalog() -> list[IdentityCase]:
         cases.append(IdentityCase(2, s, 1.0, 0.3, label=f"zeta-s{s}"))
     for s, cf in ((1, "ln2"), (2, "dilog-half"),
                   (3, "trilog-half-series"), (4, "quadlog-half-series")):
-        cases.append(IdentityCase(
-            2, s, 0.5, 0.3,
-            rhs_form=RhsForm.CLOSED_FORM, closed_form_id=cf, label=f"half-s{s}",
-        ))
+        cases.append(IdentityCase(2, s, 0.5, 0.3, closed_form_id=cf, label=f"half-s{s}"))
     cases.append(IdentityCase(
         2, complex(0.5, DEFAULT_T_VALUES[0]), 0.3, 0.3, label="critical-line",
     ))
@@ -410,7 +386,6 @@ def trivial_zero_probe(
         y = 1.0 - delta
         try:
             case = IdentityCase(2, order, x, y, label=f"probe-{order}-{delta}")
-            closed = polylog_neg_int(order - 1, complex(y))
             report = verify(case, tol, degree_cap_max=degree_cap_max)
             rows.append(ProbeRow(
                 delta=delta,
@@ -419,7 +394,7 @@ def trivial_zero_probe(
                 rhs_log=report.rhs_log,
                 abs_err=report.abs_err,
                 rhs_exponent_magnitude=abs(report.rhs_log),
-                closed_factor=closed,
+                closed_factor=report.rhs_factors[1],
                 degree_cap=report.degree_cap,
                 tail_bound=report.tail_bound,
             ))
@@ -492,7 +467,7 @@ def critical_line_scan(
             )
         case = IdentityCase(2, complex(0.5, t_value), x, y, label=f"critical-T={t_value}")
         report = verify(case, tol, degree_cap_max=degree_cap_max)
-        li_s_x, li_t_y = rhs_factors(case, tol / 2)
+        li_s_x, li_t_y = report.rhs_factors
         return ScanRow(
             t_value=t_value,
             lhs_log=report.lhs_log,

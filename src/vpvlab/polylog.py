@@ -2,8 +2,9 @@
 
 The series evaluator Li_s(z) = sum_{k>=1} z^k k^-s uses the principal
 real logarithm in k^-s := exp(-s ln k) and certifies its truncation with
-a geometric-dominance tail bound. Closed forms cover order 1 and the
-non-positive integer orders; zeta_real covers the x = 1 product mode.
+a geometric-dominance tail bound. polylog_neg_int gives the exact
+rational form at the non-positive integer orders; zeta_real covers the
+x = 1 product mode.
 """
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import ComputationError, DomainError, NonConvergence
-from .numerics import KahanSum, dirichlet_tail, log1m, power_geometric_tail, require_finite
+from .numerics import KahanSum, dirichlet_tail, power_geometric_tail, require_finite
 
 # Arguments must stay this far inside the unit circle for the series.
 EPS_DOMAIN = 1e-3
@@ -48,7 +49,6 @@ def polylog(
     z: complex,
     tol: float = 1e-12,
     *,
-    eps_domain: float = EPS_DOMAIN,
     term_cap: int = TERM_CAP,
     dps: int | None = None,
 ) -> SeriesResult:
@@ -56,10 +56,9 @@ def polylog(
 
     Args:
         s: complex order; k^-s = exp(-s ln k) with the real principal log.
-        z: argument with |z| <= 1 - eps_domain.
+        z: argument with |z| <= 1 - EPS_DOMAIN.
         tol: positive truncation target; summation stops once the
             certified tail bound falls below it.
-        eps_domain: required gap to the unit circle.
         term_cap: raise NonConvergence past this many terms.
         dps: when set, run the same loop in mpmath arithmetic with this
             many significant digits (extended-precision mode).
@@ -68,13 +67,13 @@ def polylog(
         DomainError: |z| too large.
         NonConvergence: tolerance unreachable within term_cap.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
     s = complex(s)
     z = complex(z) if dps is None else z
     r = abs(z)
-    if r > 1.0 - eps_domain:
-        raise DomainError(f"|z| = {r!r} exceeds 1 - eps_domain = {1.0 - eps_domain!r}")
+    if r > 1.0 - EPS_DOMAIN:
+        raise DomainError(f"|z| = {r!r} exceeds 1 - eps_domain = {1.0 - EPS_DOMAIN!r}")
     if dps is not None:
         return _polylog_mp(s, z, tol, term_cap, dps)
     if z == 0:
@@ -161,28 +160,6 @@ def polylog_partial(s: complex, z: complex, n_terms: int) -> complex:
     return complex(re, im)
 
 
-def polylog_closed_form(n: int, z: complex) -> complex:
-    """Closed form of Li_n(z) for n in {1, 0, -1, -2, -3, -4}.
-
-    Li_1(z) = -log(1 - z) on the principal branch; the non-positive
-    orders are rational functions with a pole at z = 1 only.
-
-    Raises:
-        DomainError: unsupported order, z at the pole, or z on the
-            branch cut [1, inf) for n = 1.
-    """
-    if n not in (1, 0, -1, -2, -3, -4):
-        raise DomainError(f"no closed form wired for order {n!r}")
-    z = complex(z)
-    if z == 1:
-        raise DomainError("z = 1 is a pole of every wired closed form")
-    if n == 1:
-        if z.imag == 0.0 and z.real >= 1.0:
-            raise DomainError("z on the branch cut [1, inf) of Li_1")
-        return -log1m(z)
-    return polylog_neg_int(-n, z)
-
-
 @lru_cache(maxsize=None)
 def _neg_order_poly(n: int) -> tuple[int, ...]:
     """Integer coefficients (ascending) of P_n with Li_{-n}(z) = P_n(z)/(1-z)^{n+1}.
@@ -240,11 +217,10 @@ def zeta_real(
     s: float,
     tol: float = 1e-12,
     *,
-    eps_zeta: float = EPS_ZETA,
     term_cap: int = TERM_CAP,
     dps: int | None = None,
 ) -> SeriesResult:
-    """zeta(s) for real s > 1 + eps_zeta with a certified remainder.
+    """zeta(s) for real s >= 1 + EPS_ZETA with a certified remainder.
 
     The head sum_{k < N} k^-s is summed directly and the tail from N is
     evaluated by Euler-Maclaurin corrections; the reported tail_bound is
@@ -257,13 +233,13 @@ def zeta_real(
         DomainError: s too close to (or below) 1.
         NonConvergence: no admissible N within term_cap meets tol.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
     if isinstance(s, complex):
         raise DomainError("zeta_real takes a real order")
     s = float(s)
-    if s < 1.0 + eps_zeta:
-        raise DomainError(f"zeta_real requires s >= 1 + {eps_zeta!r}, got {s!r}")
+    if s < 1.0 + EPS_ZETA:
+        raise DomainError(f"zeta_real requires s >= 1 + {EPS_ZETA!r}, got {s!r}")
     if dps is not None:
         return _zeta_real_mp(s, tol, term_cap, dps)
     n = 16

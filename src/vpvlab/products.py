@@ -18,7 +18,6 @@ import cmath
 import itertools
 import math
 from dataclasses import dataclass, replace
-from enum import Enum
 from typing import Callable, Optional, Sequence
 
 from .errors import ComputationError, DomainError, TailBoundExceedsTol
@@ -31,19 +30,16 @@ DEFAULT_DEGREE_CAP_MAX = 4000
 REL_ERR_FLOOR = 1e-300
 
 
-class RhsForm(Enum):
-    POLYLOG_PRODUCT = "polylog_product"
-    CLOSED_FORM = "closed_form"
-
-
-# Named constants usable as the leading right-side factor. The two
-# series-backed entries exist because the printed closed forms they
-# replace fail the special-value audit; see the explorer module.
-_CLOSED_FORM_CONSTANTS: dict[str, Callable[[float], complex]] = {
-    "ln2": lambda tol: complex(math.log(2.0)),
-    "dilog-half": lambda tol: complex(math.pi ** 2 / 12 - math.log(2.0) ** 2 / 2),
-    "trilog-half-series": lambda tol: complex(polylog(3, 0.5, tol).value),
-    "quadlog-half-series": lambda tol: complex(polylog(4, 0.5, tol).value),
+# Named constants usable as the leading right-side factor: the
+# (order, argument) of the Li_s(x) each stands for, and its value at a
+# tolerance. The two series-backed entries exist because the printed
+# closed forms they replace fail the special-value audit; see the
+# explorer module.
+_CLOSED_FORM_CONSTANTS: dict[str, tuple[int, float, Callable[[float], complex]]] = {
+    "ln2": (1, 0.5, lambda tol: complex(math.log(2.0))),
+    "dilog-half": (2, 0.5, lambda tol: complex(math.pi ** 2 / 12 - math.log(2.0) ** 2 / 2)),
+    "trilog-half-series": (3, 0.5, lambda tol: complex(polylog(3, 0.5, tol).value)),
+    "quadlog-half-series": (4, 0.5, lambda tol: complex(polylog(4, 0.5, tol).value)),
 }
 
 
@@ -55,6 +51,8 @@ class IdentityCase:
     tuples. 2D: orders (s, 1 - s) pair with arguments (x, y); x = 1
     switches the first factor to zeta (requires real s > 1 + EPS_ZETA).
     3D: orders (s, t, 1 - s - t) with arguments (x, y, z).
+    closed_form_id names a _CLOSED_FORM_CONSTANTS entry that replaces
+    the leading factor Li_s(x); it must stand for that same s and x.
     The 2D/3D constructor stays because bench/run.py builds cases with
     it; ROADMAP item 1 frees it.
     """
@@ -65,7 +63,6 @@ class IdentityCase:
     y: complex
     t: Optional[complex] = None
     z: Optional[complex] = None
-    rhs_form: RhsForm = RhsForm.POLYLOG_PRODUCT
     closed_form_id: Optional[str] = None
     label: str = ""
 
@@ -83,11 +80,8 @@ class IdentityCase:
                 raise DomainError("3D cases need explicit t and z")
             object.__setattr__(self, "t", complex(self.t))
             object.__setattr__(self, "z", complex(self.z))
-        if self.rhs_form is RhsForm.CLOSED_FORM:
-            if self.closed_form_id not in _CLOSED_FORM_CONSTANTS:
-                raise DomainError(f"unknown closed_form_id {self.closed_form_id!r}")
-        elif self.closed_form_id is not None:
-            raise DomainError("closed_form_id only applies to CLOSED_FORM cases")
+        if self.closed_form_id is not None:
+            self._check_closed_form()
         self._check_args()
 
     def _check_args(self) -> None:
@@ -101,6 +95,19 @@ class IdentityCase:
         for name, arg in zip("xyz", self.args):
             if abs(arg) > 1.0 - EPS_DOMAIN and not (name == "x" and self.is_zeta_mode):
                 raise DomainError(f"|{name}| = {abs(arg)!r} too close to the unit circle")
+
+    def _check_closed_form(self) -> None:
+        cid = self.closed_form_id
+        if cid not in _CLOSED_FORM_CONSTANTS:
+            raise DomainError(f"unknown closed_form_id {cid!r}")
+        if self.is_zeta_mode:
+            raise DomainError(f"closed_form_id {cid!r} does not apply in zeta mode (x = 1)")
+        order, arg, _ = _CLOSED_FORM_CONSTANTS[cid]
+        if (self.s, self.x) != (order, arg):
+            raise DomainError(
+                f"closed_form_id {cid!r} stands for Li_{order}({arg}), "
+                f"not Li_s(x) at s={self.s!r}, x={self.x!r}"
+            )
 
     @property
     def orders(self) -> tuple[complex, ...]:
@@ -130,7 +137,7 @@ class TruncationSpec:
     def __post_init__(self) -> None:
         if not isinstance(self.degree_cap, int) or self.degree_cap < 1:
             raise DomainError(f"degree_cap must be a positive integer, got {self.degree_cap!r}")
-        if self.tol <= 0:
+        if not self.tol > 0:
             raise DomainError("tol must be positive")
         if self.tail_bound is not None and self.tail_bound < 0:
             raise DomainError("tail_bound cannot be negative")
@@ -145,6 +152,8 @@ class IdentityReport:
     rel_err: float
     truncation: TruncationSpec
     terms: int
+    # the right-side factors Li_s_i(x_i) (or their constants), in case.orders order
+    rhs_factors: tuple[complex, ...]
 
     @property
     def degree_cap(self) -> int:
@@ -406,60 +415,60 @@ def _series_magnitude_bound(order: complex, arg: complex) -> float:
     return bound
 
 
-def _factor_estimate(case: IdentityCase, order: complex, arg: complex, leading: bool) -> float:
-    if leading and case.is_zeta_mode:
-        return 1.0 + 1.0 / (case.s.real - 1.0)
-    if leading and case.rhs_form is RhsForm.CLOSED_FORM:
-        return abs(_CLOSED_FORM_CONSTANTS[case.closed_form_id](1e-6))
-    order = complex(order)
-    if order.imag == 0.0 and order.real == round(order.real) and order.real <= 0:
-        return abs(polylog_neg_int(int(-order.real), arg))
-    return _series_magnitude_bound(order, arg)
+def _factor(
+    case: IdentityCase, order: complex, arg: complex, leading: bool
+) -> tuple[float, Callable[[float], complex]]:
+    """(magnitude estimate, evaluator at a tolerance) of one right-side factor.
 
-
-def _eval_factor(
-    case: IdentityCase, order: complex, arg: complex, tol_f: float, leading: bool
-) -> complex:
+    The leading factor is zeta(s) in zeta mode, or the case's closed-form
+    constant. Li_1 and Li_{-n} have closed forms that need no tolerance;
+    Li_{-n} is evaluated here once and its magnitude is its estimate.
+    Every other factor is the series.
+    """
     if leading and case.is_zeta_mode:
-        return complex(zeta_real(case.s.real, tol_f).value)
-    if leading and case.rhs_form is RhsForm.CLOSED_FORM:
-        return _CLOSED_FORM_CONSTANTS[case.closed_form_id](tol_f)
+        sr = case.s.real
+        return 1.0 + 1.0 / (sr - 1.0), lambda tol: complex(zeta_real(sr, tol).value)
+    if leading and case.closed_form_id is not None:
+        constant = _CLOSED_FORM_CONSTANTS[case.closed_form_id][2]
+        return abs(constant(1e-6)), constant
     order = complex(order)
     if arg == 0:
-        return 0j
+        return 0.0, lambda tol: 0j
     if order.imag == 0.0 and order.real == round(order.real):
         n = int(order.real)
         if n == 1:
-            return -log1m(complex(arg))
+            value = -log1m(complex(arg))
+            return _series_magnitude_bound(order, arg), lambda tol: value
         if n <= 0:
-            return polylog_neg_int(-n, complex(arg))
-    return complex(polylog(order, arg, tol_f).value)
+            value = polylog_neg_int(-n, complex(arg))
+            return abs(value), lambda tol: value
+    return _series_magnitude_bound(order, arg), lambda tol: complex(polylog(order, arg, tol).value)
 
 
 def rhs_factors(case: IdentityCase, tol: float = 1e-12) -> tuple[complex, ...]:
     """The right-side polylog factors, each to a tolerance scaled by the
     magnitudes of its cofactors so the product meets tol."""
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
-    specs = list(zip(case.orders, case.args))
-    ests = [max(1.0, _factor_estimate(case, o, a, i == 0)) for i, (o, a) in enumerate(specs)]
+    factors = [_factor(case, o, a, i == 0) for i, (o, a) in enumerate(zip(case.orders, case.args))]
+    ests = [max(1.0, est) for est, _ in factors]
     values = []
-    for i, (order, arg) in enumerate(specs):
+    for i, (_, evaluate) in enumerate(factors):
         cofactor = 1.0
         for j, e in enumerate(ests):
             if j != i:
                 cofactor *= e
-        tol_f = tol / (2 * len(specs) * max(1.0, cofactor))
-        values.append(_eval_factor(case, order, arg, tol_f, i == 0))
+        values.append(evaluate(tol / (2 * len(factors) * max(1.0, cofactor))))
     return tuple(values)
+
+
+def _rhs_product(factors: Sequence[complex]) -> complex:
+    return require_finite(math.prod(factors, start=1 + 0j), "rhs_log")
 
 
 def rhs_log(case: IdentityCase, tol: float = 1e-12) -> complex:
     """Right-side log: the product of the polylog factors."""
-    value = 1 + 0j
-    for f in rhs_factors(case, tol):
-        value *= f
-    return require_finite(value, "rhs_log")
+    return _rhs_product(rhs_factors(case, tol))
 
 
 def choose_degree_cap(case: IdentityCase, tol: float, degree_cap_max: int = DEFAULT_DEGREE_CAP_MAX) -> int:
@@ -468,7 +477,7 @@ def choose_degree_cap(case: IdentityCase, tol: float, degree_cap_max: int = DEFA
     Raises TailBoundExceedsTol (carrying the achievable bound) when no
     cap up to degree_cap_max suffices.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
     # the first diagonal holding a point is d = n
     for cap in range(case.dimension, degree_cap_max + 1):
@@ -493,9 +502,10 @@ def verify(
     abs_err <= 3 * tol, is the report's `passed`; the report comes back
     either way, so callers must check it.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
-    rhs = rhs_log(case, tol / 2)
+    factors = rhs_factors(case, tol / 2)
+    rhs = _rhs_product(factors)
     cap = choose_degree_cap(case, tol / 2, degree_cap_max)
     lhs, bound, terms = _eval_lhs(case, cap)
     abs_err = abs(lhs - rhs)
@@ -510,4 +520,5 @@ def verify(
         rel_err=rel_err,
         truncation=TruncationSpec(degree_cap=cap, tol=tol, tail_bound=bound),
         terms=terms,
+        rhs_factors=factors,
     )

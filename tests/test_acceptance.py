@@ -11,7 +11,6 @@ import random
 
 from vpvlab import (
     IdentityCase,
-    RhsForm,
     TruncationSpec,
     audit_special_values,
     catalog,
@@ -86,14 +85,10 @@ def test_acceptance_03_zeta_constant_family():
 
 
 def test_acceptance_04_half_argument_powers():
-    case = IdentityCase(
-        2, 1.0, 0.5, 0.4, rhs_form=RhsForm.CLOSED_FORM, closed_form_id="ln2"
-    )
+    case = IdentityCase(2, 1.0, 0.5, 0.4, closed_form_id="ln2")
     r1 = verify(case, 1e-8)
     want1 = (0.4 / 0.6) * math.log(2)
-    case = IdentityCase(
-        2, 2.0, 0.5, 0.25, rhs_form=RhsForm.CLOSED_FORM, closed_form_id="dilog-half"
-    )
+    case = IdentityCase(2, 2.0, 0.5, 0.25, closed_form_id="dilog-half")
     r2 = verify(case, 1e-8)
     want2 = (math.pi**2 / 12 - math.log(2) ** 2 / 2) * (0.25 / 0.75**2)
     ok = (

@@ -15,11 +15,12 @@ from vpvlab import (
     TERM_CAP,
     ComputationError,
     DomainError,
+    IdentityCase,
     NonConvergence,
     polylog,
-    polylog_closed_form,
     polylog_neg_int,
     polylog_partial,
+    rhs_factors,
     zeta_real,
 )
 from vpvlab.numerics import dirichlet_tail, log1m, power_geometric_tail
@@ -65,30 +66,32 @@ def test_negative_order_example():
     assert abs(res.value - want) <= 1e-11
 
 
+def _second_factor(order, z):
+    # Li_order(z) as the second right-side factor of a 2D case
+    return rhs_factors(IdentityCase(2, 1 - order, 0.3, z))[1]
+
+
 def test_closed_form_small_orders():
-    assert polylog_closed_form(0, 0.5) == pytest.approx(1.0, abs=1e-15)
-    assert polylog_closed_form(-1, 0.5) == pytest.approx(2.0, abs=1e-15)
+    assert _second_factor(0, 0.5) == pytest.approx(1.0, abs=1e-15)
+    assert _second_factor(-1, 0.5) == pytest.approx(2.0, abs=1e-15)
     want = 0.4 * (1 + 1.6 + 0.16) / 0.6**4
-    assert polylog_closed_form(-3, 0.4) == pytest.approx(want, rel=1e-14)
+    assert _second_factor(-3, 0.4) == pytest.approx(want, rel=1e-14)
+    assert _second_factor(1, 0.5) == pytest.approx(math.log(2), rel=1e-15)
 
 
 def test_closed_form_unsupported_order():
+    # Li_{-n} has a rational form for every n >= 0, and a positive order
+    # has none.
     with pytest.raises(DomainError):
-        polylog_closed_form(2, 0.5)
-    with pytest.raises(DomainError):
-        polylog_closed_form(-5, 0.5)
+        polylog_neg_int(-2, 0.5)
+    assert _second_factor(-5, 0.5) == polylog_neg_int(5, 0.5)
 
 
-def test_closed_form_pole_and_branch_cut():
+def test_closed_form_poles_are_rejected():
     with pytest.raises(DomainError):
-        polylog_closed_form(0, 1.0)
+        polylog_neg_int(0, 1.0)
     with pytest.raises(DomainError):
-        polylog_closed_form(1, 1.0)
-    with pytest.raises(DomainError):
-        polylog_closed_form(1, 2.5)
-    # Just off the cut is fine.
-    val = polylog_closed_form(1, 2.5 + 1e-9j)
-    assert cmath.isfinite(val)
+        IdentityCase(2, 0.0, 0.3, 1.0)  # Li_1(y) at its pole y = 1
 
 
 def test_neg_int_quartic_at_half():
@@ -139,7 +142,7 @@ def test_series_closed_form_agreement_grid():
     for n in range(0, 5):
         for z in zs:
             series = polylog(-n, z, tol).value
-            closed = polylog_closed_form(-n, z)
+            closed = polylog_neg_int(n, z)
             assert abs(series - closed) <= 10 * tol, (n, z)
 
 

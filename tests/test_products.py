@@ -10,15 +10,17 @@ import pytest
 from vpvlab import (
     DomainError,
     IdentityCase,
-    RhsForm,
     TailBoundExceedsTol,
     TruncationSpec,
+    audit_special_values,
     brute_force_log,
     choose_degree_cap,
+    critical_line_scan,
     lattice_sum,
     lhs_log_product,
     polylog,
     product_log_sum,
+    rhs_factors,
     rhs_log,
     tail_bound_2d,
     tail_bound_3d,
@@ -45,11 +47,22 @@ def test_case_validation():
     with pytest.raises(DomainError):
         IdentityCase(2, 1.0, 0.9999, 0.4)  # too close to the unit circle
     with pytest.raises(DomainError):
-        IdentityCase(2, 2.0, 0.3, 0.4, rhs_form=RhsForm.CLOSED_FORM)
-    with pytest.raises(DomainError):
-        IdentityCase(
-            2, 2.0, 0.3, 0.4, rhs_form=RhsForm.CLOSED_FORM, closed_form_id="nope"
-        )
+        IdentityCase(2, 2.0, 0.3, 0.4, closed_form_id="nope")
+
+
+def test_closed_form_id_must_match_its_case():
+    # Each constant replaces one Li_s(x); on any other case it would give
+    # a wrong right side, and in zeta mode the leading factor is zeta(s).
+    IdentityCase(2, 2.0, 0.5, 0.4, closed_form_id="dilog-half")
+    IdentityCase(3, 1.0, 0.5, 0.2, t=1.0, z=0.2, closed_form_id="ln2")
+    with pytest.raises(DomainError, match="stands for Li_1"):
+        IdentityCase(2, 2.0, 0.3, 0.4, closed_form_id="ln2")
+    with pytest.raises(DomainError, match="stands for Li_2"):
+        IdentityCase(2, 2.0, 0.3, 0.4, closed_form_id="dilog-half")
+    with pytest.raises(DomainError, match="stands for Li_3"):
+        IdentityCase(2, 4.0, 0.5, 0.4, closed_form_id="trilog-half-series")
+    with pytest.raises(DomainError, match="zeta mode"):
+        IdentityCase(2, 3.0, 1.0, 0.3, closed_form_id="trilog-half-series")
 
 
 def test_order_constraint_holds_by_construction():
@@ -77,6 +90,10 @@ def test_zero_argument_gives_zero_logs():
     assert val == 0
     assert trunc.tail_bound == 0.0
     assert rhs_log(case) == 0
+    # Li_-200(0) = 0 without the rational form, whose Horner loop over
+    # coefficients near 200! leaves the float range.
+    report = verify(IdentityCase(2, 201.0, 0.5, 0.0), 1e-8)
+    assert report.rhs_factors[1] == 0 and report.rhs_log == 0 and report.passed
 
 
 def test_log_identity_order_one():
@@ -164,9 +181,7 @@ def test_verify_quartic_order():
 
 def test_verify_closed_form_half_argument():
     # x=1/2 at s=1: product equals 2^{y/(1-y)}, so log-LHS = (y/(1-y)) ln 2.
-    case = IdentityCase(
-        2, 1.0, 0.5, 0.4, rhs_form=RhsForm.CLOSED_FORM, closed_form_id="ln2"
-    )
+    case = IdentityCase(2, 1.0, 0.5, 0.4, closed_form_id="ln2")
     report = verify(case, 1e-8)
     want = (0.4 / 0.6) * math.log(2)
     assert abs(report.rhs_log - want) <= 1e-14
@@ -257,6 +272,50 @@ def test_verify_rejects_bad_tolerance():
     case = IdentityCase(2, 1.0, 0.3, 0.4)
     with pytest.raises(ValueError):
         verify(case, 0.0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda tol: polylog(2, 0.5, tol),
+    lambda tol: zeta_real(2.0, tol),
+    lambda tol: rhs_factors(IdentityCase(2, 2.0, 0.5, 0.3), tol),
+    lambda tol: choose_degree_cap(IdentityCase(2, 2.0, 0.5, 0.3), tol),
+    lambda tol: verify(IdentityCase(2, 2.0, 0.5, 0.3), tol),
+    lambda tol: audit_special_values(tol),
+    lambda tol: TruncationSpec(10, tol),
+], ids=["polylog", "zeta_real", "rhs_factors", "choose_degree_cap", "verify",
+        "audit_special_values", "TruncationSpec"])
+def test_nan_tolerance_is_rejected(call):
+    # tol <= 0 is False for nan: polylog stopped after one term, and
+    # the other entry points ran on to a wrong value or a misleading error.
+    with pytest.raises(ValueError, match="tol must be positive"):
+        call(math.nan)
+
+
+def test_verify_carries_each_factor_evaluated_once(monkeypatch):
+    from vpvlab import products
+
+    calls = {"neg": 0, "series": 0}
+
+    def counted(name, fn):
+        def inner(*args):
+            calls[name] += 1
+            return fn(*args)
+        return inner
+
+    monkeypatch.setattr(products, "polylog_neg_int", counted("neg", products.polylog_neg_int))
+    monkeypatch.setattr(products, "polylog", counted("series", products.polylog))
+    case = IdentityCase(2, 3.0, 0.5, 0.3)
+    report = verify(case, 1e-8)
+    assert calls == {"neg": 1, "series": 1}
+    assert report.rhs_factors == rhs_factors(case, 0.5e-8)
+    assert report.rhs_log == report.rhs_factors[0] * report.rhs_factors[1]
+    calls.update(neg=0, series=0)
+    rows = critical_line_scan([14.134725, 21.02204], x=0.2, y=0.2, tol=1e-8)
+    assert calls == {"neg": 0, "series": 4}
+    assert [(r.li_s_x, r.li_t_y) for r in rows] == [
+        rhs_factors(IdentityCase(2, complex(0.5, t), 0.2, 0.2), 0.5e-8)
+        for t in (14.134725, 21.02204)
+    ]
 
 
 def test_report_error_definitions():
