@@ -3,10 +3,12 @@ dimension n >= 2.
 
 A lattice point is visible from the origin exactly when its coordinates
 are coprime; every positive lattice point is a unique positive integer
-multiple of a visible point. The streaming enumerator below defines
-the point set that the product kernel walks inline (the tests compare
-its term counts with it) and is deterministic: ascending coordinate
-sum, then ascending earlier coordinates.
+multiple of a visible point. The streaming enumerator below yields the
+diagonal region a_1 + ... + a_n <= degree_cap, which is the product
+kernel's point set only at equal moduli (the kernel truncates on
+decay-weighted coordinates; see products.product_log_sum). Its order is
+deterministic: ascending coordinate sum, then ascending earlier
+coordinates.
 """
 from __future__ import annotations
 

@@ -102,6 +102,32 @@ def power_geometric_tail(cap: int, p: float, r: float) -> float:
         return math.inf
 
 
+def first_within(bound, tol: float, start: int, stop: int):
+    """(k, bound(k)) for the first k >= start with bound(k) <= tol, or None
+    when no k <= stop qualifies.
+
+    bound must be inf before some index and nonincreasing after it, as
+    power_geometric_tail and the bounds built on it are. A doubling
+    search from start brackets the index and a bisection finds it, so
+    the answer is the one a scan of every k would give, after about
+    2 log2(k) evaluations.
+    """
+    lo, hi = start - 1, start
+    while (value := bound(hi)) > tol:
+        if hi >= stop:
+            return None
+        lo, hi = hi, min(2 * hi, stop)
+    # bound(lo) > tol >= bound(hi) = value
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        mid_value = bound(mid)
+        if mid_value <= tol:
+            hi, value = mid, mid_value
+        else:
+            lo = mid
+    return hi, value
+
+
 def dirichlet_tail(s: float, start: int, corrections: int = 6):
     """(value, remainder_bound) for sum_{k >= start} k^-s with real s > 1.
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import ComputationError, DomainError, NonConvergence
-from .numerics import KahanSum, dirichlet_tail, power_geometric_tail, require_finite
+from .numerics import KahanSum, dirichlet_tail, first_within, power_geometric_tail, require_finite
 
 # Arguments must stay this far inside the unit circle for the series.
 EPS_DOMAIN = 1e-3
@@ -86,29 +86,19 @@ def _stopping_index(s: complex, z, r: float, tol: float, term_cap: int) -> tuple
     """(k, bound): the first k >= 1 with _series_tail(k, ...) = bound <= tol.
 
     The bound is inf before the peak of k^sigma r^k and strictly
-    decreasing after it, so a doubling search followed by a bisection
-    finds the same k as testing every k in turn.
+    decreasing after it, so first_within finds k without testing every
+    index in turn.
 
     Raises:
         NonConvergence: no k <= term_cap meets tol.
     """
     sigma_minus = max(0.0, -s.real)
-    lo, hi = 0, 1
-    while (bound := _series_tail(hi, sigma_minus, r)) > tol:
-        if hi >= term_cap:
-            raise NonConvergence(
-                f"polylog(s={s!r}, z={z!r}) did not reach tol={tol!r} within {term_cap} terms"
-            )
-        lo, hi = hi, min(2 * hi, term_cap)
-    # _series_tail(lo) > tol >= _series_tail(hi) = bound
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        mid_bound = _series_tail(mid, sigma_minus, r)
-        if mid_bound <= tol:
-            hi, bound = mid, mid_bound
-        else:
-            lo = mid
-    return hi, bound
+    found = first_within(lambda k: _series_tail(k, sigma_minus, r), tol, 1, term_cap)
+    if found is None:
+        raise NonConvergence(
+            f"polylog(s={s!r}, z={z!r}) did not reach tol={tol!r} within {term_cap} terms"
+        )
+    return found
 
 
 def _polylog_mp(s: complex, z, tol: float, term_cap: int, dps: int) -> SeriesResult:
@@ -188,29 +178,48 @@ def polylog_neg_int(n: int, z: complex) -> complex:
     """Li_{-n}(z) for integer n >= 0 via exact rational closed form.
 
     The numerator polynomial is built once per order from the
-    z d/dz recurrence and cached with exact integer coefficients.
+    z d/dz recurrence and cached with exact integer coefficients. A
+    float is a dyadic rational, so z = (A + Bi) / D with D a power of
+    two; P_n(z) and (1 - z)^(n+1) are evaluated in Gaussian integers
+    and the quotient is rounded once, so each part of the value is the
+    correctly rounded real or imaginary part of Li_{-n}(z).
 
     Raises:
         DomainError: n negative or non-integer, or z = 1 (the pole).
-        ComputationError: the value, or a step of its evaluation, leaves
-            the float range (from n = 170 at z = 1/2).
+        ComputationError: z is not finite, or the value leaves the float
+            range (from n = 170 at z = 1/2).
     """
     if not isinstance(n, int) or isinstance(n, bool) or n < 0:
         raise DomainError(f"polylog_neg_int expects an integer n >= 0, got {n!r}")
     z = complex(z)
     if z == 1:
         raise DomainError("z = 1 is the pole of Li_{-n}")
+    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+        raise ComputationError(f"non-finite argument in Li_{{-{n}}}({z!r})")
+    (a, a_den), (b, b_den) = z.real.as_integer_ratio(), z.imag.as_integer_ratio()
+    d = max(a_den, b_den)  # D = 2^e: the larger is a multiple of the other
+    e = d.bit_length() - 1
+    a, b = a * (d // a_den), b * (d // b_den)
     coeffs = _neg_order_poly(n)
-    num = 0j
+    # Horner on D^j times each partial value, so every step stays integral
+    re, im = 0, 0
+    for j, c in enumerate(reversed(coeffs)):
+        re, im = re * a - im * b + (c << (e * j)), re * b + im * a
+    # P_n(z) = (re + im i) / D^m for degree m = len(coeffs) - 1, and
+    # (1 - z)^(n+1) = (D - A - Bi)^(n+1) / D^(n+1)
+    lift = e * (n + 2 - len(coeffs))
+    num_re, num_im = re << lift, im << lift
+    w_re, w_im = 1, 0
+    for _ in range(n + 1):
+        w_re, w_im = w_re * (d - a) + w_im * b, w_im * (d - a) - w_re * b
+    # (num_re + num_im i) / (w_re + w_im i), with the conjugate of w on top
+    den = w_re * w_re + w_im * w_im
     try:
-        for c in reversed(coeffs):
-            num = num * z + c
-        value = num / (1 - z) ** (n + 1)
-    except (OverflowError, ZeroDivisionError):
+        return complex((num_re * w_re + num_im * w_im) / den, (num_im * w_re - num_re * w_im) / den)
+    except OverflowError:
         raise ComputationError(
             f"Li_{{-{n}}}(z) leaves the float range at z = {z!r}"
         ) from None
-    return require_finite(value, f"Li_{{-{n}}}({z!r})")
 
 
 def zeta_real(

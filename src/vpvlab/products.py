@@ -18,10 +18,11 @@ import cmath
 import itertools
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable, Optional, Sequence
 
 from .errors import ComputationError, DomainError, TailBoundExceedsTol
-from .numerics import KahanSum, log1m, power_geometric_tail, require_finite
+from .numerics import KahanSum, first_within, log1m, power_geometric_tail, require_finite
 from .polylog import EPS_DOMAIN, EPS_ZETA, polylog, polylog_neg_int, zeta_real
 
 # Largest degree cap verify() will consider.
@@ -171,41 +172,61 @@ class IdentityReport:
 
 
 # ---------------------------------------------------------------------------
-# tail bounds (shared envelope: |a^-s b^-t| <= d^sigma with d the diagonal,
-# |log(1 - w)| <= |w| / (1 - |w|), |w| <= r^d)
+# tail bounds of the weighted region sum a_i mu_i <= level (see product_log_sum)
 # ---------------------------------------------------------------------------
 
-def tail_bound_2d(s: complex, t: complex, x: complex, y: complex, degree_cap: int) -> float:
-    """Certified bound on the dropped 2D terms past a + b = degree_cap.
+def _decay_ratios(args: Sequence[complex]) -> list[float]:
+    """mu_i = ln(1/|x_i|) / min_j ln(1/|x_j|): how fast each axis decays, in
+    units of the slowest, so every mu_i >= 1 and the slowest is 1.0.
 
-    Valid both for the visible-point product log (per-diagonal count
-    <= d, log factor bounded by |w|/(1-|w|)) and for the full-lattice
-    double sum (same count, no log factor, so the bound only overshoots).
+    All 1.0 (the diagonal region) when an argument is 0, where every term
+    vanishes, or lies off the open unit disk, where nothing decays.
     """
-    # Every term carries x^a y^b with a, b >= 1, so a zero argument
-    # kills the whole sum and the zero bound is exact.
-    if x == 0 or y == 0:
+    moduli = [abs(complex(x)) for x in args]
+    if not all(0.0 < m < 1.0 for m in moduli):
+        return [1.0] * len(moduli)
+    rates = [-math.log(m) for m in moduli]
+    slowest = min(rates)
+    return [rate / slowest for rate in rates]
+
+
+def _shell_tail(orders: Sequence[complex], args: Sequence[complex], level: int) -> float:
+    """Certified bound on the terms past sum a_i mu_i = level.
+
+    Shell m <= sum a_i mu_i < m + 1 holds at most (m+1)^(n-1) / ((n-1)!
+    prod mu_i) points: each head of fast-axis coordinates leaves room for
+    one slow coordinate. Each point has |w| = prod |x_i|^a_i <= r^m with
+    r = max |x_i|, weight |prod a_i^-s_i| <= (m+1)^P with P = sum max(0,
+    -Re s_i), and |log(1 - w)| <= |w| / (1 - r^level). Summed over the
+    shells m >= level this is power_geometric_tail(level, n-1+P, r) /
+    (r (1 - r^level) (n-1)! prod mu_i). The same envelope without the log
+    factor covers the full-lattice sum past the diagonal a_1 + ... + a_n =
+    level, whose dropped points all lie past the weighted level too. The
+    float mu_i are within a few ulp of the exact ratios, which moves r^m
+    by under 1e-12 relative wherever r^m is above the float range's
+    floor; the point count overshoots by far more.
+    """
+    # Every term carries prod x_i^a_i with all a_i >= 1, so a zero
+    # argument kills the whole sum and the zero bound is exact.
+    if any(x == 0 for x in args):
         return 0.0
-    r = max(abs(x), abs(y))
-    sigma = max(0.0, -complex(s).real) + max(0.0, -complex(t).real)
-    crowd = 1.0 / (1.0 - r ** (degree_cap + 1))
-    return crowd * power_geometric_tail(degree_cap, sigma + 1.0, r)
+    n = len(args)
+    r = max(abs(complex(x)) for x in args)
+    power = n - 1 + sum(max(0.0, -complex(o).real) for o in orders)
+    tail = power_geometric_tail(level, power, r)
+    return tail / (r * (1.0 - r ** level) * math.factorial(n - 1) * math.prod(_decay_ratios(args)))
+
+
+def tail_bound_2d(s: complex, t: complex, x: complex, y: complex, degree_cap: int) -> float:
+    """Certified bound on the dropped 2D terms past level degree_cap (_shell_tail)."""
+    return _shell_tail((s, t), (x, y), degree_cap)
 
 
 def tail_bound_3d(
     s: complex, t: complex, u: complex, x: complex, y: complex, z: complex, degree_cap: int
 ) -> float:
-    """3D analog of tail_bound_2d; per-diagonal count <= d^2 / 2."""
-    if x == 0 or y == 0 or z == 0:
-        return 0.0
-    r = max(abs(x), abs(y), abs(z))
-    sigma = (
-        max(0.0, -complex(s).real)
-        + max(0.0, -complex(t).real)
-        + max(0.0, -complex(u).real)
-    )
-    crowd = 1.0 / (1.0 - r ** (degree_cap + 1))
-    return 0.5 * crowd * power_geometric_tail(degree_cap, sigma + 2.0, r)
+    """Certified bound on the dropped 3D terms past level degree_cap (_shell_tail)."""
+    return _shell_tail((s, t, u), (x, y, z), degree_cap)
 
 
 def _zeta_mode_b_tail(s: complex, t: complex, y: complex, b_cap: int) -> float:
@@ -235,53 +256,70 @@ def product_log_sum(
     orders: Sequence[complex], args: Sequence[complex], degree_cap: int
 ) -> tuple[complex, int]:
     """Sum of -prod a_i^-s_i log(1 - prod x_i^a_i) over visible points
-    (a_1, ..., a_n) with a_1 + ... + a_n <= degree_cap, for n >= 2.
+    (a_1, ..., a_n) with a_1 mu_1 + ... + a_n mu_n <= degree_cap, for n >= 2.
 
     Returns (value, number of product factors summed). Orders are taken
     as given; the product equals exp(prod Li_s_i(x_i)) only when the
     orders sum to 1.
 
-    The point set is the one lattice.visible_points(n, degree_cap)
-    enumerates, walked one diagonal d = a_1 + ... + a_n at a time. A
-    point is visible exactly when gcd(d, a_1, ..., a_(n-1)) = 1, so the
-    gcd of d with the leading coordinates is carried down and the last
-    coordinate never enters it. Each diagonal is summed exactly with
-    fsum, and so are the diagonal partials.
+    degree_cap is the level: mu_i = ln(1/|x_i|) / min_j ln(1/|x_j|)
+    (_decay_ratios), so the level counts in units of the slowest axis's
+    decay and every dropped point has |prod x_i^a_i| < max |x_i|^level.
+    At equal moduli every mu_i is 1.0 and the region is the diagonal
+    a_1 + ... + a_n <= degree_cap that lattice.visible_points enumerates.
+
+    The walk fixes the other coordinates (the head) and runs along one
+    row of the slowest axis, whose rows are the longest. A point is
+    visible exactly when gcd(gcd(head), b) = 1, so a row with a coprime
+    head skips the test. Each row is summed exactly with fsum, and so
+    are the row partials.
     """
     n = len(orders)
     if n < 2 or len(args) != n:
         raise DomainError(f"need n >= 2 orders and as many arguments, got {n} and {len(args)}")
-    ln = _log_table(degree_cap)
-    weights = [[cmath.exp(-complex(s) * lk) for lk in ln] for s in orders]
-    powers = [_pow_table(complex(x), degree_cap) for x in args]
+    mu = _decay_ratios(args)
+    # fastest axis first and the slowest (mu = 1.0) last; the sum is the
+    # same under any order of the axes, and equal mu keep their order
+    axes = sorted(range(n), key=mu.__getitem__, reverse=True)
+    mu = [mu[i] for i in axes]
+    # least share of the level that the coordinates after axis i take up
+    later = [math.fsum(mu[i + 1:]) for i in range(n)]
+    # covers the rounding of the running budget, so no point of the region
+    # is lost; at equal moduli every budget is an exact integer
+    slack = 1e-9 * degree_cap
+    tops = [max(0, int(degree_cap / m)) + 1 for m in mu]
+    ln = _log_table(tops[-1])
+    weights = [[cmath.exp(-complex(orders[i]) * lk) for lk in ln[:top + 1]]
+               for i, top in zip(axes, tops)]
+    powers = [_pow_table(complex(args[i]), top) for i, top in zip(axes, tops)]
     gcd = math.gcd
-    wb, wc = weights[-2:]
-    pb, pc = powers[-2:]
-
-    def points(i, g, r, w, p, out):
-        # coordinates before i are fixed: g is their gcd with d, r what is
-        # left of d, w and p their weight and power products
-        if i == n - 2:
-            out += [w * wb[b] * wc[r - b] * log1m(p * pb[b] * pc[r - b])
-                    for b in range(1, r) if gcd(g, b) == 1]
-            return
-        wi = weights[i]
-        pi = powers[i]
-        # each of the n - 1 - i later coordinates needs at least 1
-        for a in range(1, r - (n - 2 - i)):
-            points(i + 1, gcd(g, a), r - a, w * wi[a], p * pi[a], out)
-
+    fsum = math.fsum
+    wb, pb = weights[-1], powers[-1]
     re_parts = []
     im_parts = []
     count = 0
-    for d in range(n, degree_cap + 1):
-        terms = []
-        points(0, d, d, 1.0, 1.0, terms)
-        count += len(terms)
-        re_parts.append(math.fsum([z.real for z in terms]))
-        im_parts.append(math.fsum([z.imag for z in terms]))
+
+    def rows(i, g, budget, w, p):
+        # coordinates before axis i are fixed: g is their gcd, budget what
+        # is left of the level, w and p their weight and power products
+        nonlocal count
+        if i == n - 1:
+            top = int(budget + slack)
+            if g == 1:
+                row = [w * wb[b] * log1m(p * pb[b]) for b in range(1, top + 1)]
+            else:
+                row = [w * wb[b] * log1m(p * pb[b]) for b in range(1, top + 1) if gcd(g, b) == 1]
+            count += len(row)
+            re_parts.append(fsum([z.real for z in row]))
+            im_parts.append(fsum([z.imag for z in row]))
+            return
+        m, wi, pi = mu[i], weights[i], powers[i]
+        for a in range(1, int((budget - later[i] + slack) / m) + 1):
+            rows(i + 1, gcd(g, a), budget - a * m, w * wi[a], p * pi[a])
+
+    rows(0, 0, float(degree_cap), 1.0, 1.0)
     # 0j - total, not -total: a zero part stays +0.0, as in a running sum
-    value = 0j - complex(math.fsum(re_parts), math.fsum(im_parts))
+    value = 0j - complex(fsum(re_parts), fsum(im_parts))
     return require_finite(value, "product_log_sum"), count
 
 
@@ -429,8 +467,10 @@ def _factor(
         sr = case.s.real
         return 1.0 + 1.0 / (sr - 1.0), lambda tol: complex(zeta_real(sr, tol).value)
     if leading and case.closed_form_id is not None:
+        # Each constant stands for a Li_k(x) with k >= 1, so its magnitude
+        # is at most Li_1(|x|) = -ln(1 - |x|); no evaluation is needed.
         constant = _CLOSED_FORM_CONSTANTS[case.closed_form_id][2]
-        return abs(constant(1e-6)), constant
+        return -math.log1p(-abs(arg)), constant
     order = complex(order)
     if arg == 0:
         return 0.0, lambda tol: 0j
@@ -472,17 +512,22 @@ def rhs_log(case: IdentityCase, tol: float = 1e-12) -> complex:
 
 
 def choose_degree_cap(case: IdentityCase, tol: float, degree_cap_max: int = DEFAULT_DEGREE_CAP_MAX) -> int:
-    """Smallest degree cap whose certified tail bound meets tol.
+    """Smallest degree cap (the level of product_log_sum) whose certified
+    tail bound meets tol.
 
+    The bound is inf before its peak and decreasing after it, so
+    first_within finds the level a scan from n upward would find.
     Raises TailBoundExceedsTol (carrying the achievable bound) when no
     cap up to degree_cap_max suffices.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
-    # the first diagonal holding a point is d = n
-    for cap in range(case.dimension, degree_cap_max + 1):
-        if _tail_bound(case, cap) <= tol:
-            return cap
+    # the first level holding a point is n
+    found = None
+    if degree_cap_max >= case.dimension:
+        found = first_within(partial(_tail_bound, case), tol, case.dimension, degree_cap_max)
+    if found is not None:
+        return found[0]
     best = _tail_bound(case, degree_cap_max)
     raise TailBoundExceedsTol(
         f"no degree cap <= {degree_cap_max} meets tol={tol!r}; achievable bound is {best!r}",

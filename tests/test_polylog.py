@@ -8,7 +8,9 @@ the library was wired up.
 import cmath
 import math
 import random
+from fractions import Fraction
 
+import mpmath
 import pytest
 
 from vpvlab import (
@@ -116,10 +118,42 @@ def test_neg_int_rejects_bad_inputs():
 
 @pytest.mark.parametrize("n, z", [(170, 0.5), (171, 0.5), (172, 0.5), (120, 0.999)])
 def test_neg_int_out_of_float_range_raises_computation_error(n, z):
-    # Li_{-170}(1/2) overflows to inf, n = 171 gives nan, n = 172 overflows
-    # the Horner step, and (1 - z)^121 underflows to 0 at z = 0.999.
+    # Each value is past the float range: Li_-n(1/2) ~ n! / ln(2)^(n+1)
+    # passes 1.8e308 before n = 170, and Li_-120(0.999) ~ 120! * 1000^121.
     with pytest.raises(ComputationError):
         polylog_neg_int(n, z)
+
+
+def test_neg_int_is_exact_past_the_float_horner_range():
+    # The Eulerian coefficients of P_200 pass the float range, but
+    # Li_-200(-0.9) itself is finite; mpmath 50-digit reference.
+    with mpmath.workdps(50):
+        ref = mpmath.polylog(-200, mpmath.mpf(-0.9))
+    got = polylog_neg_int(200, -0.9)
+    assert got.imag == 0.0
+    assert abs(got.real - ref) <= 1e-16 * abs(ref)
+
+
+def _neg_int_exact(n, z):
+    """Li_-n(z) as an exact pair of Fractions, from the cached P_n."""
+    re, im = Fraction(0), Fraction(0)
+    zr, zi = Fraction(z.real), Fraction(z.imag)
+    for c in reversed(_neg_order_poly(n)):
+        re, im = re * zr - im * zi + c, re * zi + im * zr
+    wr, wi = Fraction(1), Fraction(0)
+    for _ in range(n + 1):
+        wr, wi = wr * (1 - zr) + wi * zi, wi * (1 - zr) - wr * zi
+    den = wr * wr + wi * wi
+    return (re * wr + im * wi) / den, (im * wr - re * wi) / den
+
+
+def test_neg_int_is_correctly_rounded():
+    rng = random.Random(2203)
+    for _ in range(150):
+        n = rng.randrange(0, 40)
+        z = complex(rng.uniform(-0.95, 0.95), rng.choice((0.0, rng.uniform(-0.95, 0.95))))
+        re, im = _neg_int_exact(n, z)
+        assert polylog_neg_int(n, z) == complex(float(re), float(im)), (n, z)
 
 
 def test_neg_order_poly_builds_high_orders_without_recursion():

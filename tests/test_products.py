@@ -1,8 +1,10 @@
 """Product-log evaluator, RHS assembly, oracle, and report tests."""
 
 import cmath
+import itertools
 import math
 import random
+from fractions import Fraction
 
 import mpmath
 import pytest
@@ -19,6 +21,7 @@ from vpvlab import (
     lattice_sum,
     lhs_log_product,
     polylog,
+    polylog_neg_int,
     product_log_sum,
     rhs_factors,
     rhs_log,
@@ -330,12 +333,117 @@ def test_brute_force_3d_zero_argument():
 
 
 def test_product_log_sum_counts_every_visible_point():
-    # The kernel tests visibility against the diagonal d, not the last
-    # coordinate; the enumerator tests the coordinates themselves.
+    # At equal moduli every mu_i is 1.0 and the kernel's region is the
+    # enumerator's diagonal one, whatever the phases.
     for n, top in ((2, 40), (3, 20), (4, 12)):
         for cap in range(n, top + 1):
-            _, count = product_log_sum((1 / n,) * n, (0.3,) * n, cap)
-            assert count == sum(1 for _ in visible_points(n, cap)), (n, cap)
+            for args in ((0.3,) * n, (0.3, -0.3j, 0.3j, -0.3)[:n]):
+                _, count = product_log_sum((1 / n,) * n, args, cap)
+                assert count == sum(1 for _ in visible_points(n, cap)), (n, cap, args)
+
+
+def test_product_log_sum_walks_the_weighted_region():
+    # Unequal moduli: the kernel sums exactly the visible points with
+    # sum a_i mu_i <= level, filtered here in exact arithmetic, so no
+    # point inside is dropped and none outside is added.
+    rng = random.Random(8101)
+    for n, top in ((2, 60), (3, 30), (4, 16)):
+        for _ in range(6):
+            args = [_rand_disk(rng, 0.9) for _ in range(n)]
+            level = rng.randint(n, top)
+            _, count = product_log_sum((1 / n,) * n, args, level)
+            assert count == len(_weighted_region(args, level)), (args, level)
+
+
+def _mpmath_identity(orders, args):
+    with mpmath.workdps(30):
+        ref = mpmath.mpf(1)
+        for s, x in zip(orders, args):
+            ref *= mpmath.polylog(mpmath.mpc(s), mpmath.mpc(x))
+        return complex(ref)
+
+
+def test_product_log_sum_is_within_the_shell_bound():
+    # The level truncation is certified against mpmath prod Li_s_i(x_i),
+    # and doubling the level moves the value by less than the bound.
+    rng = random.Random(8111)
+    draws = []
+    for _ in range(16):
+        s = complex(rng.uniform(-3, 4), rng.uniform(-10, 10))
+        draws.append(((s, 1 - s), [_rand_disk(rng, 0.85) for _ in range(2)]))
+    for _ in range(6):
+        s = complex(rng.uniform(-1, 2), rng.uniform(-5, 5))
+        t = complex(rng.uniform(-1, 2), rng.uniform(-5, 5))
+        draws.append(((s, t, 1 - s - t), [_rand_disk(rng, 0.6) for _ in range(3)]))
+    for orders, args in draws:
+        tol = 10 ** rng.uniform(-10, -5)
+        case = (IdentityCase(2, orders[0], *args) if len(args) == 2 else
+                IdentityCase(3, orders[0], args[0], args[1], t=orders[1], z=args[2]))
+        level = choose_degree_cap(case, tol)
+        bound = (tail_bound_2d if len(args) == 2 else tail_bound_3d)(*orders, *args, level)
+        assert bound <= tol
+        value, _ = product_log_sum(orders, args, level)
+        doubled, _ = product_log_sum(orders, args, 2 * level)
+        assert abs(value - _mpmath_identity(orders, args)) <= bound, (orders, args, level)
+        assert abs(doubled - value) < bound, (orders, args, level)
+
+
+def test_choose_degree_cap_matches_per_level_scan():
+    # The search brackets by doubling and bisects; the bound is inf before
+    # its peak and decreasing after, so it finds what a scan would.
+    from vpvlab.products import _tail_bound
+
+    rng = random.Random(8117)
+    cases = [IdentityCase(2, complex(rng.uniform(-3, 4), rng.uniform(-20, 20)),
+                          _rand_disk(rng, 0.95), _rand_disk(rng, 0.95)) for _ in range(40)]
+    cases += [IdentityCase(3, complex(rng.uniform(-2, 3)), _rand_disk(rng, 0.7), _rand_disk(rng, 0.7),
+                           t=complex(rng.uniform(-2, 3)), z=_rand_disk(rng, 0.7)) for _ in range(20)]
+    cases += [IdentityCase(2, rng.uniform(1.01, 7), 1.0, rng.uniform(-0.99, 0.99)) for _ in range(20)]
+    for case in cases:
+        tol = 10 ** rng.uniform(-12, -4)
+        top = rng.choice((60, 4000))
+        scan = next((c for c in range(case.dimension, top + 1) if _tail_bound(case, c) <= tol), None)
+        if scan is None:
+            with pytest.raises(TailBoundExceedsTol):
+                choose_degree_cap(case, tol, top)
+        else:
+            assert choose_degree_cap(case, tol, top) == scan, (case, tol, top)
+
+
+def test_weighted_level_cuts_the_terms_near_the_trivial_zeros():
+    # y -> 1 with x = 1/2: the x axis decays 13.5x faster than the y axis
+    # at y = .95, so the diagonal region (207,097 terms) wasted most of them.
+    assert verify(IdentityCase(2, 3.0, 0.5, 0.95), 1e-8).terms <= 207_097 // 5
+    report = verify(IdentityCase(2, 3.0, 0.5, 0.99), 1e-8, degree_cap_max=5000)
+    assert report.passed and report.tail_bound <= 0.5e-8
+
+
+def test_series_constant_is_evaluated_once(monkeypatch):
+    # The magnitude estimate of a series-backed constant needs no series:
+    # |Li_k(1/2)| <= ln 2 < 1, under the estimate floor of 1.0.
+    from vpvlab import products
+
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return polylog(*args)
+
+    monkeypatch.setattr(products, "polylog", counted)
+    verify(IdentityCase(2, 3.0, 0.5, 0.3, closed_form_id="trilog-half-series"), 1e-8)
+    # its share of tol/2 is scaled only by the cofactor |Li_-2(0.3)|
+    assert calls == [(3, 0.5, 0.5e-8 / (4 * abs(polylog_neg_int(2, 0.3))))]
+
+
+def _weighted_region(args, level):
+    """Visible points with sum a_i mu_i <= level, mu_i = ln(1/|x_i|) over
+    the least such rate, by a filter over the whole box. The sum is taken
+    exactly on the float mu_i."""
+    rates = [-math.log(abs(x)) for x in args]
+    mu = [Fraction(rate / min(rates)) for rate in rates]
+    box = [range(1, int(level / m) + 1) for m in mu]
+    return [p for p in itertools.product(*box)
+            if math.gcd(*p) == 1 and sum(a * m for a, m in zip(p, mu)) <= level]
 
 
 _CRITICAL = complex(0.5, 14.134725)
@@ -352,7 +460,7 @@ _STRIP = complex(0.3, 2.5)
     ],
 )
 def test_product_log_sum_matches_mpmath(orders, args, cap):
-    points = visible_points(len(orders), cap)
+    points = _weighted_region(args, cap)
     with mpmath.workdps(30):
         ref = mpmath.mpf(0)
         magnitude = mpmath.mpf(0)
@@ -383,13 +491,10 @@ def test_product_log_sum_matches_mpmath(orders, args, cap):
 def test_four_dimensional_identity_matches_mpmath(orders, args, cap):
     # Orders summing to 1 make both the visible-point kernel and the
     # full-lattice oracle equal prod Li_s_i(x_i) up to the dropped
-    # diagonals; with |x_i| <= 0.3 their envelope sum_{d > cap} d^3/6 0.3^d
-    # is under 1e-11.
-    with mpmath.workdps(30):
-        ref = mpmath.mpf(1)
-        for s, x in zip(orders, args):
-            ref *= mpmath.polylog(mpmath.mpc(s), mpmath.mpc(x))
-        ref = complex(ref)
+    # points. With |x_i| <= 0.3 the oracle's envelope sum_{d > cap} d^3/6
+    # 0.3^d is under 1e-11; the kernel's errors were 6.2e-13, 1.4e-13 and
+    # 2.6e-15, under shell bounds of 1.4e-11 to 7.9e-11.
+    ref = _mpmath_identity(orders, args)
     value, _ = product_log_sum(orders, args, cap)
     assert abs(value - ref) <= 1e-11
     assert abs(lattice_sum(orders, args, cap) - ref) <= 1e-11
