@@ -11,7 +11,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from itertools import product as _iproduct
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import ComputationError, DomainError, NonConvergence, VpvError
 from .polylog import TERM_CAP, SeriesResult, polylog, zeta_real
@@ -61,13 +61,13 @@ class ProbeRow:
 
     delta: float
     y: float
-    lhs_log: Optional[complex]
-    rhs_log: Optional[complex]
-    abs_err: Optional[float]
-    rhs_exponent_magnitude: Optional[float]
-    closed_factor: Optional[complex]
-    degree_cap: Optional[int]
-    tail_bound: Optional[float]
+    lhs_log: Optional[complex] = None
+    rhs_log: Optional[complex] = None
+    abs_err: Optional[float] = None
+    rhs_exponent_magnitude: Optional[float] = None
+    closed_factor: Optional[complex] = None
+    degree_cap: Optional[int] = None
+    tail_bound: Optional[float] = None
     error: Optional[str] = None
 
 
@@ -143,68 +143,71 @@ def euler_zagier_31(tol: float = 1e-10, *, term_cap: int = TERM_CAP) -> SeriesRe
 # special-value audit
 # ---------------------------------------------------------------------------
 
-def _li3_candidate(combo, pi, ln2, z3):
-    p1, s1, p2, s2, s3 = combo
-    return s1 * ln2 ** p1 / 6 + s2 * (pi ** 2 / 12) * ln2 ** p2 + s3 * (7 * z3 / 8)
+class _Term(NamedTuple):
+    """One signed term of a printed form, with its ln 2 power or None.
+    text has a `{}` slot for that power; value(c, lp) is the unsigned value
+    from the audit constants c and lp = ln(2)^power. A term that is not
+    free is the same in every variant."""
+
+    sign: int
+    power: Optional[int]
+    text: str
+    value: Callable
+    free: bool = True
 
 
-def _li4_candidate(combo, pi, ln2, ez):
-    q1, t1, q2, t2, t3 = combo
-    return pi ** 4 / 360 + t1 * ln2 ** q1 / 24 + t2 * (pi ** 2 / 24) * ln2 ** q2 + t3 * ez / 2
+# The printed closed forms of Li_k(1/2), k = 1..4, in audit order.
+_PRINTED_FORMS = (
+    ("LI1_HALF", (_Term(1, 1, "{}", lambda c, lp: lp, free=False),)),
+    ("LI2_HALF", (
+        _Term(1, None, "pi^2/12", lambda c, lp: c["pi"] ** 2 / 12, free=False),
+        _Term(-1, 2, "{}/2", lambda c, lp: lp / 2, free=False),
+    )),
+    ("LI3_HALF", (
+        _Term(1, 3, "{}/6", lambda c, lp: lp / 6),
+        _Term(-1, 2, "(pi^2/12) {}", lambda c, lp: c["pi"] ** 2 / 12 * lp),
+        _Term(-1, None, "(7/8) zeta(3)", lambda c, lp: 7 * c["zeta3"] / 8),
+    )),
+    ("LI4_HALF", (
+        _Term(1, None, "pi^4/360", lambda c, lp: c["pi"] ** 4 / 360, free=False),
+        _Term(-1, 4, "{}/24", lambda c, lp: lp / 24),
+        _Term(-1, 4, "(pi^2/24) {}", lambda c, lp: c["pi"] ** 2 / 24 * lp),
+        _Term(-1, None, "zeta_alt(3,1)/2", lambda c, lp: c["ez31"] / 2),
+    )),
+)
 
 
-_LI3_PRINTED_COMBO = (3, 1, 2, -1, -1)
-_LI4_PRINTED_COMBO = (4, -1, 4, -1, -1)
+def _evaluate(terms: Sequence[_Term], constants: dict, ln2_powers: dict):
+    # Left to right on purpose: sum() compensates float sums from 3.12 on.
+    total = 0
+    for term in terms:
+        value = term.value(constants, ln2_powers.get(term.power))
+        total = total + value if term.sign > 0 else total - value
+    return total
 
 
-def _fmt_power(base: str, p: int) -> str:
-    return base if p == 1 else f"{base}^{p}"
-
-
-def _fmt_terms(parts: Sequence[tuple[int, str]]) -> str:
+def _format(terms: Sequence[_Term]) -> str:
     out = []
-    for i, (sign, text) in enumerate(parts):
+    for i, term in enumerate(terms):
+        text = term.text.format("ln(2)" if term.power == 1 else f"ln(2)^{term.power}")
         if i == 0:
-            out.append(text if sign > 0 else f"-{text}")
+            out.append(text if term.sign > 0 else f"-{text}")
         else:
-            out.append(f"{'+' if sign > 0 else '-'} {text}")
+            out.append(f"{'+' if term.sign > 0 else '-'} {text}")
     return " ".join(out)
 
 
-def _li3_formula(combo) -> str:
-    p1, s1, p2, s2, s3 = combo
-    return _fmt_terms([
-        (s1, f"{_fmt_power('ln(2)', p1)}/6"),
-        (s2, f"(pi^2/12) {_fmt_power('ln(2)', p2)}"),
-        (s3, "(7/8) zeta(3)"),
-    ])
-
-
-def _li4_formula(combo) -> str:
-    q1, t1, q2, t2, t3 = combo
-    return _fmt_terms([
-        (1, "pi^4/360"),
-        (t1, f"{_fmt_power('ln(2)', q1)}/24"),
-        (t2, f"(pi^2/24) {_fmt_power('ln(2)', q2)}"),
-        (t3, "zeta_alt(3,1)/2"),
-    ])
-
-
-def _search_unique(candidate_fn, formula_fn, printed_combo, target):
-    """Sign/exponent variants of a printed form matching the series value."""
-    hits = []
-    for powers in _iproduct((1, 2, 3, 4), repeat=2):
-        for signs in _iproduct((1, -1), repeat=3):
-            combo = (powers[0], signs[0], powers[1], signs[1], signs[2])
-            if combo == printed_combo:
-                continue
-            value = candidate_fn(combo)
-            if abs(value - target) <= CANDIDATE_TOL:
-                hits.append((combo, value))
-    if len(hits) == 1:
-        combo, value = hits[0]
-        return formula_fn(combo), value
-    return None, None
+def _variants(terms: Sequence[_Term]) -> Iterator[tuple[_Term, ...]]:
+    """Each sign and ln 2 power (1..4) of the free terms, but the printed one."""
+    choices = [
+        [term._replace(sign=sign, power=power)
+         for power in ((1, 2, 3, 4) if term.power else (None,)) for sign in (1, -1)]
+        if term.free else [term]
+        for term in terms
+    ]
+    for variant in _iproduct(*choices):
+        if variant != tuple(terms):
+            yield variant
 
 
 def audit_special_values(tol: float = 1e-12, *, dps: Optional[int] = None) -> list[SpecialValueRecord]:
@@ -231,91 +234,51 @@ def audit_special_values(tol: float = 1e-12, *, dps: Optional[int] = None) -> li
             f"{precision} precision certifies the series only to {series_tol!r}; the audit "
             f"needs that floor <= min(tol, {CANDIDATE_TOL!r}), got tol={tol!r}"
         )
-    if dps is None:
-        ctx = contextlib.nullcontext()
-    else:
+    ctx = contextlib.nullcontext()
+    if dps is not None:
         from mpmath import mp
 
         # keep candidate evaluation and comparisons at working precision
         ctx = mp.workdps(dps)
     with ctx:
-        if dps is None:
-            pi = math.pi
-            ln2 = math.log(2.0)
-            z3 = zeta_real(3.0, 1e-15).value
-            li = {k: polylog(k, 0.5, series_tol).value.real for k in (1, 2, 3, 4)}
-        else:
-            pi = +mp.pi
-            ln2 = mp.log(2)
-            z3 = zeta_real(3.0, series_tol, dps=dps).value
-            li = {k: polylog(k, 0.5, series_tol, dps=dps).value.real for k in (1, 2, 3, 4)}
-        ez = euler_zagier_31(1e-13).value
-        return _build_audit_records(li, pi, ln2, z3, ez, tol)
+        pi, ln2 = (math.pi, math.log(2.0)) if dps is None else (+mp.pi, mp.log(2))
+        z3 = zeta_real(3.0, series_tol, dps=dps).value
+        li = {k: polylog(k, 0.5, series_tol, dps=dps).value.real for k in (1, 2, 3, 4)}
+        return _build_audit_records(li, pi, ln2, z3, euler_zagier_31(1e-13).value, tol)
 
 
 def _build_audit_records(li, pi, ln2, z3, ez, tol) -> list[SpecialValueRecord]:
+    constants = {"pi": pi, "zeta3": z3, "ez31": ez}
+    ln2_powers = {p: ln2 ** p for p in (1, 2, 3, 4)}
     records = []
-
-    def record(name, series_value, printed, formula_printed, searcher):
-        diff = abs(series_value - printed)
+    for k, (name, terms) in enumerate(_PRINTED_FORMS, 1):
+        printed = _evaluate(terms, constants, ln2_powers)
+        diff = abs(li[k] - printed)
         formula = value = None
         if diff <= tol:
             verdict = MATCHES_PRINTED
-            note = f"printed form {formula_printed} confirmed by the series"
+            note = f"printed form {_format(terms)} confirmed by the series"
         else:
-            formula, value = searcher()
-            off = f"printed form {formula_printed} is off by {float(diff):.3e}"
-            if formula is None:
+            candidates = ((v, _evaluate(v, constants, ln2_powers)) for v in _variants(terms))
+            hits = [(v, c) for v, c in candidates if abs(c - li[k]) <= CANDIDATE_TOL]
+            off = f"printed form {_format(terms)} is off by {float(diff):.3e}"
+            if len(hits) == 1:
+                verdict = MATCHES_CORRECTED
+                formula, value = _format(hits[0][0]), hits[0][1]
+                note = f"{off}; the unique matching variant is {formula}"
+            else:
                 verdict = UNRESOLVED
                 note = f"{off} and no unique sign/exponent variant matches the series value"
-            else:
-                verdict = MATCHES_CORRECTED
-                note = f"{off}; the unique matching variant is {formula}"
         records.append(SpecialValueRecord(
             name=name,
             verdict=verdict,
             printed_form_value=complex(printed),
-            series_value=complex(series_value),
+            series_value=complex(li[k]),
             discrepancy=float(diff),
             candidate_corrected_value=None if value is None else complex(value),
             corrected_formula=formula,
             note=note,
         ))
-
-    record(
-        "LI1_HALF",
-        li[1],
-        ln2,
-        "ln(2)",
-        lambda: (None, None),
-    )
-    record(
-        "LI2_HALF",
-        li[2],
-        pi ** 2 / 12 - ln2 ** 2 / 2,
-        "pi^2/12 - ln(2)^2/2",
-        lambda: (None, None),
-    )
-    record(
-        "LI3_HALF",
-        li[3],
-        _li3_candidate(_LI3_PRINTED_COMBO, pi, ln2, z3),
-        _li3_formula(_LI3_PRINTED_COMBO),
-        lambda: _search_unique(
-            lambda c: _li3_candidate(c, pi, ln2, z3),
-            _li3_formula, _LI3_PRINTED_COMBO, li[3],
-        ),
-    )
-    record(
-        "LI4_HALF",
-        li[4],
-        _li4_candidate(_LI4_PRINTED_COMBO, pi, ln2, ez),
-        _li4_formula(_LI4_PRINTED_COMBO),
-        lambda: _search_unique(
-            lambda c: _li4_candidate(c, pi, ln2, ez),
-            _li4_formula, _LI4_PRINTED_COMBO, li[4],
-        ),
-    )
     return records
 
 
@@ -399,12 +362,7 @@ def trivial_zero_probe(
                 tail_bound=report.tail_bound,
             ))
         except VpvError as exc:
-            rows.append(ProbeRow(
-                delta=delta, y=y, lhs_log=None, rhs_log=None, abs_err=None,
-                rhs_exponent_magnitude=None, closed_factor=None,
-                degree_cap=None, tail_bound=None,
-                error=f"{type(exc).__name__}: {exc}",
-            ))
+            rows.append(ProbeRow(delta=delta, y=y, error=f"{type(exc).__name__}: {exc}"))
     note = (
         f"The order-({1 - order}) factor is a rational function with (1-y)^{order} "
         "in the denominator, so the right-side exponent grows like "

@@ -51,7 +51,8 @@ class IdentityCase:
     Operations read the orders and arguments as the `orders` and `args`
     tuples. 2D: orders (s, 1 - s) pair with arguments (x, y); x = 1
     switches the first factor to zeta (requires real s > 1 + EPS_ZETA).
-    3D: orders (s, t, 1 - s - t) with arguments (x, y, z).
+    3D: orders (s, t, 1 - s - t) with arguments (x, y, z). Every order
+    and argument must be finite.
     closed_form_id names a _CLOSED_FORM_CONSTANTS entry that replaces
     the leading factor Li_s(x); it must stand for that same s and x.
     The 2D/3D constructor stays because bench/run.py builds cases with
@@ -81,6 +82,9 @@ class IdentityCase:
                 raise DomainError("3D cases need explicit t and z")
             object.__setattr__(self, "t", complex(self.t))
             object.__setattr__(self, "z", complex(self.z))
+        for name, value in zip("stxyz", (self.s, self.t, self.x, self.y, self.z)):
+            if value is not None and not cmath.isfinite(value):
+                raise DomainError(f"{name} = {value!r} is not finite")
         if self.closed_form_id is not None:
             self._check_closed_form()
         self._check_args()

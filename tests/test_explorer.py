@@ -4,7 +4,10 @@ import math
 
 import pytest
 
-from vpvlab.explorer import CANDIDATE_TOL, EXPONENT_TOL, _averaged_estimate
+from vpvlab.explorer import (
+    CANDIDATE_TOL, EXPONENT_TOL, _PRINTED_FORMS, _averaged_estimate, _build_audit_records,
+    _format, _variants,
+)
 from vpvlab.numerics import KahanSum
 from vpvlab import (
     TERM_CAP,
@@ -19,6 +22,7 @@ from vpvlab import (
     run_catalog,
     trivial_zero_probe,
     verify,
+    zeta_real,
 )
 
 # Frozen from a 5000-term bracketed partial sum of the alternating
@@ -138,6 +142,76 @@ def test_audit_verdict_sequence():
         assert rec.candidate_corrected_value is not None
         assert abs(rec.candidate_corrected_value - rec.series_value) <= 1e-10
         assert rec.corrected_formula
+
+
+PRINTED_LI3 = "ln(2)^3/6 - (pi^2/12) ln(2)^2 - (7/8) zeta(3)"
+CORRECTED_LI3 = "ln(2)^3/6 - (pi^2/12) ln(2) + (7/8) zeta(3)"
+PRINTED_LI4 = "pi^4/360 - ln(2)^4/24 - (pi^2/24) ln(2)^4 - zeta_alt(3,1)/2"
+CORRECTED_LI4 = "pi^4/360 - ln(2)^4/24 + (pi^2/24) ln(2)^2 - zeta_alt(3,1)/2"
+
+
+def test_audit_records_are_pinned():
+    # Formula texts, notes and values in double mode, exactly: a change
+    # to how a printed form is written, evaluated or searched shows here.
+    got = [
+        (r.name, r.verdict, r.corrected_formula, r.note, repr(r.printed_form_value),
+         repr(r.series_value), repr(r.discrepancy), repr(r.candidate_corrected_value))
+        for r in audit_special_values(1e-12)
+    ]
+    assert got == [
+        ("LI1_HALF", "MATCHES_PRINTED", None, "printed form ln(2) confirmed by the series",
+         "(0.6931471805599453+0j)", "(0.6931471805599453+0j)", "0.0", "None"),
+        ("LI2_HALF", "MATCHES_PRINTED", None,
+         "printed form pi^2/12 - ln(2)^2/2 confirmed by the series",
+         "(0.5822405264650126+0j)", "(0.5822405264650125+0j)", "1.1102230246251565e-16", "None"),
+        ("LI3_HALF", "MATCHES_CORRECTED", CORRECTED_LI3,
+         f"printed form {PRINTED_LI3} is off by 1.929e+00; "
+         f"the unique matching variant is {CORRECTED_LI3}",
+         "(-1.3914524466568006+0j)", "(0.5372131936080402+0j)", "1.9286656402648408",
+         "(0.5372131936080402+0j)"),
+        ("LI4_HALF", "MATCHES_CORRECTED", CORRECTED_LI4,
+         f"printed form {PRINTED_LI4} is off by 2.925e-01; "
+         f"the unique matching variant is {CORRECTED_LI4}",
+         "(0.2249735497745029+0j)", "(0.5174790616738993+0j)", "0.29250551189939644",
+         "(0.5174790616738872+0j)"),
+    ]
+
+
+def test_audit_wide_tolerance_confirms_printed_forms():
+    notes = {r.name: r.note for r in audit_special_values(2.0)}
+    assert notes["LI3_HALF"] == f"printed form {PRINTED_LI3} confirmed by the series"
+    assert notes["LI4_HALF"] == f"printed form {PRINTED_LI4} confirmed by the series"
+
+
+def test_audit_without_a_unique_variant_is_unresolved():
+    # Li_3(1/2) moved by 1e-3 is matched by no variant within CANDIDATE_TOL.
+    li = {k: polylog(k, 0.5, 1e-15).value.real for k in (1, 2, 3, 4)}
+    li[3] += 1e-3
+    records = _build_audit_records(
+        li, math.pi, math.log(2.0), zeta_real(3.0, 1e-15).value,
+        euler_zagier_31(1e-13).value, 1e-12,
+    )
+    rec = records[2]
+    assert (rec.name, rec.verdict) == ("LI3_HALF", "UNRESOLVED")
+    assert rec.corrected_formula is None and rec.candidate_corrected_value is None
+    assert rec.note == (
+        f"printed form {PRINTED_LI3} is off by 1.930e+00 and no unique "
+        "sign/exponent variant matches the series value"
+    )
+    assert [r.verdict for r in records] == [
+        "MATCHES_PRINTED", "MATCHES_PRINTED", "UNRESOLVED", "MATCHES_CORRECTED"]
+
+
+def test_audit_searches_the_sign_and_power_variants():
+    # Li_3 and Li_4: both signs and ln 2 powers 1..4 of every term but the
+    # pi^4/360 lead, less the printed form. Li_1 and Li_2 have no variants.
+    counts = {}
+    for name, terms in _PRINTED_FORMS:
+        texts = {_format(v) for v in _variants(terms)}
+        assert _format(terms) not in texts
+        counts[name] = len(texts)
+    assert counts == {"LI1_HALF": 0, "LI2_HALF": 0, "LI3_HALF": 127, "LI4_HALF": 127}
+    assert all(v[0].text == "pi^4/360" and v[0].sign == 1 for v in _variants(_PRINTED_FORMS[3][1]))
 
 
 def test_audit_extended_precision_agrees():

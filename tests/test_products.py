@@ -53,6 +53,25 @@ def test_case_validation():
         IdentityCase(2, 2.0, 0.3, 0.4, closed_form_id="nope")
 
 
+_NAN, _INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("name, build", [
+    ("s", lambda: IdentityCase(2, _NAN, 0.3, 0.3)),
+    ("t", lambda: IdentityCase(3, 1.0, 0.2, 0.2, t=_NAN, z=0.2)),
+    ("s", lambda: IdentityCase(2, _INF, 0.3, 0.3)),
+    ("s", lambda: IdentityCase(2, -_INF, 0.3, 0.3)),
+    ("x", lambda: IdentityCase(2, 2.0, _NAN, 0.3)),
+    ("y", lambda: IdentityCase(2, 2.0, 0.3, _NAN)),
+    ("s", lambda: IdentityCase(2, complex(2.0, _INF), 0.3, 0.3)),
+])
+def test_non_finite_order_or_argument_is_a_domain_error(name, build):
+    # Refused at construction, so verify never meets them deep inside (as a
+    # bare ValueError or OverflowError, or a ComputationError naming no input).
+    with pytest.raises(DomainError, match=f"^{name} = .* is not finite$"):
+        build()
+
+
 def test_closed_form_id_must_match_its_case():
     # Each constant replaces one Li_s(x); on any other case it would give
     # a wrong right side, and in zeta mode the leading factor is zeta(s).

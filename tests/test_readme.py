@@ -24,9 +24,19 @@ def test_readme_library_block_runs():
     assert "vpv2-s1" in out.getvalue()
 
 
-def test_readme_verify2_output_is_current():
-    prompt = "$ vpvlab verify2 --s 2 --x 0.5 --y 0.3\n"
+def _shown_and_run(argv: list[str]) -> tuple[str, str]:
+    prompt = "$ vpvlab " + " ".join(argv) + "\n"
     shown = README[README.index(prompt) + len(prompt):].split("\n\n", 1)[0] + "\n"
     with redirect_stdout(io.StringIO()) as out:
-        assert main(["verify2", "--s", "2", "--x", "0.5", "--y", "0.3"]) == 0
-    assert out.getvalue() == shown
+        assert main(argv) == 0
+    return shown, out.getvalue()
+
+
+def test_readme_verify2_output_is_current():
+    shown, printed = _shown_and_run(["verify2", "--s", "2", "--x", "0.5", "--y", "0.3"])
+    assert printed == shown
+
+
+def test_readme_audit_output_is_current():
+    shown, printed = _shown_and_run(["audit", "--precision", "extended:30", "--format", "csv"])
+    assert printed == shown
