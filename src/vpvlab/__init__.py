@@ -30,7 +30,6 @@ from .polylog import (
     SeriesResult,
     polylog,
     polylog_neg_int,
-    polylog_partial,
     zeta_real,
 )
 from .products import (
@@ -45,8 +44,6 @@ from .products import (
     product_log_sum,
     rhs_factors,
     rhs_log,
-    tail_bound_2d,
-    tail_bound_3d,
     verify,
 )
 
@@ -77,7 +74,6 @@ __all__ = [
     "SeriesResult",
     "polylog",
     "polylog_neg_int",
-    "polylog_partial",
     "zeta_real",
     "DEFAULT_DEGREE_CAP_MAX",
     "IdentityCase",
@@ -90,8 +86,6 @@ __all__ = [
     "product_log_sum",
     "rhs_factors",
     "rhs_log",
-    "tail_bound_2d",
-    "tail_bound_3d",
     "verify",
     "__version__",
 ]

@@ -28,6 +28,7 @@ from .explorer import (
     trivial_zero_probe,
 )
 from .lattice import visible_points_2d, visible_points_3d
+from .numerics import require_finite
 from .polylog import polylog
 from .products import (
     DEFAULT_DEGREE_CAP_MAX,
@@ -527,7 +528,8 @@ def _cmd_polylog(res: dict) -> str:
         # extended mode: print all computed digits, not the ambient default
         value = mpmath.nstr(result.value, res["precision"])
     else:
-        value = complex(result.value)
+        # json and csv carry floats: a value past their range is an error
+        value = require_finite(complex(result.value), "polylog")
     return _render(res["format"], [_series_record(value, result)])
 
 

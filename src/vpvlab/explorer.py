@@ -6,7 +6,6 @@ integer orders, and a critical-line scan over complex orders.
 from __future__ import annotations
 
 import cmath
-import contextlib
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -14,6 +13,7 @@ from itertools import product as _iproduct
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import ComputationError, DomainError, NonConvergence, VpvError
+from .numerics import arithmetic
 from .polylog import TERM_CAP, SeriesResult, polylog, zeta_real
 from .products import DEFAULT_DEGREE_CAP_MAX, IdentityCase, IdentityReport, verify
 
@@ -234,17 +234,12 @@ def audit_special_values(tol: float = 1e-12, *, dps: Optional[int] = None) -> li
             f"{precision} precision certifies the series only to {series_tol!r}; the audit "
             f"needs that floor <= min(tol, {CANDIDATE_TOL!r}), got tol={tol!r}"
         )
-    ctx = contextlib.nullcontext()
-    if dps is not None:
-        from mpmath import mp
-
-        # keep candidate evaluation and comparisons at working precision
-        ctx = mp.workdps(dps)
-    with ctx:
-        pi, ln2 = (math.pi, math.log(2.0)) if dps is None else (+mp.pi, mp.log(2))
+    ctx = arithmetic(dps)
+    # candidate evaluation and comparisons run at working precision
+    with ctx.workdps(dps):
         z3 = zeta_real(3.0, series_tol, dps=dps).value
         li = {k: polylog(k, 0.5, series_tol, dps=dps).value.real for k in (1, 2, 3, 4)}
-        return _build_audit_records(li, pi, ln2, z3, euler_zagier_31(1e-13).value, tol)
+        return _build_audit_records(li, +ctx.pi, ctx.log(2), z3, euler_zagier_31(1e-13).value, tol)
 
 
 def _build_audit_records(li, pi, ln2, z3, ez, tol) -> list[SpecialValueRecord]:

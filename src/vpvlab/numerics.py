@@ -1,5 +1,6 @@
-"""Shared numeric kernels: compensated summation, accurate log(1-w),
-geometric-dominance tail bounds, and Euler-Maclaurin Dirichlet tails.
+"""Shared numeric kernels: compensated summation, the arithmetic the
+series loops run in, accurate log(1-w), geometric-dominance tail bounds,
+and Euler-Maclaurin Dirichlet tails.
 
 Everything here is stated once and reused by the series and product
 evaluators, in every dimension.
@@ -7,6 +8,7 @@ evaluators, in every dimension.
 from __future__ import annotations
 
 import cmath
+import contextlib
 import math
 from fractions import Fraction
 
@@ -14,7 +16,7 @@ from fractions import Fraction
 # tail is known to be far below representable magnitudes.
 TINY_BOUND = 1e-300
 
-# B_2, B_4, ..., B_16 as exact rationals.
+# B_2, B_4, ..., B_14 as exact rationals.
 _BERNOULLI = (
     Fraction(1, 6),
     Fraction(-1, 30),
@@ -23,38 +25,53 @@ _BERNOULLI = (
     Fraction(5, 66),
     Fraction(-691, 2730),
     Fraction(7, 6),
-    Fraction(-3617, 510),
 )
 
 
 class KahanSum:
-    """Compensated accumulator for complex terms.
+    """Compensated accumulator for float, complex or mpmath terms.
 
-    Keeps separate error terms for the real and imaginary components so
-    that long sums stay accurate to a few ulp of the running magnitude.
+    One Kahan update on whole values; complex arithmetic applies it to
+    the real and imaginary parts separately, so long sums stay accurate
+    to a few ulp of the running magnitude in each part.
     """
 
-    __slots__ = ("_re", "_im", "_cre", "_cim")
+    __slots__ = ("value", "_comp")
 
-    def __init__(self) -> None:
-        self._re = 0.0
-        self._im = 0.0
-        self._cre = 0.0
-        self._cim = 0.0
+    def __init__(self, start=0j) -> None:
+        # start: the zero of the arithmetic the terms are summed in
+        self.value = self._comp = start
 
-    def add(self, term: complex) -> None:
-        y = term.real - self._cre
-        t = self._re + y
-        self._cre = (t - self._re) - y
-        self._re = t
-        y = term.imag - self._cim
-        t = self._im + y
-        self._cim = (t - self._im) - y
-        self._im = t
+    def add(self, term) -> None:
+        y = term - self._comp
+        t = self.value + y
+        self._comp = (t - self.value) - y
+        self.value = t
 
-    @property
-    def value(self) -> complex:
-        return complex(self._re, self._im)
+
+class _Double:
+    """Double precision under the names of mpmath's mp context that the
+    series loops use, so one loop serves both arithmetics."""
+
+    mpf = float
+    mpc = complex
+    exp = cmath.exp
+    log = math.log
+    pi = math.pi
+
+    @staticmethod
+    def workdps(dps):
+        return contextlib.nullcontext()
+
+
+def arithmetic(dps):
+    """_Double for dps None, else mpmath's mp context, imported on first
+    use (callers enter ctx.workdps(dps) around the computation)."""
+    if dps is None:
+        return _Double
+    from mpmath import mp
+
+    return mp
 
 
 def log1m(w: complex) -> complex:
@@ -128,28 +145,28 @@ def first_within(bound, tol: float, start: int, stop: int):
     return hi, value
 
 
-def dirichlet_tail(s: float, start: int, corrections: int = 6):
-    """(value, remainder_bound) for sum_{k >= start} k^-s with real s > 1.
+def dirichlet_tail(s, start: int):
+    """(value, remainder_bound) for sum_{k >= start} k^-s with real s > 1,
+    computed in the arithmetic of s (float or mpf).
 
-    Euler-Maclaurin: integral term, half term, then `corrections`
-    Bernoulli correction terms. The remainder bound is the magnitude of
-    the first omitted correction (the classical alternating-remainder
-    result for real s).
+    Euler-Maclaurin: integral term, half term, then Bernoulli correction
+    terms through B_12. The remainder bound is the magnitude of the
+    first omitted correction, the B_14 one (the classical
+    alternating-remainder result for real s).
     """
     if start < 1:
         raise ValueError("start must be >= 1")
-    sr = float(s)
-    if sr <= 1.0:
+    if not s > 1:
         raise ValueError("dirichlet_tail requires s > 1")
-    n = float(start)
-    val = complex(n ** (1.0 - sr) / (sr - 1.0) + 0.5 * n ** (-sr))
-    poch = sr
-    for j in range(1, corrections + 1):
-        b2j = float(_BERNOULLI[j - 1])
-        val += complex(b2j / math.factorial(2 * j) * poch * n ** (-sr - 2 * j + 1))
-        poch *= (sr + 2 * j - 1) * (sr + 2 * j)
-    m = corrections
-    rem = abs(float(_BERNOULLI[m])) / math.factorial(2 * m + 2) * poch * n ** (-sr - 2 * m - 1)
+    n = type(s)(start)
+    val = n ** (1 - s) / (s - 1) + 0.5 * n ** -s
+    poch = s
+    *corrections, omitted = (type(s)(b.numerator) / b.denominator for b in _BERNOULLI)
+    for j, b2j in enumerate(corrections, 1):
+        val += b2j / math.factorial(2 * j) * poch * n ** (-s - 2 * j + 1)
+        poch *= (s + 2 * j - 1) * (s + 2 * j)
+    m = len(corrections)
+    rem = abs(omitted) / math.factorial(2 * m + 2) * poch * n ** (-s - 2 * m - 1)
     return val, rem
 
 

@@ -8,13 +8,19 @@ x = 1 product mode.
 """
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import ComputationError, DomainError, NonConvergence
-from .numerics import KahanSum, dirichlet_tail, first_within, power_geometric_tail, require_finite
+from .numerics import (
+    KahanSum,
+    arithmetic,
+    dirichlet_tail,
+    first_within,
+    power_geometric_tail,
+    require_finite,
+)
 
 # Arguments must stay this far inside the unit circle for the series.
 EPS_DOMAIN = 1e-3
@@ -37,11 +43,6 @@ class SeriesResult:
     value: complex
     terms_used: int
     tail_bound: float
-
-
-def _series_tail(k: int, sigma_minus: float, r: float) -> float:
-    # |z^j j^-s| <= j^sigma_minus r^j for j > k, sigma_minus = max(0, -Re s)
-    return power_geometric_tail(k, sigma_minus, r)
 
 
 def polylog(
@@ -70,84 +71,57 @@ def polylog(
     if not tol > 0:
         raise ValueError("tol must be positive")
     s = complex(s)
-    z = complex(z) if dps is None else z
-    r = abs(z)
-    if r > 1.0 - EPS_DOMAIN:
-        raise DomainError(f"|z| = {r!r} exceeds 1 - eps_domain = {1.0 - EPS_DOMAIN!r}")
-    if dps is not None:
-        return _polylog_mp(s, z, tol, term_cap, dps)
-    if z == 0:
-        return SeriesResult(0j, 1, 0.0)
-    n, bound = _stopping_index(s, z, r, tol, term_cap)
-    return SeriesResult(require_finite(polylog_partial(s, z, n), "polylog"), n, bound)
-
-
-def _stopping_index(s: complex, z, r: float, tol: float, term_cap: int) -> tuple[int, float]:
-    """(k, bound): the first k >= 1 with _series_tail(k, ...) = bound <= tol.
-
-    The bound is inf before the peak of k^sigma r^k and strictly
-    decreasing after it, so first_within finds k without testing every
-    index in turn.
-
-    Raises:
-        NonConvergence: no k <= term_cap meets tol.
-    """
-    sigma_minus = max(0.0, -s.real)
-    found = first_within(lambda k: _series_tail(k, sigma_minus, r), tol, 1, term_cap)
-    if found is None:
-        raise NonConvergence(
-            f"polylog(s={s!r}, z={z!r}) did not reach tol={tol!r} within {term_cap} terms"
-        )
-    return found
-
-
-def _polylog_mp(s: complex, z, tol: float, term_cap: int, dps: int) -> SeriesResult:
-    from mpmath import mp, mpc
-
-    with mp.workdps(dps):
-        zc = mpc(z)
-        sc = mpc(s)
+    ctx = arithmetic(dps)
+    with ctx.workdps(dps):
+        zc = ctx.mpc(z)
+        r = float(abs(zc))
+        if r > 1.0 - EPS_DOMAIN:
+            raise DomainError(f"|z| = {r!r} exceeds 1 - eps_domain = {1.0 - EPS_DOMAIN!r}")
         if zc == 0:
-            return SeriesResult(mpc(0), 1, 0.0)
-        n, bound = _stopping_index(s, z, float(abs(zc)), tol, term_cap)
-        total = mpc(0)
-        zk = mpc(1)
-        for k in range(1, n + 1):
-            zk *= zc
-            total += zk if k == 1 else zk * mp.exp(-sc * mp.log(k))
-        return SeriesResult(total, n, bound)
+            return SeriesResult(ctx.mpc(0), 1, 0.0)
+        # |z^j j^-s| <= j^sigma r^j for j > k with sigma = max(0, -Re s): the
+        # bound is inf before the peak of k^sigma r^k and strictly decreasing
+        # after it, so first_within finds the first k that meets tol
+        sigma_minus = max(0.0, -s.real)
+        found = first_within(lambda k: power_geometric_tail(k, sigma_minus, r), tol, 1, term_cap)
+        if found is None:
+            raise NonConvergence(f"polylog(s={s!r}, z={complex(z)!r}) did not reach "
+                                 f"tol={tol!r} within {term_cap} terms")
+        n, bound = found
+        value = polylog_partial(s, zc, n, dps=dps)
+    if dps is None:  # an mpc has no float range to leave
+        value = require_finite(value, "polylog")
+    return SeriesResult(value, n, bound)
 
 
-def polylog_partial(s: complex, z: complex, n_terms: int) -> complex:
-    """Plain partial sum of the Li_s(z) series over exactly n_terms terms.
+def polylog_partial(s: complex, z: complex, n_terms: int, *, dps: int | None = None) -> complex:
+    """Plain partial sum of the Li_s(z) series over exactly n_terms terms,
+    in double precision or, with dps, in mpmath at dps digits.
 
     No domain or tolerance logic; polylog returns this sum at its
     stopping index. Kahan-compensated, as KahanSum.add, inlined.
 
     Raises:
-        ComputationError: a term k^-s overflows (-Re s ln k past ~709).
+        ComputationError: a double term k^-s overflows (-Re s ln k past ~709).
     """
-    s = complex(s)
-    z = complex(z)
-    re = im = cre = cim = 0.0
-    zk = 1 + 0j
-    try:
-        for k in range(1, n_terms + 1):
-            zk *= z
-            term = zk if k == 1 else zk * cmath.exp(-s * math.log(k))
-            y = term.real - cre
-            t = re + y
-            cre = (t - re) - y
-            re = t
-            y = term.imag - cim
-            t = im + y
-            cim = (t - im) - y
-            im = t
-    except OverflowError:
-        raise ComputationError(
-            f"Li_s(z) series term overflows at k = {k} for s = {s!r}"
-        ) from None
-    return complex(re, im)
+    ctx = arithmetic(dps)
+    with ctx.workdps(dps):
+        s, z = ctx.mpc(s), ctx.mpc(z)
+        total = comp = ctx.mpc(0)
+        zk = ctx.mpc(1)
+        try:
+            for k in range(1, n_terms + 1):
+                zk *= z
+                term = zk if k == 1 else zk * ctx.exp(-s * ctx.log(k))
+                y = term - comp
+                t = total + y
+                comp = (t - total) - y
+                total = t
+        except OverflowError:
+            raise ComputationError(
+                f"Li_s(z) series term overflows at k = {k} for s = {s!r}"
+            ) from None
+        return total
 
 
 @lru_cache(maxsize=None)
@@ -172,6 +146,18 @@ def _neg_order_poly(n: int) -> tuple[int, ...]:
             q.pop()
         p = q
     return tuple(p)
+
+
+def _gaussian_power(re: int, im: int, e: int) -> tuple[int, int]:
+    """(re + im i)^e for e >= 0 by square-and-multiply, most significant
+    bit first: about log2(e) squarings of Gaussian integers in place of
+    e products."""
+    w_re, w_im = 1, 0
+    for bit in bin(e)[2:]:
+        w_re, w_im = w_re * w_re - w_im * w_im, 2 * w_re * w_im
+        if bit == "1":
+            w_re, w_im = w_re * re - w_im * im, w_re * im + w_im * re
+    return w_re, w_im
 
 
 def polylog_neg_int(n: int, z: complex) -> complex:
@@ -209,9 +195,7 @@ def polylog_neg_int(n: int, z: complex) -> complex:
     # (1 - z)^(n+1) = (D - A - Bi)^(n+1) / D^(n+1)
     lift = e * (n + 2 - len(coeffs))
     num_re, num_im = re << lift, im << lift
-    w_re, w_im = 1, 0
-    for _ in range(n + 1):
-        w_re, w_im = w_re * (d - a) + w_im * b, w_im * (d - a) - w_re * b
+    w_re, w_im = _gaussian_power(d - a, -b, n + 1)
     # (num_re + num_im i) / (w_re + w_im i), with the conjugate of w on top
     den = w_re * w_re + w_im * w_im
     try:
@@ -249,52 +233,19 @@ def zeta_real(
     s = float(s)
     if s < 1.0 + EPS_ZETA:
         raise DomainError(f"zeta_real requires s >= 1 + {EPS_ZETA!r}, got {s!r}")
-    if dps is not None:
-        return _zeta_real_mp(s, tol, term_cap, dps)
-    n = 16
-    while True:
-        tail_val, rem = dirichlet_tail(s, n)
-        if rem <= tol:
-            break
-        n *= 2
-        if n > term_cap:
-            raise NonConvergence(f"zeta_real(s={s!r}) cannot meet tol={tol!r}")
-    acc = KahanSum()
-    for k in range(1, n):
-        acc.add(complex(k ** -s))
-    value = acc.value + tail_val
-    return SeriesResult(require_finite(value, "zeta_real").real, n - 1, rem)
-
-
-def _zeta_real_mp(s: float, tol: float, term_cap: int, dps: int) -> SeriesResult:
-    from mpmath import mp, mpf
-
-    from .numerics import _BERNOULLI
-
-    with mp.workdps(dps):
-        sm = mpf(s)
-        corrections = 7  # first omitted correction is B_16, the last one wired
+    ctx = arithmetic(dps)
+    with ctx.workdps(dps):
+        sc = ctx.mpf(s)
         n = 16
         while True:
-            nm = mpf(n)
-            # Euler-Maclaurin in working precision, mirroring dirichlet_tail
-            val = nm ** (1 - sm) / (sm - 1) + nm ** (-sm) / 2
-            poch = sm
-            for j in range(1, corrections + 1):
-                b2j = mpf(_BERNOULLI[j - 1].numerator) / _BERNOULLI[j - 1].denominator
-                val += b2j / mp.factorial(2 * j) * poch * nm ** (-sm - 2 * j + 1)
-                poch *= (sm + 2 * j - 1) * (sm + 2 * j)
-            m = corrections
-            rem = (
-                abs(mpf(_BERNOULLI[m].numerator) / _BERNOULLI[m].denominator)
-                / mp.factorial(2 * m + 2) * poch * nm ** (-sm - 2 * m - 1)
-            )
+            tail_val, rem = dirichlet_tail(sc, n)
             if rem <= tol:
                 break
             n *= 2
             if n > term_cap:
-                raise NonConvergence(f"zeta_real(s={s!r}, dps={dps}) cannot meet tol={tol!r}")
-        head = mpf(0)
+                raise NonConvergence(f"zeta_real(s={s!r}) cannot meet tol={tol!r}")
+        acc = KahanSum(ctx.mpf(0))
         for k in range(1, n):
-            head += mpf(k) ** (-sm)
-        return SeriesResult(head + val, n - 1, float(rem))
+            acc.add(ctx.mpf(k) ** -sc)
+        value = acc.value + tail_val
+    return SeriesResult(require_finite(value, "zeta_real"), n - 1, float(rem))

@@ -22,12 +22,11 @@ from vpvlab import (
     lhs_log_product,
     polylog,
     product_log_sum,
-    tail_bound_2d,
-    tail_bound_3d,
     trivial_zero_probe,
     verify,
     zeta_real,
 )
+from vpvlab.products import tail_bound_2d, tail_bound_3d
 
 LI3_HALF = 0.5372131936080402
 LI4_HALF = 0.5174790616738993

@@ -325,6 +325,20 @@ def test_polylog_extended_digits(capsys):
     assert "0.582240526465011988703108064946" in out
 
 
+@pytest.mark.parametrize("fmt", ["human", "json", "csv"])
+def test_extended_polylog_past_the_float_range(capsys, fmt):
+    # Li_{-200.5}(1/2) is about 1.3e408: human output prints its digits,
+    # json and csv carry floats, so there it is a typed refusal.
+    argv = ["polylog", "--s=-200.5", "--z", "0.5", "--precision", "extended:30", "--format", fmt]
+    code, out, err = _run(capsys, argv)
+    if fmt == "human":
+        assert (code, err) == (0, "")
+        assert out.startswith("value: (1.3239945115666810934946057164e+408 + 0.0j)\n")
+    else:
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_config_file_with_flag_precedence(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("s = 1\nx = 0.3\ny = 0.4\nformat = csv\n# comment line\n")

@@ -2,6 +2,9 @@
 every name the package exports resolves."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -39,3 +42,14 @@ def test_every_exported_name_resolves():
     missing = [name for name in vpvlab.__all__ if not hasattr(vpvlab, name)]
     assert missing == []
     assert len(vpvlab.__all__) == len(set(vpvlab.__all__))
+
+
+def test_mpmath_is_imported_only_on_demand():
+    # Extended precision imports mpmath when first asked for; importing
+    # the package and the CLI must not, since it adds about 4 MB of RSS
+    # to every double-precision run.
+    code = "import sys, vpvlab, vpvlab.cli; print('mpmath' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True).stdout
+    assert out == "False\n"

@@ -21,12 +21,11 @@ from vpvlab import (
     NonConvergence,
     polylog,
     polylog_neg_int,
-    polylog_partial,
     rhs_factors,
     zeta_real,
 )
-from vpvlab.numerics import dirichlet_tail, log1m, power_geometric_tail
-from vpvlab.polylog import _neg_order_poly
+from vpvlab.numerics import KahanSum, dirichlet_tail, log1m, power_geometric_tail
+from vpvlab.polylog import _gaussian_power, _neg_order_poly, polylog_partial
 
 # Frozen oracle values (1e7-term partial sums, double precision).
 LI2_HALF = 0.5822405264650125
@@ -257,11 +256,108 @@ def test_stopping_index_matches_per_term_scan():
             assert polylog(s, z, tol, term_cap=cap).terms_used == k
 
 
+def _gamma(n):
+    # Higham's gamma_n = n u / (1 - n u) with u = 2^-53
+    u = 2.0 ** -53
+    return n * u / (1 - n * u)
+
+
 def test_stopping_index_same_in_extended_precision():
-    s, z, tol = -1.5 + 4j, 0.9 * cmath.exp(1j), 1e-12
-    assert polylog(s, z, tol, dps=30).terms_used == polylog(s, z, tol).terms_used
+    # One loop in two arithmetics: the same index and bound in both, and
+    # the double value within rounding of the 30-digit one.
+    rng = random.Random(4417)
+    for _ in range(40):
+        s = complex(rng.uniform(-3, 4), rng.uniform(-20, 20))
+        z = 0.95 * math.sqrt(rng.random()) * cmath.exp(2j * math.pi * rng.random())
+        tol = 10 ** rng.uniform(-14, -6)
+        double, wide = polylog(s, z, tol), polylog(s, z, tol, dps=30)
+        n = double.terms_used
+        assert (wide.terms_used, wide.tail_bound) == (n, double.tail_bound), (s, z, tol)
+        total = sum(abs(z) ** k * k ** -s.real for k in range(1, n + 1))
+        assert abs(complex(wide.value) - double.value) <= double.tail_bound + _gamma(n) * total
+    for _ in range(20):
+        s = rng.uniform(1.01, 12)
+        tol = 10 ** rng.uniform(-15, -6)
+        double, wide = zeta_real(s, tol), zeta_real(s, tol, dps=30)
+        n = double.terms_used
+        # the remainder bound is computed in each arithmetic, so it may
+        # differ in the last bits; a different index would show here
+        assert wide.terms_used == n, (s, tol)
+        assert abs(float(wide.value) - double.value) <= double.tail_bound + _gamma(n) * double.value
+    s, z = -1.5 + 4j, 0.9 * cmath.exp(1j)
     with pytest.raises(NonConvergence):
-        polylog(s, z, tol, term_cap=10, dps=30)
+        polylog(s, z, 1e-12, term_cap=10, dps=30)
+
+
+def _polylog_partial_reference(s, z, n_terms):
+    # The loop polylog_partial had before the double and extended paths
+    # were merged: Kahan compensation written out part by part. The
+    # merged loop compensates whole complex values and must agree with
+    # it bit for bit.
+    s, z = complex(s), complex(z)
+    re = im = cre = cim = 0.0
+    zk = 1 + 0j
+    for k in range(1, n_terms + 1):
+        zk *= z
+        term = zk if k == 1 else zk * cmath.exp(-s * math.log(k))
+        y = term.real - cre
+        t = re + y
+        cre = (t - re) - y
+        re = t
+        y = term.imag - cim
+        t = im + y
+        cim = (t - im) - y
+        im = t
+    return complex(re, im)
+
+
+def test_polylog_partial_matches_the_per_part_loop():
+    rng = random.Random(6150)
+    for i in range(240):
+        s = complex(rng.uniform(-4, 4), rng.uniform(-30, 30))
+        if i % 8 == 0:
+            s = complex(round(s.real))  # integer orders, real terms on the real axis
+        z = 0.999 * math.sqrt(rng.random()) * cmath.exp(2j * math.pi * rng.random())
+        n = rng.randrange(1, 600)
+        assert polylog_partial(s, z, n) == _polylog_partial_reference(s, z, n), (s, z, n)
+
+
+def test_kahan_sum_matches_the_per_part_update():
+    rng = random.Random(8812)
+    for _ in range(50):
+        acc = KahanSum()
+        re = im = cre = cim = 0.0
+        for _ in range(rng.randrange(1, 200)):
+            term = complex(rng.uniform(-1, 1) * 10 ** rng.uniform(-20, 20),
+                           rng.uniform(-1, 1) * 10 ** rng.uniform(-20, 20))
+            acc.add(term)
+            y = term.real - cre
+            t = re + y
+            cre = (t - re) - y
+            re = t
+            y = term.imag - cim
+            t = im + y
+            cim = (t - im) - y
+            im = t
+            assert acc.value == complex(re, im)
+
+
+def test_gaussian_power_matches_the_repeated_product():
+    # Bases as polylog_neg_int forms them, D - A - Bi with D = 2^E, from
+    # small E up to the subnormal range (E = 1074); exponents past a few
+    # powers of two, where square-and-multiply takes every branch.
+    rng = random.Random(3391)
+    bases = [(1, 0), (0, 1), (-1, 0), (1, -1), (3, 7), (-5, 2)]
+    for e in (1, 2, 52, 300, 1074):
+        d = 1 << e
+        bases.append((d - rng.randrange(d), -rng.randrange(-d, d)))
+    checked = set(range(18)) | {63, 64, 65, 255, 256, 301}
+    for re, im in bases:
+        w_re, w_im = 1, 0  # (re + im i)^e by repeated products
+        for e in range(max(checked) + 1):
+            if e in checked:
+                assert _gaussian_power(re, im, e) == (w_re, w_im), (re, im, e)
+            w_re, w_im = w_re * re - w_im * im, w_re * im + w_im * re
 
 
 def test_overflowing_terms_raise_computation_error():

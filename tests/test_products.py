@@ -25,12 +25,11 @@ from vpvlab import (
     product_log_sum,
     rhs_factors,
     rhs_log,
-    tail_bound_2d,
-    tail_bound_3d,
     verify,
     visible_points,
     zeta_real,
 )
+from vpvlab.products import tail_bound_2d, tail_bound_3d
 
 
 def _rand_disk(rng, radius):
