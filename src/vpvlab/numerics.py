@@ -77,16 +77,18 @@ def arithmetic(dps):
 def log1m(w: complex) -> complex:
     """log(1 - w) on the principal branch, accurate for small |w|.
 
-    Direct evaluation of log(1 - w) loses absolute accuracy once |w|
-    approaches machine epsilon because 1 - w rounds; with polynomial
-    weights on the product terms that noise is amplified, so small
-    arguments take a short series instead. The series length gives
-    relative error below |w|^8, i.e. under 1e-32 at the cutoff.
+    1 - w rounds once |w| nears machine epsilon, so below |w| = 1e-4 this
+    sums -(w + w^2/2 + ... + w^d/d) to the first degree d whose dropped
+    part, at most |w|^d/(d+1) relative, is under u/4 (u = 2^-53). Each
+    tier ends at ((d+1) u/4)^(1/d), rounded down; degree 4 holds to 1.08e-4.
     """
-    if abs(w) < 1e-4:
-        # -(w + w^2/2 + ... + w^8/8) in Horner form; 1/3 etc. fold to constants
-        return -w * (1 + w * (1 / 2 + w * (1 / 3 + w * (1 / 4 + w * (
-            1 / 5 + w * (1 / 6 + w * (1 / 7 + w * (1 / 8))))))))
+    a = abs(w)
+    if a < 9.1e-9:
+        return -w if a < 5.5e-17 else -w * (1 + w * 0.5)
+    if a < 4.8e-6:
+        return -w * (1 + w * (1 / 2 + w * (1 / 3)))
+    if a < 1e-4:
+        return -w * (1 + w * (1 / 2 + w * (1 / 3 + w * (1 / 4))))
     return cmath.log(1 - w)
 
 

@@ -8,6 +8,7 @@ x = 1 product mode.
 """
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -28,6 +29,8 @@ EPS_DOMAIN = 1e-3
 EPS_ZETA = 1e-3
 # Hard ceiling on summed terms per series; exceeding it is an error.
 TERM_CAP = 10_000_000
+# A complex modulus past exp(710.5) > sqrt(2) * max float has a part that overflows.
+_LOG_PAST_FLOAT_RANGE = 710.5
 
 
 @dataclass(frozen=True)
@@ -70,10 +73,10 @@ def polylog(
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
-    s = complex(s)
     ctx = arithmetic(dps)
     with ctx.workdps(dps):
-        zc = ctx.mpc(z)
+        # an mpmath order keeps its digits in extended mode
+        s, zc = ctx.mpc(s), ctx.mpc(z)
         r = float(abs(zc))
         if r > 1.0 - EPS_DOMAIN:
             raise DomainError(f"|z| = {r!r} exceeds 1 - eps_domain = {1.0 - EPS_DOMAIN!r}")
@@ -82,10 +85,10 @@ def polylog(
         # |z^j j^-s| <= j^sigma r^j for j > k with sigma = max(0, -Re s): the
         # bound is inf before the peak of k^sigma r^k and strictly decreasing
         # after it, so first_within finds the first k that meets tol
-        sigma_minus = max(0.0, -s.real)
+        sigma_minus = max(0.0, -float(s.real))
         found = first_within(lambda k: power_geometric_tail(k, sigma_minus, r), tol, 1, term_cap)
         if found is None:
-            raise NonConvergence(f"polylog(s={s!r}, z={complex(z)!r}) did not reach "
+            raise NonConvergence(f"polylog(s={complex(s)!r}, z={complex(z)!r}) did not reach "
                                  f"tol={tol!r} within {term_cap} terms")
         n, bound = found
         value = polylog_partial(s, zc, n, dps=dps)
@@ -160,6 +163,25 @@ def _gaussian_power(re: int, im: int, e: int) -> tuple[int, int]:
     return w_re, w_im
 
 
+def _neg_order_log_floor(n: int, z: complex) -> float:
+    """A lower bound on ln |Li_{-n}(z)|, or -inf where none is derived.
+
+    With L = ln z principal, Li_{-n}(e^L) = n! sum_k (2 pi i k - L)^-(n+1)
+    over all integers k, and |2 pi i k - L| >= (2|k| - 1) pi for k != 0.
+    For n >= 2 and |L| < pi/2 the k = 0 term dominates:
+    |Li_{-n}(z)| >= n! |L|^-(n+1) (1 - 2 sum_{j>=1} (|L| / ((2j - 1) pi))^(n+1)),
+    and the odd-reciprocal sum is at most 7 zeta(3)/8 < 1.052 times its
+    first term. The bound costs O(1), where P_n costs about n^3.
+    """
+    if n < 2 or z == 0:
+        return -math.inf
+    ell = abs(cmath.log(z))
+    if ell >= math.pi / 2:
+        return -math.inf
+    others = 2 * 1.052 * (ell / math.pi) ** (n + 1)
+    return math.lgamma(n + 1) - (n + 1) * math.log(ell) + math.log1p(-others)
+
+
 def polylog_neg_int(n: int, z: complex) -> complex:
     """Li_{-n}(z) for integer n >= 0 via exact rational closed form.
 
@@ -173,7 +195,8 @@ def polylog_neg_int(n: int, z: complex) -> complex:
     Raises:
         DomainError: n negative or non-integer, or z = 1 (the pole).
         ComputationError: z is not finite, or the value leaves the float
-            range (from n = 170 at z = 1/2).
+            range (from n = 160 at z = 1/2). Where _neg_order_log_floor
+            shows that already, before P_n is built.
     """
     if not isinstance(n, int) or isinstance(n, bool) or n < 0:
         raise DomainError(f"polylog_neg_int expects an integer n >= 0, got {n!r}")
@@ -182,6 +205,8 @@ def polylog_neg_int(n: int, z: complex) -> complex:
         raise DomainError("z = 1 is the pole of Li_{-n}")
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         raise ComputationError(f"non-finite argument in Li_{{-{n}}}({z!r})")
+    if _neg_order_log_floor(n, z) > _LOG_PAST_FLOAT_RANGE:
+        raise ComputationError(f"Li_{{-{n}}}(z) leaves the float range at z = {z!r}")
     (a, a_den), (b, b_den) = z.real.as_integer_ratio(), z.imag.as_integer_ratio()
     d = max(a_den, b_den)  # D = 2^e: the larger is a multiple of the other
     e = d.bit_length() - 1

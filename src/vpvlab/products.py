@@ -275,8 +275,8 @@ def product_log_sum(
     The walk fixes the other coordinates (the head) and runs along one
     row of the slowest axis, whose rows are the longest. A point is
     visible exactly when gcd(gcd(head), b) = 1, so a row with a coprime
-    head skips the test. Each row is summed exactly with fsum, and so
-    are the row partials.
+    head skips the test. Each row's exact fsum is multiplied once by
+    its head's weight, and the row partials are summed exactly too.
     """
     n = len(orders)
     if n < 2 or len(args) != n:
@@ -299,8 +299,7 @@ def product_log_sum(
     gcd = math.gcd
     fsum = math.fsum
     wb, pb = weights[-1], powers[-1]
-    re_parts = []
-    im_parts = []
+    parts = []
     count = 0
 
     def rows(i, g, budget, w, p):
@@ -310,12 +309,11 @@ def product_log_sum(
         if i == n - 1:
             top = int(budget + slack)
             if g == 1:
-                row = [w * wb[b] * log1m(p * pb[b]) for b in range(1, top + 1)]
+                row = [wb[b] * log1m(p * pb[b]) for b in range(1, top + 1)]
             else:
-                row = [w * wb[b] * log1m(p * pb[b]) for b in range(1, top + 1) if gcd(g, b) == 1]
+                row = [wb[b] * log1m(p * pb[b]) for b in range(1, top + 1) if gcd(g, b) == 1]
             count += len(row)
-            re_parts.append(fsum([z.real for z in row]))
-            im_parts.append(fsum([z.imag for z in row]))
+            parts.append(w * complex(fsum([z.real for z in row]), fsum([z.imag for z in row])))
             return
         m, wi, pi = mu[i], weights[i], powers[i]
         for a in range(1, int((budget - later[i] + slack) / m) + 1):
@@ -323,7 +321,7 @@ def product_log_sum(
 
     rows(0, 0, float(degree_cap), 1.0, 1.0)
     # 0j - total, not -total: a zero part stays +0.0, as in a running sum
-    value = 0j - complex(fsum(re_parts), fsum(im_parts))
+    value = 0j - complex(fsum([z.real for z in parts]), fsum([z.imag for z in parts]))
     return require_finite(value, "product_log_sum"), count
 
 

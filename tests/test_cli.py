@@ -2,6 +2,7 @@
 
 import csv
 import json
+import time
 
 import pytest
 
@@ -192,13 +193,25 @@ def test_unverified_result_exit_code(capsys):
 )
 def test_overflowing_series_exit_code(capsys, argv):
     # k^200.5 passes the float range at k = 35, and Li_{-n}(1/2) does from
-    # n = 170 on: a typed refusal, not exit 3 (nor a RecursionError while
+    # n = 160 on: a typed refusal, not exit 3 (nor a RecursionError while
     # building P_500).
     code, out, err = _run(capsys, argv)
     assert code == 2
     assert out == ""
     assert err.startswith("error:")
     assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("s", ["2000", "10000"])
+def test_huge_negative_order_is_refused_at_once(capsys, s):
+    # Li_{1-s}(0.3) is far past the float range. Building P_1999 before
+    # refusing took 7.5 s; the magnitude floor refuses without it.
+    t0 = time.perf_counter()
+    code, out, err = _run(capsys, ["verify2", "--s", s, "--x", ".3", "--y", ".3"])
+    assert time.perf_counter() - t0 < 0.2
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "leaves the float range" in err
 
 
 def test_internal_errors_do_not_leak_tracebacks(capsys):

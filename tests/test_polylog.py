@@ -8,10 +8,13 @@ the library was wired up.
 import cmath
 import math
 import random
+import sys
 from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from vpvlab import (
     TERM_CAP,
@@ -25,7 +28,7 @@ from vpvlab import (
     zeta_real,
 )
 from vpvlab.numerics import KahanSum, dirichlet_tail, log1m, power_geometric_tail
-from vpvlab.polylog import _gaussian_power, _neg_order_poly, polylog_partial
+from vpvlab.polylog import _gaussian_power, _neg_order_log_floor, _neg_order_poly, polylog_partial
 
 # Frozen oracle values (1e7-term partial sums, double precision).
 LI2_HALF = 0.5822405264650125
@@ -153,6 +156,49 @@ def test_neg_int_is_correctly_rounded():
         z = complex(rng.uniform(-0.95, 0.95), rng.choice((0.0, rng.uniform(-0.95, 0.95))))
         re, im = _neg_int_exact(n, z)
         assert polylog_neg_int(n, z) == complex(float(re), float(im)), (n, z)
+
+
+def test_neg_order_floor_refuses_only_values_past_the_float_range(monkeypatch):
+    # With the floor switched off, polylog_neg_int takes the exact path
+    # for every input. On a grid of n <= 400 and z with |ln z| < pi/2
+    # (and one outside, where no floor is derived), the public call
+    # returns what the exact path returns, and refuses only where the
+    # exact path leaves the float range too. The floor is below
+    # ln |value| wherever the value is finite.
+    zs = (0.3, 0.5, 0.9, 0.999, 0.01, -0.2 + 0.1j, 0.4 + 0.5j, 0.2 - 0.3j, 0.05 + 0.99j, -0.5)
+    # Li_-159(1/2) = 8.65e307 is the last finite value at z = 1/2
+    grid = [(n, z) for n in range(2, 401, 9) for z in zs] + [(159, 0.5), (160, 0.5)]
+    public = {}
+    for n, z in grid:
+        try:
+            public[n, z] = polylog_neg_int(n, z)
+        except ComputationError:
+            public[n, z] = None
+    monkeypatch.setattr(sys.modules["vpvlab.polylog"], "_neg_order_log_floor", lambda n, z: -math.inf)
+    refused = 0
+    for n, z in grid:
+        try:
+            exact = polylog_neg_int(n, z)
+        except ComputationError:
+            exact = None
+        assert public[n, z] == exact, (n, z)
+        if exact is not None:
+            log_value = math.log(abs(exact))
+            assert _neg_order_log_floor(n, z) <= log_value + 1e-14 * abs(log_value), (n, z)
+        elif _neg_order_log_floor(n, z) > 710.5:
+            refused += 1
+    assert refused >= 150  # the grid reaches well past the float range
+
+
+def test_neg_order_floor_bounds_mpmath():
+    # The floor against 60-digit mpmath, near where each value leaves the
+    # float range, and at the highest order of the grid above.
+    for n, z in ((168, 0.5), (169, 0.5), (41, 0.999), (83, 0.05 + 0.9j), (119, 0.4 + 0.5j), (398, 0.3)):
+        with mpmath.workdps(60 + n // 2):
+            ref = float(mpmath.log(abs(mpmath.polylog(-n, mpmath.mpc(z)))))
+        assert _neg_order_log_floor(n, z) <= ref + 1e-14 * abs(ref), (n, z)
+    assert _neg_order_log_floor(1, 0.5) == _neg_order_log_floor(5, 0.0) == -math.inf
+    assert _neg_order_log_floor(5, -0.5) == -math.inf  # |ln z| >= pi/2
 
 
 def test_neg_order_poly_builds_high_orders_without_recursion():
@@ -383,6 +429,17 @@ def test_zeta_domain_checks():
         zeta_real(2.0, -1.0)
 
 
+def test_extended_polylog_keeps_an_mpmath_order():
+    # The order was rounded to double before the extended loop, which put
+    # 5.5e-18 of error into this value.
+    with mpmath.workdps(40):
+        s = mpmath.mpf(2) + mpmath.mpf(1) / 10
+        ref = mpmath.polylog(s, 0.5)
+    res = polylog(s, 0.5, 1e-38, dps=40)
+    with mpmath.workdps(40):
+        assert abs(res.value - ref) <= mpmath.mpf("1e-36")
+
+
 def test_extended_precision_paths():
     import mpmath
 
@@ -403,6 +460,32 @@ def test_log1m_accuracy_small_and_moderate():
     assert log1m(1e-9) == pytest.approx(-1e-9 - 0.5e-18, rel=1e-12)
     for w in (0.3, -0.7, 0.2 + 0.4j):
         assert abs(log1m(w) - cmath.log(1 - w)) <= 1e-15 * max(1.0, abs(cmath.log(1 - w)))
+
+
+_U = 2.0 ** -53
+# log1m's tier ends: the series degree steps from 1 to 4, then cmath.log
+_LOG1M_EDGES = (5.5e-17, 9.1e-9, 4.8e-6, 1e-4)
+
+
+@settings(derandomize=True, database=None, max_examples=800)
+@given(
+    st.one_of(
+        st.floats(-300, -4, exclude_max=True).map(lambda e: 10.0 ** e),
+        # a decade either side of a tier's end
+        st.tuples(st.sampled_from(_LOG1M_EDGES), st.floats(-1, 1)).map(lambda p: p[0] * 10.0 ** p[1]),
+    ),
+    st.floats(-math.pi, math.pi),
+)
+def test_log1m_series_is_within_3u_of_mpmath(modulus, phase):
+    # Each series tier keeps the relative error within 3u, u = 2^-53: its
+    # dropped part is under u/4, and the rest is the rounding of one
+    # complex product and one addition.
+    w = cmath.rect(modulus, phase)
+    assume(1e-300 <= abs(w) < 1e-4)
+    with mpmath.workdps(40):
+        ref = mpmath.log1p(-mpmath.mpc(w))
+        err = abs(mpmath.mpc(log1m(w)) - ref) / abs(ref)
+    assert err <= 3 * _U, (w, float(err) / _U)
 
 
 def test_power_geometric_tail_monotone_in_cap():

@@ -29,7 +29,7 @@ from vpvlab import (
     visible_points,
     zeta_real,
 )
-from vpvlab.products import tail_bound_2d, tail_bound_3d
+from vpvlab.products import _decay_ratios, tail_bound_2d, tail_bound_3d
 
 
 def _rand_disk(rng, radius):
@@ -516,6 +516,69 @@ def test_four_dimensional_identity_matches_mpmath(orders, args, cap):
     value, _ = product_log_sum(orders, args, cap)
     assert abs(value - ref) <= 1e-11
     assert abs(lattice_sum(orders, args, cap) - ref) <= 1e-11
+
+
+def _log1m_degree8(w):
+    # log1m before its degree tiers: the series through w^8/8 below 1e-4
+    if abs(w) < 1e-4:
+        return -w * (1 + w * (1 / 2 + w * (1 / 3 + w * (1 / 4 + w * (
+            1 / 5 + w * (1 / 6 + w * (1 / 7 + w * (1 / 8))))))))
+    return cmath.log(1 - w)
+
+
+def _product_log_sum_reference(orders, args, degree_cap):
+    # The kernel before the row weight was hoisted: the head weight w is
+    # applied to every term, and log1m is the degree-8 series. Returns
+    # (value, count, sum of |terms|); the last sets the rounding scale.
+    n = len(orders)
+    mu = _decay_ratios(args)
+    axes = sorted(range(n), key=mu.__getitem__, reverse=True)
+    mu = [mu[i] for i in axes]
+    later = [math.fsum(mu[i + 1:]) for i in range(n)]
+    slack = 1e-9 * degree_cap
+    tops = [max(0, int(degree_cap / m)) + 1 for m in mu]
+    ln = [0.0] + [math.log(k) for k in range(1, tops[-1] + 1)]
+    weights = [[cmath.exp(-complex(orders[i]) * lk) for lk in ln[:top + 1]]
+               for i, top in zip(axes, tops)]
+    powers = [[complex(args[i]) ** k for k in range(top + 1)] for i, top in zip(axes, tops)]
+    wb, pb = weights[-1], powers[-1]
+    re_parts, im_parts = [], []
+    count, magnitude = 0, 0.0
+
+    def rows(i, g, budget, w, p):
+        nonlocal count, magnitude
+        if i == n - 1:
+            row = [w * wb[b] * _log1m_degree8(p * pb[b])
+                   for b in range(1, int(budget + slack) + 1) if math.gcd(g, b) == 1]
+            count += len(row)
+            magnitude += math.fsum(abs(z) for z in row)
+            re_parts.append(math.fsum([z.real for z in row]))
+            im_parts.append(math.fsum([z.imag for z in row]))
+            return
+        for a in range(1, int((budget - later[i] + slack) / mu[i]) + 1):
+            rows(i + 1, math.gcd(g, a), budget - a * mu[i], w * weights[i][a], p * powers[i][a])
+
+    rows(0, 0, float(degree_cap), 1.0, 1.0)
+    return 0j - complex(math.fsum(re_parts), math.fsum(im_parts)), count, magnitude
+
+
+def test_product_log_sum_matches_the_per_term_weight_kernel():
+    # Hoisting the row weight and cutting log1m's series at the degree |w|
+    # needs move each value by a few u of its terms' sizes and no more.
+    u = 2.0 ** -53
+    rng = random.Random(8123)
+    draws = []
+    for n, radius, top, count in ((2, 0.9, 120, 24), (3, 0.7, 40, 10), (4, 0.5, 20, 6)):
+        for _ in range(count):
+            free = [complex(rng.uniform(-1, 2), rng.uniform(-20, 20)) for _ in range(n - 1)]
+            orders = free + [1 - sum(free)]
+            args = [_rand_disk(rng, radius) for _ in range(n)]
+            draws.append((orders, args, rng.randint(n, top)))
+    for orders, args, level in draws:
+        value, count = product_log_sum(orders, args, level)
+        ref, ref_count, magnitude = _product_log_sum_reference(orders, args, level)
+        assert count == ref_count, (orders, args, level)
+        assert abs(value - ref) <= 8 * u * magnitude, (orders, args, level)
 
 
 def test_product_log_sum_rejects_mismatched_shapes():
