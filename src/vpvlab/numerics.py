@@ -1,6 +1,7 @@
-"""Shared numeric kernels: compensated summation, the arithmetic the
-series loops run in, accurate log(1-w), geometric-dominance tail bounds,
-and Euler-Maclaurin Dirichlet tails.
+"""Shared numeric kernels: compensated and exact summation, the
+arithmetic the series loops run in, the shared ln k table, accurate
+log(1-w), geometric-dominance tail bounds, and Euler-Maclaurin Dirichlet
+tails.
 
 Everything here is stated once and reused by the series and product
 evaluators, in every dimension.
@@ -10,22 +11,48 @@ from __future__ import annotations
 import cmath
 import contextlib
 import math
+from array import array
 from fractions import Fraction
+from itertools import chain, count, islice
+from operator import attrgetter
 
 # Smallest positive bound reported instead of 0.0 when an underflowed
 # tail is known to be far below representable magnitudes.
 TINY_BOUND = 1e-300
+# Hard ceiling on summed terms per series; the ln k table grows no further.
+TERM_CAP = 10_000_000
+# Terms that _Double.fsum holds at once; each block's sum is rounded once.
+_BLOCK = 1 << 12
 
-# B_2, B_4, ..., B_14 as exact rationals.
-_BERNOULLI = (
-    Fraction(1, 6),
-    Fraction(-1, 30),
-    Fraction(1, 42),
-    Fraction(-1, 30),
-    Fraction(5, 66),
-    Fraction(-691, 2730),
-    Fraction(7, 6),
-)
+# ln k at index k (index 0 holds 0.0), grown by log_table on first need.
+_LN = array("d", (0.0,))
+# B_0, B_2, B_4, ... as exact rationals, grown by _bernoulli on first need.
+_BERNOULLI = [Fraction(1)]
+_REAL, _IMAG = attrgetter("real"), attrgetter("imag")
+
+
+def log_table(n: int) -> array:
+    """An array('d') holding ln k at index k for 0 <= k <= n (index 0
+    holds 0.0), each entry math.log(k).
+
+    Up to TERM_CAP this is one shared table (8 bytes per entry) that grows
+    to the largest n asked for; past it the call gets a table of its own.
+    """
+    if n > TERM_CAP:
+        return array("d", chain((0.0,), map(math.log, range(1, n + 1))))
+    if len(_LN) <= n:
+        _LN.extend(map(math.log, range(len(_LN), n + 1)))
+    return _LN
+
+
+def _bernoulli(j: int) -> Fraction:
+    """B_2j, from sum_{i<=j} C(2j+1, 2i) B_2i = (2j + 1)/2 (the recurrence
+    sum_{k<=m} C(m+1, k) B_k = 0 at m = 2j, with B_1 = -1/2)."""
+    while len(_BERNOULLI) <= j:
+        m = len(_BERNOULLI)
+        head = sum(math.comb(2 * m + 1, 2 * i) * b for i, b in enumerate(_BERNOULLI))
+        _BERNOULLI.append((Fraction(2 * m + 1, 2) - head) / (2 * m + 1))
+    return _BERNOULLI[j]
 
 
 class KahanSum:
@@ -62,6 +89,18 @@ class _Double:
     @staticmethod
     def workdps(dps):
         return contextlib.nullcontext()
+
+    @staticmethod
+    def fsum(terms) -> complex:
+        """Sum of complex terms, each part summed exactly by math.fsum over
+        blocks of _BLOCK terms together with the running total, so a sum
+        rounds once per block and holds one block at a time."""
+        re = im = 0.0
+        terms = iter(terms)
+        while block := list(islice(terms, _BLOCK)):
+            re = math.fsum(chain((re,), map(_REAL, block)))
+            im = math.fsum(chain((im,), map(_IMAG, block)))
+        return complex(re, im)
 
 
 def arithmetic(dps):
@@ -147,14 +186,33 @@ def first_within(bound, tol: float, start: int, stop: int):
     return hi, value
 
 
-def dirichlet_tail(s, start: int):
+def _em_heads(s):
+    """B_2j/(2j)! (s)_(2j-1), j = 1, 2, ..., in the arithmetic of s: times
+    n^(-s-2j+1), the j-th Euler-Maclaurin correction of sum_{k >= n} k^-s.
+    In double precision they stop where (2j)! leaves the float range
+    (j = 86)."""
+    poch = s
+    for j in count(1):
+        b = _bernoulli(j)
+        try:
+            coefficient = type(s)(b.numerator) / b.denominator / math.factorial(2 * j)
+        except OverflowError:
+            return
+        yield coefficient * poch
+        poch *= (s + 2 * j - 1) * (s + 2 * j)
+
+
+def dirichlet_tail(s, start: int, tol=math.inf):
     """(value, remainder_bound) for sum_{k >= start} k^-s with real s > 1,
     computed in the arithmetic of s (float or mpf).
 
-    Euler-Maclaurin: integral term, half term, then Bernoulli correction
-    terms through B_12. The remainder bound is the magnitude of the
-    first omitted correction, the B_14 one (the classical
-    alternating-remainder result for real s).
+    Euler-Maclaurin: integral term, half term, then the Bernoulli
+    corrections through B_12, and one more for as long as the first
+    omitted correction exceeds tol and the next one is smaller and not 0
+    (an underflow, or the end of the corrections in double). The
+    remainder bound is the magnitude of the first omitted correction:
+    every even derivative of x^-s is positive, so the classical
+    alternating-remainder result holds at any number of corrections.
     """
     if start < 1:
         raise ValueError("start must be >= 1")
@@ -162,14 +220,19 @@ def dirichlet_tail(s, start: int):
         raise ValueError("dirichlet_tail requires s > 1")
     n = type(s)(start)
     val = n ** (1 - s) / (s - 1) + 0.5 * n ** -s
-    poch = s
-    *corrections, omitted = (type(s)(b.numerator) / b.denominator for b in _BERNOULLI)
-    for j, b2j in enumerate(corrections, 1):
-        val += b2j / math.factorial(2 * j) * poch * n ** (-s - 2 * j + 1)
-        poch *= (s + 2 * j - 1) * (s + 2 * j)
-    m = len(corrections)
-    rem = abs(omitted) / math.factorial(2 * m + 2) * poch * n ** (-s - 2 * m - 1)
-    return val, rem
+    heads = _em_heads(s)
+    for j, head in enumerate(islice(heads, 6), 1):
+        val += head * n ** (-s - 2 * j + 1)
+    m = 6  # with m corrections summed, the first omitted one carries n^(-s-2m-1)
+    omitted = next(heads) * n ** (-s - 2 * m - 1)
+    while not abs(omitted) <= tol:
+        m += 1  # try one more: the omitted correction is summed if the next is smaller
+        following = next(heads, 0) * n ** (-s - 2 * m - 1)
+        if not 0 < abs(following) < abs(omitted):
+            break
+        val += omitted
+        omitted = following
+    return val, abs(omitted)
 
 
 def require_finite(value: complex, where: str) -> complex:

@@ -12,13 +12,17 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate, chain, islice, repeat
+from operator import mul
 
 from .errors import ComputationError, DomainError, NonConvergence
 from .numerics import (
+    TERM_CAP,
     KahanSum,
     arithmetic,
     dirichlet_tail,
     first_within,
+    log_table,
     power_geometric_tail,
     require_finite,
 )
@@ -27,8 +31,6 @@ from .numerics import (
 EPS_DOMAIN = 1e-3
 # Real zeta orders must exceed 1 by this margin.
 EPS_ZETA = 1e-3
-# Hard ceiling on summed terms per series; exceeding it is an error.
-TERM_CAP = 10_000_000
 # A complex modulus past exp(710.5) > sqrt(2) * max float has a part that overflows.
 _LOG_PAST_FLOAT_RANGE = 710.5
 
@@ -102,7 +104,11 @@ def polylog_partial(s: complex, z: complex, n_terms: int, *, dps: int | None = N
     in double precision or, with dps, in mpmath at dps digits.
 
     No domain or tolerance logic; polylog returns this sum at its
-    stopping index. Kahan-compensated, as KahanSum.add, inlined.
+    stopping index. The terms run through C-level iterators: z^k by
+    repeated products, k^-s = exp(-s ln k) with ln k from the shared
+    table (in double; per call with mpmath's log in extended), and term 1
+    is z itself. ctx.fsum sums them: exactly per part within blocks in
+    double, exactly in mpmath.
 
     Raises:
         ComputationError: a double term k^-s overflows (-Re s ln k past ~709).
@@ -110,21 +116,18 @@ def polylog_partial(s: complex, z: complex, n_terms: int, *, dps: int | None = N
     ctx = arithmetic(dps)
     with ctx.workdps(dps):
         s, z = ctx.mpc(s), ctx.mpc(z)
-        total = comp = ctx.mpc(0)
-        zk = ctx.mpc(1)
+        if dps is None:
+            logs = islice(log_table(n_terms), 2, n_terms + 1)
+        else:
+            logs = map(ctx.log, range(2, n_terms + 1))
+        powers = accumulate(repeat(z, n_terms), mul)
+        terms = chain(islice(powers, 1), map(mul, powers, map(ctx.exp, map((-s).__mul__, logs))))
         try:
-            for k in range(1, n_terms + 1):
-                zk *= z
-                term = zk if k == 1 else zk * ctx.exp(-s * ctx.log(k))
-                y = term - comp
-                t = total + y
-                comp = (t - total) - y
-                total = t
+            return ctx.fsum(terms)
         except OverflowError:
             raise ComputationError(
-                f"Li_s(z) series term overflows at k = {k} for s = {s!r}"
+                f"Li_s(z) series term k^-s leaves the float range for some k <= {n_terms} at s = {s!r}"
             ) from None
-        return total
 
 
 @lru_cache(maxsize=None)
@@ -242,8 +245,10 @@ def zeta_real(
 
     The head sum_{k < N} k^-s is summed directly and the tail from N is
     evaluated by Euler-Maclaurin corrections; the reported tail_bound is
-    the classical first-omitted-correction remainder bound. N adapts
-    upward until the bound meets tol. Direct summation alone cannot
+    the classical first-omitted-correction remainder bound. From N = 16
+    and six corrections, dirichlet_tail adds corrections while they still
+    shrink, and N doubles only when they stop shrinking before the bound
+    meets tol. Direct summation alone cannot
     reach 1e-12 for s = 2 within any sane term budget, which is why the
     corrected tail is used.
 
@@ -263,7 +268,7 @@ def zeta_real(
         sc = ctx.mpf(s)
         n = 16
         while True:
-            tail_val, rem = dirichlet_tail(sc, n)
+            tail_val, rem = dirichlet_tail(sc, n, tol)
             if rem <= tol:
                 break
             n *= 2

@@ -22,7 +22,7 @@ from functools import partial
 from typing import Callable, Optional, Sequence
 
 from .errors import ComputationError, DomainError, TailBoundExceedsTol
-from .numerics import KahanSum, first_within, log1m, power_geometric_tail, require_finite
+from .numerics import KahanSum, first_within, log1m, log_table, power_geometric_tail, require_finite
 from .polylog import EPS_DOMAIN, EPS_ZETA, polylog, polylog_neg_int, zeta_real
 
 # Largest degree cap verify() will consider.
@@ -252,10 +252,6 @@ def _pow_table(base: complex, cap: int) -> list[complex]:
     return [base ** k for k in range(cap + 1)]
 
 
-def _log_table(cap: int) -> list[float]:
-    return [0.0] + [math.log(k) for k in range(1, cap + 1)]
-
-
 def product_log_sum(
     orders: Sequence[complex], args: Sequence[complex], degree_cap: int
 ) -> tuple[complex, int]:
@@ -292,7 +288,7 @@ def product_log_sum(
     # is lost; at equal moduli every budget is an exact integer
     slack = 1e-9 * degree_cap
     tops = [max(0, int(degree_cap / m)) + 1 for m in mu]
-    ln = _log_table(tops[-1])
+    ln = log_table(tops[-1])
     weights = [[cmath.exp(-complex(orders[i]) * lk) for lk in ln[:top + 1]]
                for i, top in zip(axes, tops)]
     powers = [_pow_table(complex(args[i]), top) for i, top in zip(axes, tops)]
@@ -388,10 +384,11 @@ def _zeta_mode_log_sum(
     sr = complex(s).real
     yp = _pow_table(complex(y), b_cap)
     c = _coprime_factors(sr, b_cap)
+    ln = log_table(b_cap)
     acc = KahanSum()
     weight = 0.0
     for b in range(1, b_cap + 1):
-        f = -cmath.exp(-t * math.log(b)) * log1m(yp[b]) if b > 1 else -log1m(yp[1])
+        f = -cmath.exp(-t * ln[b]) * log1m(yp[b]) if b > 1 else -log1m(yp[1])
         acc.add(f * c[b])
         weight += abs(f) * c[b]
     zeta = zeta_real(sr, 1e-15 / max(1.0, weight))

@@ -9,7 +9,10 @@ import cmath
 import math
 import random
 import sys
+import time
+import tracemalloc
 from fractions import Fraction
+from operator import attrgetter
 
 import mpmath
 import pytest
@@ -27,6 +30,7 @@ from vpvlab import (
     rhs_factors,
     zeta_real,
 )
+from vpvlab import numerics
 from vpvlab.numerics import KahanSum, dirichlet_tail, log1m, power_geometric_tail
 from vpvlab.polylog import _gaussian_power, _neg_order_log_floor, _neg_order_poly, polylog_partial
 
@@ -335,29 +339,52 @@ def test_stopping_index_same_in_extended_precision():
         polylog(s, z, 1e-12, term_cap=10, dps=30)
 
 
-def _polylog_partial_reference(s, z, n_terms):
-    # The loop polylog_partial had before the double and extended paths
-    # were merged: Kahan compensation written out part by part. The
-    # merged loop compensates whole complex values and must agree with
-    # it bit for bit.
+@settings(derandomize=True, database=None, max_examples=30, deadline=None)
+@given(
+    st.floats(-2, 3),
+    st.floats(-100, 100),
+    st.floats(0.9, 0.999),
+    st.floats(-math.pi, math.pi),
+)
+def test_polylog_within_the_bench_allowance_of_mpmath(sigma, height, modulus, phase):
+    # The benchmark's criterion near the unit circle, where the series is
+    # longest: |value - Li_s(z)| <= tail_bound + gamma_n S_n against
+    # 30-digit mpmath, with S_n = sum_{k<=n} |z|^k k^-Re s, in double
+    # precision and at dps = 30. mpmath's polylog loses every digit within
+    # about 1e-25 of an integer order (at s = 1e-30 i, z = .95 it is off
+    # by 1.9e-7), so such orders are left out, and integers stay in.
+    s, z = complex(sigma, height), cmath.rect(modulus, phase)
+    assume(s == round(sigma) or abs(s - round(sigma)) > 1e-15)
+    with mpmath.workdps(30):
+        ref = complex(mpmath.polylog(mpmath.mpc(s), mpmath.mpc(z)))
+    for dps in (None, 30):
+        res = polylog(s, z, 1e-12, dps=dps)
+        n = res.terms_used
+        total = math.fsum(modulus ** k * k ** -sigma for k in range(1, n + 1))
+        assert abs(complex(res.value) - ref) <= res.tail_bound + _gamma(n) * total, (s, z, dps)
+
+
+def _polylog_partial_terms(s, z, n_terms):
+    # The terms of the per-term loop polylog_partial had before its
+    # iterator pipeline: z^k by repeated products from 1, and k^-s from
+    # math.log(k) for every k > 1.
     s, z = complex(s), complex(z)
-    re = im = cre = cim = 0.0
     zk = 1 + 0j
+    terms = []
     for k in range(1, n_terms + 1):
         zk *= z
-        term = zk if k == 1 else zk * cmath.exp(-s * math.log(k))
-        y = term.real - cre
-        t = re + y
-        cre = (t - re) - y
-        re = t
-        y = term.imag - cim
-        t = im + y
-        cim = (t - im) - y
-        im = t
-    return complex(re, im)
+        terms.append(zk if k == 1 else zk * cmath.exp(-s * math.log(k)))
+    return terms
+
+
+def _exact_sum(terms):
+    # each part summed exactly and rounded once
+    return complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
 
 
 def test_polylog_partial_matches_the_per_part_loop():
+    # Below one block, the pipeline's value is the exact per-part sum of
+    # the per-term loop's terms, rounded once, with every term the same.
     rng = random.Random(6150)
     for i in range(240):
         s = complex(rng.uniform(-4, 4), rng.uniform(-30, 30))
@@ -365,7 +392,44 @@ def test_polylog_partial_matches_the_per_part_loop():
             s = complex(round(s.real))  # integer orders, real terms on the real axis
         z = 0.999 * math.sqrt(rng.random()) * cmath.exp(2j * math.pi * rng.random())
         n = rng.randrange(1, 600)
-        assert polylog_partial(s, z, n) == _polylog_partial_reference(s, z, n), (s, z, n)
+        assert polylog_partial(s, z, n) == _exact_sum(_polylog_partial_terms(s, z, n)), (s, z, n)
+
+
+def test_polylog_partial_rounds_once_per_block():
+    # Past three blocks the running total of each part is rounded once
+    # per block, and the reference rounds the exact per-part sum once:
+    # they differ by at most u times the totals after each block and
+    # the total once more (u = 2^-53).
+    s, z = complex(0.5, 37.0), 0.9999 * cmath.exp(0.3j)
+    n = 3 * numerics._BLOCK + 1234
+    terms = _polylog_partial_terms(s, z, n)
+    got, want = polylog_partial(s, z, n), _exact_sum(terms)
+    ends = range(numerics._BLOCK, n + numerics._BLOCK, numerics._BLOCK)
+    for part in (attrgetter("real"), attrgetter("imag")):
+        values = [part(t) for t in terms]
+        totals = [abs(math.fsum(values[:end])) for end in ends]
+        allowed = 2.0 ** -53 * (sum(totals) + totals[-1])
+        assert abs(part(got) - part(want)) <= allowed
+
+
+def test_polylog_partial_holds_one_block_of_terms(monkeypatch):
+    # The sum streams through blocks: its peak allocation is a small
+    # multiple of one block's complex terms (a complex object and its
+    # list slot), at the default block and at a 4 times smaller one,
+    # while the series has 200,000 terms. The shared ln k table is grown
+    # before tracing.
+    n = 200_000
+    s, z = complex(0.5, 14.1), 0.99995 * cmath.exp(2.0j)
+    numerics.log_table(n)
+    for block in (numerics._BLOCK, numerics._BLOCK // 4):
+        monkeypatch.setattr(numerics, "_BLOCK", block)
+        tracemalloc.start()
+        try:
+            polylog_partial(s, z, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * block * (32 + 8), block
 
 
 def test_kahan_sum_matches_the_per_part_update():
@@ -418,6 +482,60 @@ def test_zeta_special_values():
     assert abs(zeta_real(2.0, 1e-13).value - math.pi**2 / 6) <= 1e-13
     assert abs(zeta_real(4.0, 1e-13).value - math.pi**4 / 90) <= 1e-13
     assert abs(zeta_real(3.0, 1e-13).value - ZETA3) <= 1e-13
+
+
+def test_bernoulli_numbers_are_exact():
+    # B_2 .. B_14 as every table prints them, then mpmath's exact
+    # rationals up to B_120
+    table = [Fraction(1, 6), Fraction(-1, 30), Fraction(1, 42), Fraction(-1, 30),
+             Fraction(5, 66), Fraction(-691, 2730), Fraction(7, 6)]
+    assert [numerics._bernoulli(j) for j in range(1, 8)] == table
+    for j in range(8, 61):
+        assert numerics._bernoulli(j) == Fraction(*mpmath.bernfrac(2 * j)), j
+
+
+def test_double_zeta_keeps_six_corrections_where_they_meet_tol():
+    # Where N = 16 with B_2 .. B_12 already meets tol, zeta_real returns
+    # the head k < 16 plus that six-correction tail, and its bound.
+    rng = random.Random(5521)
+    for _ in range(100):
+        s, tol = rng.uniform(1.01, 12), 10 ** rng.uniform(-15, -6)
+        tail, rem = dirichlet_tail(s, 16)
+        assert rem <= tol
+        head = KahanSum(0.0)
+        for k in range(1, 16):
+            head.add(float(k) ** -s)
+        res = zeta_real(s, tol)
+        assert (res.value, res.terms_used, res.tail_bound) == (head.value + tail, 15, rem), (s, tol)
+
+
+def test_zeta_adds_corrections_before_doubling_the_head():
+    # Six corrections at N = 16 leave 1.0e-18 at s = 2. Further ones keep
+    # the head at 15 terms down to 1e-40 (the corrections shrink until
+    # j is about 2 pi N), and the value stays within its bound plus
+    # rounding (a few u of zeta(2)).
+    for tol in (1e-22, 1e-30, 1e-40):
+        res = zeta_real(2.0, tol)
+        assert res.terms_used == 15 and res.tail_bound <= tol
+        assert abs(res.value - math.pi ** 2 / 6) <= res.tail_bound + 4 * _U * res.value
+    # In double the corrections end where (2j)! leaves the float range
+    # (j = 86), and no correction certifies 1e-300 before that.
+    with pytest.raises(NonConvergence):
+        zeta_real(2.0, 1e-300)
+    # The extended audit's setting: 15 head terms where six corrections
+    # took 127. At dps = 100 six corrections took 2,097,151 terms (41 s).
+    assert zeta_real(3.0, 1e-28, dps=30).terms_used == 15
+    t0 = time.perf_counter()
+    res = zeta_real(3.0, 1e-98, dps=100)
+    assert time.perf_counter() - t0 < 1.0
+    with mpmath.workdps(110):
+        assert abs(res.value - mpmath.zeta(3)) <= res.tail_bound <= 1e-98
+    # dirichlet_tail's bound against the exact tail from 16 at 60 digits
+    with mpmath.workdps(60):
+        s = mpmath.mpf(3)
+        tail, rem = dirichlet_tail(s, 16, mpmath.mpf("1e-40"))
+        exact = mpmath.zeta(s) - mpmath.fsum(mpmath.mpf(k) ** -s for k in range(1, 16))
+        assert abs(tail - exact) <= rem <= mpmath.mpf("1e-40")
 
 
 def test_zeta_domain_checks():
