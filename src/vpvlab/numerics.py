@@ -21,8 +21,12 @@ from operator import attrgetter
 TINY_BOUND = 1e-300
 # Hard ceiling on summed terms per series; the ln k table grows no further.
 TERM_CAP = 10_000_000
-# Terms that _Double.fsum holds at once; each block's sum is rounded once.
+# Terms that _Double.fsum and the lattice kernel (products.product_log_sum)
+# hold at once; each block's sum is rounded once.
 _BLOCK = 1 << 12
+# log1m sums its series below this |w| and calls cmath.log from it up; the
+# lattice kernel sums the rows' series tails below it (products.product_log_sum).
+LOG1M_SERIES_MAX = 1e-4
 
 # ln k at index k (index 0 holds 0.0), grown by log_table on first need.
 _LN = array("d", (0.0,))
@@ -116,9 +120,10 @@ def arithmetic(dps):
 def log1m(w: complex) -> complex:
     """log(1 - w) on the principal branch, accurate for small |w|.
 
-    1 - w rounds once |w| nears machine epsilon, so below |w| = 1e-4 this
-    sums -(w + w^2/2 + ... + w^d/d) to the first degree d whose dropped
-    part, at most |w|^d/(d+1) relative, is under u/4 (u = 2^-53). Each
+    1 - w rounds once |w| nears machine epsilon, so below
+    |w| = LOG1M_SERIES_MAX (1e-4) this sums -(w + w^2/2 + ... + w^d/d) to
+    the first degree d whose dropped part, at most |w|^d/(d+1) relative,
+    is under u/4 (u = 2^-53), and from it up takes cmath.log(1 - w). Each
     tier ends at ((d+1) u/4)^(1/d), rounded down; degree 4 holds to 1.08e-4.
     """
     a = abs(w)
@@ -126,7 +131,7 @@ def log1m(w: complex) -> complex:
         return -w if a < 5.5e-17 else -w * (1 + w * 0.5)
     if a < 4.8e-6:
         return -w * (1 + w * (1 / 2 + w * (1 / 3)))
-    if a < 1e-4:
+    if a < LOG1M_SERIES_MAX:
         return -w * (1 + w * (1 / 2 + w * (1 / 3 + w * (1 / 4))))
     return cmath.log(1 - w)
 

@@ -17,12 +17,23 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 from functools import partial
+from operator import mul, neg, sub
 from typing import Callable, Optional, Sequence
 
 from .errors import ComputationError, DomainError, TailBoundExceedsTol
-from .numerics import KahanSum, first_within, log1m, log_table, power_geometric_tail, require_finite
+from .numerics import (
+    _BLOCK,
+    LOG1M_SERIES_MAX,
+    KahanSum,
+    first_within,
+    log1m,
+    log_table,
+    power_geometric_tail,
+    require_finite,
+)
 from .polylog import EPS_DOMAIN, EPS_ZETA, polylog, polylog_neg_int, zeta_real
 
 # Largest degree cap verify() will consider.
@@ -252,6 +263,45 @@ def _pow_table(base: complex, cap: int) -> list[complex]:
     return [base ** k for k in range(cap + 1)]
 
 
+def _smallest_prime_factors(cap: int) -> list[int]:
+    """The smallest prime factor of each k in 2 .. cap, at index k.
+
+    Each p writes its multiples from p^2 on, the largest p first, so the
+    last write to k is from the least divisor p > 1 with p^2 <= k, which
+    is prime; a prime k keeps k.
+    """
+    spf = list(range(cap + 1))
+    for p in range(math.isqrt(cap), 1, -1):
+        spf[p * p::p] = [p] * len(range(p * p, cap + 1, p))
+    return spf
+
+
+def _squarefree_divisors(g: int, spf: Sequence[int], known: dict) -> list[tuple[int, int]]:
+    """(d, mu(d)) for the squarefree d that divide g, from those of g with
+    its smallest prime p taken out; known maps g to its list and holds 1."""
+    if g not in known:
+        p = spf[g]
+        rest = g // p
+        while rest % p == 0:
+            rest //= p
+        smaller = _squarefree_divisors(rest, spf, known)
+        known[g] = smaller + [(d * p, -m) for d, m in smaller]
+    return known[g]
+
+
+def _suffix_tables(q: Sequence[list[complex]], d: int, sign: int) -> tuple:
+    """(K, R_1, ..., R_4) for the multiples of d in q = (Q_1, ..., Q_4),
+    with K = (len(Q_j) - 1) // d.
+
+    R_j[i] is sign times the sum of Q_j[kd] over the i largest k <= K,
+    accumulated from k = K down, so sign times the sum over
+    lo <= k <= hi is R_j[K + 1 - lo] - R_j[K - hi].
+    """
+    k = (len(q[0]) - 1) // d
+    step = None if sign > 0 else sub  # None: accumulate's own addition
+    return (k, *(list(itertools.accumulate(qj[k * d:0:-d], step, initial=0j)) for qj in q))
+
+
 def product_log_sum(
     orders: Sequence[complex], args: Sequence[complex], degree_cap: int
 ) -> tuple[complex, int]:
@@ -268,11 +318,22 @@ def product_log_sum(
     At equal moduli every mu_i is 1.0 and the region is the diagonal
     a_1 + ... + a_n <= degree_cap that lattice.visible_points enumerates.
 
-    The walk fixes the other coordinates (the head) and runs along one
-    row of the slowest axis, whose rows are the longest. A point is
-    visible exactly when gcd(gcd(head), b) = 1, so a row with a coprime
-    head skips the test. Each row's exact fsum is multiplied once by
-    its head's weight, and the row partials are summed exactly too.
+    The walk fixes the other coordinates (the head, with weight w, power
+    p and gcd g) and runs along one row b = 1 .. top of the slowest axis
+    (weight c_b = b^-t, power y^b), whose rows are the longest. A point
+    is visible exactly when gcd(g, b) = 1. With |y| < 1, |p y^b| falls
+    along the row, and from the first b0 where it is below
+    LOG1M_SERIES_MAX on, log1m is the series -(w + w^2/2 + w^3/3 + w^4/4).
+    So the row's tail b0 .. top is -sum_j p^j/j T_j with
+    T_j = sum of Q_j[b] = c_b y^(jb) over its b coprime to g, which by
+    Moebius inversion is the sum over the squarefree d | g, d <= top, of
+    mu(d) times the sum of Q_j over the multiples of d in b0 .. top: a
+    difference of two suffix sums (_suffix_tables), built once per call
+    and per d.
+    The head b < b0 (the whole row when |y| >= 1) is summed term by
+    term. Every head term and every row's tail is multiplied once by w,
+    and the products are summed exactly, rounding once per _BLOCK of
+    them.
     """
     n = len(orders)
     if n < 2 or len(args) != n:
@@ -294,28 +355,64 @@ def product_log_sum(
     powers = [_pow_table(complex(args[i]), top) for i, top in zip(axes, tops)]
     gcd = math.gcd
     fsum = math.fsum
+    log = cmath.log
     wb, pb = weights[-1], powers[-1]
+    falls = abs(complex(args[axes[-1]])) < 1.0
+    if falls:
+        # -|y^b| ascends, so a bisection finds each row's b0
+        descent = list(map(neg, map(abs, pb)))
+        q = [list(map(mul, wb, pb))]
+        for _ in range(3):
+            q.append(list(map(mul, q[-1], pb)))
+        spf = _smallest_prime_factors(max(tops[:-1]))
+    cut = -LOG1M_SERIES_MAX
+    divisors = {1: [(1, 1)]}  # g -> _squarefree_divisors(g)
+    tables = {}  # d -> _suffix_tables(q, d, mu(d))
     parts = []
     count = 0
-
-    def rows(i, g, budget, w, p):
+    # a stack, not a recursive closure: a closure that calls itself is a
+    # reference cycle, which would keep every table alive until the
+    # cyclic collector runs
+    stack = [(0, 0, float(degree_cap), 1.0, 1.0)]
+    while stack:
         # coordinates before axis i are fixed: g is their gcd, budget what
         # is left of the level, w and p their weight and power products
-        nonlocal count
-        if i == n - 1:
-            top = int(budget + slack)
-            if g == 1:
-                row = [wb[b] * log1m(p * pb[b]) for b in range(1, top + 1)]
-            else:
-                row = [wb[b] * log1m(p * pb[b]) for b in range(1, top + 1) if gcd(g, b) == 1]
-            count += len(row)
-            parts.append(w * complex(fsum([z.real for z in row]), fsum([z.imag for z in row])))
-            return
-        m, wi, pi = mu[i], weights[i], powers[i]
-        for a in range(1, int((budget - later[i] + slack) / m) + 1):
-            rows(i + 1, gcd(g, a), budget - a * m, w * wi[a], p * pi[a])
-
-    rows(0, 0, float(degree_cap), 1.0, 1.0)
+        i, g, budget, w, p = stack.pop()
+        if i < n - 1:
+            m, wi, pi = mu[i], weights[i], powers[i]
+            stack.extend((i + 1, gcd(g, a), budget - a * m, w * wi[a], p * pi[a])
+                         for a in range(1, int((budget - later[i] + slack) / m) + 1))
+            continue
+        top = int(budget + slack)
+        if falls:
+            ap = abs(p)
+            b0 = bisect_right(descent, cut / ap, 1, top + 1) if ap else 1
+            # |p y^b| >= LOG1M_SERIES_MAX here, where log1m is cmath.log
+            head = [w * (wb[b] * log(1 - p * pb[b])) for b in range(1, b0) if gcd(g, b) == 1]
+        else:
+            b0 = top + 1
+            head = [w * (wb[b] * log1m(p * pb[b])) for b in range(1, b0) if gcd(g, b) == 1]
+        count += len(head)
+        parts += head
+        if len(parts) > _BLOCK:
+            # fold the list into its sum, so it holds one block of products
+            parts = [complex(fsum([z.real for z in parts]), fsum([z.imag for z in parts]))]
+        if b0 > top:
+            continue
+        t1 = t2 = t3 = t4 = 0j
+        for d, sign in _squarefree_divisors(g, spf, divisors):
+            if d > top:
+                continue
+            if d not in tables:
+                tables[d] = _suffix_tables(q, d, sign)
+            k, r1, r2, r3, r4 = tables[d]
+            lo, hi = k - (b0 - 1) // d, k - top // d
+            count += sign * (lo - hi)
+            t1 += r1[lo] - r1[hi]
+            t2 += r2[lo] - r2[hi]
+            t3 += r3[lo] - r3[hi]
+            t4 += r4[lo] - r4[hi]
+        parts.append(-w * p * (t1 + p * (t2 * 0.5 + p * (t3 * (1 / 3) + p * (t4 * 0.25)))))
     # 0j - total, not -total: a zero part stays +0.0, as in a running sum
     value = 0j - complex(fsum([z.real for z in parts]), fsum([z.imag for z in parts]))
     return require_finite(value, "product_log_sum"), count

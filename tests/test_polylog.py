@@ -31,7 +31,7 @@ from vpvlab import (
     zeta_real,
 )
 from vpvlab import numerics
-from vpvlab.numerics import KahanSum, dirichlet_tail, log1m, power_geometric_tail
+from vpvlab.numerics import LOG1M_SERIES_MAX, KahanSum, dirichlet_tail, log1m, power_geometric_tail
 from vpvlab.polylog import _gaussian_power, _neg_order_log_floor, _neg_order_poly, polylog_partial
 
 # Frozen oracle values (1e7-term partial sums, double precision).
@@ -582,7 +582,7 @@ def test_log1m_accuracy_small_and_moderate():
 
 _U = 2.0 ** -53
 # log1m's tier ends: the series degree steps from 1 to 4, then cmath.log
-_LOG1M_EDGES = (5.5e-17, 9.1e-9, 4.8e-6, 1e-4)
+_LOG1M_EDGES = (5.5e-17, 9.1e-9, 4.8e-6, LOG1M_SERIES_MAX)
 
 
 @settings(derandomize=True, database=None, max_examples=800)
@@ -599,7 +599,7 @@ def test_log1m_series_is_within_3u_of_mpmath(modulus, phase):
     # dropped part is under u/4, and the rest is the rounding of one
     # complex product and one addition.
     w = cmath.rect(modulus, phase)
-    assume(1e-300 <= abs(w) < 1e-4)
+    assume(1e-300 <= abs(w) < LOG1M_SERIES_MAX)
     with mpmath.workdps(40):
         ref = mpmath.log1p(-mpmath.mpc(w))
         err = abs(mpmath.mpc(log1m(w)) - ref) / abs(ref)

@@ -1,13 +1,17 @@
 """Product-log evaluator, RHS assembly, oracle, and report tests."""
 
 import cmath
+import gc
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vpvlab import (
     DomainError,
@@ -29,6 +33,7 @@ from vpvlab import (
     visible_points,
     zeta_real,
 )
+from vpvlab.numerics import log_table
 from vpvlab.products import _decay_ratios, tail_bound_2d, tail_bound_3d
 
 
@@ -579,6 +584,98 @@ def test_product_log_sum_matches_the_per_term_weight_kernel():
         ref, ref_count, magnitude = _product_log_sum_reference(orders, args, level)
         assert count == ref_count, (orders, args, level)
         assert abs(value - ref) <= 8 * u * magnitude, (orders, args, level)
+
+
+def _assert_matches_reference(orders, args, level):
+    # The count is exact; the value may move by a few u of the sum of
+    # |terms| (u = 2^-53), the scale of the rounding of any one term.
+    value, count = product_log_sum(orders, args, level)
+    ref, ref_count, magnitude = _product_log_sum_reference(orders, args, level)
+    assert count == ref_count, (orders, args, level)
+    assert abs(value - ref) <= 8 * 2.0 ** -53 * magnitude, (orders, args, level)
+    return value, count
+
+
+@pytest.mark.parametrize("orders, args, level", [
+    # the slow axis (the last of equal decay ratios) is 0: every term is 0
+    ((2.0, -1.0), (0.5, 0.0), 30),
+    ((2.0, 1.5, -2.5), (0.4, 0.6j, 0.0), 12),
+    # a fast axis is 0, so every row has p = 0 and lies wholly in the tail
+    ((2.0, -1.0), (0.0, 0.5), 30),
+    ((2.0, 1.5, -2.5), (0.4, 0.0, 0.6j), 12),
+])
+def test_product_log_sum_with_a_zero_argument(orders, args, level):
+    value, count = _assert_matches_reference(orders, args, level)
+    assert value == 0 and count > 0
+
+
+@pytest.mark.parametrize("orders, args, level", [
+    # |y| >= 1 on the slow axis, so |w| = |x|^a |y|^b rises along each
+    # row and no row has a tail of small |w|: in row a = 1 it runs from
+    # 3e-9 to 0.13, and from 0.15 past 1e4 at |x| = 0.1
+    ((2.0, -1.0), (1e-9, 3.0), 18),
+    ((2.0 + 1j, -1.0 - 1j), (1e-9j, cmath.rect(3.0, 0.7)), 18),
+    ((2.0, -1.0), (0.1, 1.5), 30),
+    ((2.0 + 1j, -1.0 - 1j), (0.1j, cmath.rect(1.0, 0.7)), 40),
+    # a head gcd with four distinct primes: row a = 210 at |x| = |y| = 0.96
+    # has |w| >= 1e-4 for b < 16 and a tail 16 .. 50 over 13 divisors of 210
+    ((2.0 - 3j, -1.0 + 3j), (cmath.rect(0.96, 0.4), cmath.rect(0.96, -1.1)), 260),
+    # rising weights b^4 along the slow axis, peaking near b = 18
+    ((5.0, -4.0), (cmath.rect(0.5, 2.0), cmath.rect(0.8, 0.3)), 300),
+    ((5.0 + 7j, -4.0 - 7j), (cmath.rect(0.8, 1.0), cmath.rect(0.8, -2.5)), 300),
+    # every row wholly in the head: |w| >= 0.99^300 > 1e-4 throughout
+    ((2.0 + 4j, -1.0 - 4j), (cmath.rect(0.99, 0.5), cmath.rect(0.99, 2.0)), 300),
+    # every row from a = 2 on wholly in the tail: |p| <= 1e-6
+    ((3.0, -2.0 + 5j), (1e-3j, cmath.rect(0.5, 1.0)), 60),
+    # 4D, with two rising weights
+    ((-1.0, -0.5 + 2j, 1.5, 1.0 - 2j), (0.4, cmath.rect(0.5, 1.0), -0.45, 0.5j), 24),
+])
+def test_product_log_sum_matches_the_reference_at_the_edges(orders, args, level):
+    _assert_matches_reference(orders, args, level)
+
+
+_DISK_POINT = st.builds(cmath.rect, st.floats(0.0, 0.95), st.floats(-math.pi, math.pi))
+_ORDER = st.builds(complex, st.floats(-6.0, 8.0), st.floats(-20.0, 20.0))
+
+
+@settings(derandomize=True, database=None, max_examples=120, deadline=None)
+@given(st.integers(2, 3).flatmap(lambda n: st.tuples(
+    st.lists(_ORDER, min_size=n - 1, max_size=n - 1),
+    st.lists(_DISK_POINT, min_size=n, max_size=n),
+    st.integers(n, 90 if n == 2 else 24),
+)))
+def test_product_log_sum_matches_the_reference_property(draw):
+    free, args, level = draw
+    _assert_matches_reference(free + [1 - sum(free)], args, level)
+
+
+def test_product_log_sum_leaves_no_reference_cycle():
+    # Every table of a call is freed when it returns, without waiting for
+    # the cyclic collector.
+    calls = [((2.0, -1.0), (0.5, 0.9), 200), ((1.5, 0.5, -1.0), (0.4, 0.5j, 0.8), 30)]
+    gc.collect()
+    gc.disable()
+    try:
+        for orders, args, level in calls:
+            product_log_sum(orders, args, level)
+            assert gc.collect() == 0, (orders, args, level)
+    finally:
+        gc.enable()
+
+
+def test_product_log_sum_holds_one_block_of_products():
+    # 48,677 points, all in row heads (|w| >= 0.99^400): the products are
+    # folded into their sum every 4,096, so the call peaks at 470 kB, not
+    # at one complex per point (3.6 MB measured unfolded).
+    orders, args = (2.0 + 4j, -1.0 - 4j), (cmath.rect(0.99, 0.5), cmath.rect(0.99, 2.0))
+    log_table(401)
+    tracemalloc.start()
+    try:
+        product_log_sum(orders, args, 400)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_product_log_sum_rejects_mismatched_shapes():
