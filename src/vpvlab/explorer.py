@@ -97,7 +97,7 @@ def _averaged_estimate(window: Sequence[float]) -> float:
     return w[0]
 
 
-def euler_zagier_31(tol: float = 1e-10, *, term_cap: int = TERM_CAP) -> SeriesResult:
+def euler_zagier_31(tol: float = 1e-10) -> SeriesResult:
     """Evaluate sum_{m>n>=1} (-1)^(m+n) m^-3 n^-1 with a certified bound.
 
     Grouped by m the series is alternating with decreasing magnitude
@@ -125,9 +125,9 @@ def euler_zagier_31(tol: float = 1e-10, *, term_cap: int = TERM_CAP) -> SeriesRe
         omitted = abs(s_inner) * next_cube
         if m >= 2 and omitted <= tol:
             break
-        if m >= term_cap:
+        if m >= TERM_CAP:
             raise NonConvergence(
-                f"alternating double zeta did not reach tol={tol!r} within {term_cap} terms"
+                f"alternating double zeta did not reach tol={tol!r} within {TERM_CAP} terms"
             )
         m += 1
         sign = -sign

@@ -1,7 +1,6 @@
-"""Shared numeric kernels: compensated and exact summation, the
-arithmetic the series loops run in, the shared ln k table, accurate
-log(1-w), geometric-dominance tail bounds, and Euler-Maclaurin Dirichlet
-tails.
+"""Shared numeric kernels: exact block summation, the arithmetic the
+series loops run in, the shared ln k table, accurate log(1-w),
+geometric-dominance tail bounds, and Euler-Maclaurin Dirichlet tails.
 
 Everything here is stated once and reused by the series and product
 evaluators, in every dimension.
@@ -21,8 +20,7 @@ from operator import attrgetter
 TINY_BOUND = 1e-300
 # Hard ceiling on summed terms per series; the ln k table grows no further.
 TERM_CAP = 10_000_000
-# Terms that _Double.fsum and the lattice kernel (products.product_log_sum)
-# hold at once; each block's sum is rounded once.
+# Terms that exact_sum holds at once; each block's sum is rounded once.
 _BLOCK = 1 << 12
 # log1m sums its series below this |w| and calls cmath.log from it up; the
 # lattice kernel sums the rows' series tails below it (products.product_log_sum).
@@ -59,25 +57,21 @@ def _bernoulli(j: int) -> Fraction:
     return _BERNOULLI[j]
 
 
-class KahanSum:
-    """Compensated accumulator for float, complex or mpmath terms.
+def exact_sum(terms) -> complex:
+    """Sum of complex terms, each part summed exactly by math.fsum over
+    blocks of _BLOCK terms together with the running total, so a sum
+    rounds once per block and holds one block at a time.
 
-    One Kahan update on whole values; complex arithmetic applies it to
-    the real and imaginary parts separately, so long sums stay accurate
-    to a few ulp of the running magnitude in each part.
+    The library sums every series this way in double: the polylog and
+    zeta heads (as _Double.fsum), the lattice kernel and zeta mode. In
+    extended precision mpmath's fsum, which is exact, takes its place.
     """
-
-    __slots__ = ("value", "_comp")
-
-    def __init__(self, start=0j) -> None:
-        # start: the zero of the arithmetic the terms are summed in
-        self.value = self._comp = start
-
-    def add(self, term) -> None:
-        y = term - self._comp
-        t = self.value + y
-        self._comp = (t - self.value) - y
-        self.value = t
+    re = im = 0.0
+    terms = iter(terms)
+    while block := list(islice(terms, _BLOCK)):
+        re = math.fsum(chain((re,), map(_REAL, block)))
+        im = math.fsum(chain((im,), map(_IMAG, block)))
+    return complex(re, im)
 
 
 class _Double:
@@ -94,17 +88,7 @@ class _Double:
     def workdps(dps):
         return contextlib.nullcontext()
 
-    @staticmethod
-    def fsum(terms) -> complex:
-        """Sum of complex terms, each part summed exactly by math.fsum over
-        blocks of _BLOCK terms together with the running total, so a sum
-        rounds once per block and holds one block at a time."""
-        re = im = 0.0
-        terms = iter(terms)
-        while block := list(islice(terms, _BLOCK)):
-            re = math.fsum(chain((re,), map(_REAL, block)))
-            im = math.fsum(chain((im,), map(_IMAG, block)))
-        return complex(re, im)
+    fsum = staticmethod(exact_sum)
 
 
 def arithmetic(dps):

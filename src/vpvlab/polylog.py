@@ -18,7 +18,6 @@ from operator import mul
 from .errors import ComputationError, DomainError, NonConvergence
 from .numerics import (
     TERM_CAP,
-    KahanSum,
     arithmetic,
     dirichlet_tail,
     first_within,
@@ -50,14 +49,7 @@ class SeriesResult:
     tail_bound: float
 
 
-def polylog(
-    s: complex,
-    z: complex,
-    tol: float = 1e-12,
-    *,
-    term_cap: int = TERM_CAP,
-    dps: int | None = None,
-) -> SeriesResult:
+def polylog(s: complex, z: complex, tol: float = 1e-12, *, dps: int | None = None) -> SeriesResult:
     """Evaluate Li_s(z) by direct series with a certified tail bound.
 
     Args:
@@ -65,13 +57,12 @@ def polylog(
         z: argument with |z| <= 1 - EPS_DOMAIN.
         tol: positive truncation target; summation stops once the
             certified tail bound falls below it.
-        term_cap: raise NonConvergence past this many terms.
         dps: when set, run the same loop in mpmath arithmetic with this
             many significant digits (extended-precision mode).
 
     Raises:
         DomainError: |z| too large.
-        NonConvergence: tolerance unreachable within term_cap.
+        NonConvergence: tolerance unreachable within TERM_CAP terms.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
@@ -88,10 +79,10 @@ def polylog(
         # bound is inf before the peak of k^sigma r^k and strictly decreasing
         # after it, so first_within finds the first k that meets tol
         sigma_minus = max(0.0, -float(s.real))
-        found = first_within(lambda k: power_geometric_tail(k, sigma_minus, r), tol, 1, term_cap)
+        found = first_within(lambda k: power_geometric_tail(k, sigma_minus, r), tol, 1, TERM_CAP)
         if found is None:
             raise NonConvergence(f"polylog(s={complex(s)!r}, z={complex(z)!r}) did not reach "
-                                 f"tol={tol!r} within {term_cap} terms")
+                                 f"tol={tol!r} within {TERM_CAP} terms")
         n, bound = found
         value = polylog_partial(s, zc, n, dps=dps)
     if dps is None:  # an mpc has no float range to leave
@@ -234,27 +225,21 @@ def polylog_neg_int(n: int, z: complex) -> complex:
         ) from None
 
 
-def zeta_real(
-    s: float,
-    tol: float = 1e-12,
-    *,
-    term_cap: int = TERM_CAP,
-    dps: int | None = None,
-) -> SeriesResult:
+def zeta_real(s: float, tol: float = 1e-12, *, dps: int | None = None) -> SeriesResult:
     """zeta(s) for real s >= 1 + EPS_ZETA with a certified remainder.
 
-    The head sum_{k < N} k^-s is summed directly and the tail from N is
-    evaluated by Euler-Maclaurin corrections; the reported tail_bound is
-    the classical first-omitted-correction remainder bound. From N = 16
-    and six corrections, dirichlet_tail adds corrections while they still
+    The head sum_{k < N} k^-s is summed by ctx.fsum, as the polylog
+    series is, and the tail from N is evaluated by Euler-Maclaurin
+    corrections; the reported tail_bound is the classical
+    first-omitted-correction remainder bound. From N = 16 and six
+    corrections, dirichlet_tail adds corrections while they still
     shrink, and N doubles only when they stop shrinking before the bound
-    meets tol. Direct summation alone cannot
-    reach 1e-12 for s = 2 within any sane term budget, which is why the
-    corrected tail is used.
+    meets tol. Direct summation alone cannot reach 1e-12 for s = 2
+    within any sane term budget, which is why the corrected tail is used.
 
     Raises:
         DomainError: s too close to (or below) 1.
-        NonConvergence: no admissible N within term_cap meets tol.
+        NonConvergence: no admissible N within TERM_CAP meets tol.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
@@ -272,10 +257,8 @@ def zeta_real(
             if rem <= tol:
                 break
             n *= 2
-            if n > term_cap:
+            if n > TERM_CAP:
                 raise NonConvergence(f"zeta_real(s={s!r}) cannot meet tol={tol!r}")
-        acc = KahanSum(ctx.mpf(0))
-        for k in range(1, n):
-            acc.add(ctx.mpf(k) ** -sc)
-        value = acc.value + tail_val
+        # in double ctx.fsum is exact_sum, whose value is complex
+        value = ctx.fsum(ctx.mpf(k) ** -sc for k in range(1, n)).real + tail_val
     return SeriesResult(require_finite(value, "zeta_real"), n - 1, float(rem))

@@ -27,7 +27,7 @@ from .errors import ComputationError, DomainError, TailBoundExceedsTol
 from .numerics import (
     _BLOCK,
     LOG1M_SERIES_MAX,
-    KahanSum,
+    exact_sum,
     first_within,
     log1m,
     log_table,
@@ -307,6 +307,7 @@ def product_log_sum(
 ) -> tuple[complex, int]:
     """Sum of -prod a_i^-s_i log(1 - prod x_i^a_i) over visible points
     (a_1, ..., a_n) with a_1 mu_1 + ... + a_n mu_n <= degree_cap, for n >= 2.
+    Every |x_i| must be below 1 (DomainError otherwise); 0 is allowed.
 
     Returns (value, number of product factors summed). Orders are taken
     as given; the product equals exp(prod Li_s_i(x_i)) only when the
@@ -321,7 +322,7 @@ def product_log_sum(
     The walk fixes the other coordinates (the head, with weight w, power
     p and gcd g) and runs along one row b = 1 .. top of the slowest axis
     (weight c_b = b^-t, power y^b), whose rows are the longest. A point
-    is visible exactly when gcd(g, b) = 1. With |y| < 1, |p y^b| falls
+    is visible exactly when gcd(g, b) = 1. As |y| < 1, |p y^b| falls
     along the row, and from the first b0 where it is below
     LOG1M_SERIES_MAX on, log1m is the series -(w + w^2/2 + w^3/3 + w^4/4).
     So the row's tail b0 .. top is -sum_j p^j/j T_j with
@@ -330,14 +331,15 @@ def product_log_sum(
     mu(d) times the sum of Q_j over the multiples of d in b0 .. top: a
     difference of two suffix sums (_suffix_tables), built once per call
     and per d.
-    The head b < b0 (the whole row when |y| >= 1) is summed term by
-    term. Every head term and every row's tail is multiplied once by w,
-    and the products are summed exactly, rounding once per _BLOCK of
-    them.
+    The head b < b0 is summed term by term. Every head term and every
+    row's tail is multiplied once by w, and exact_sum sums the products,
+    rounding once per _BLOCK of them.
     """
     n = len(orders)
     if n < 2 or len(args) != n:
         raise DomainError(f"need n >= 2 orders and as many arguments, got {n} and {len(args)}")
+    if any(abs(complex(x)) >= 1.0 for x in args):
+        raise DomainError(f"product_log_sum needs every |x_i| < 1, got {list(args)!r}")
     mu = _decay_ratios(args)
     # fastest axis first and the slowest (mu = 1.0) last; the sum is the
     # same under any order of the axes, and equal mu keep their order
@@ -354,17 +356,14 @@ def product_log_sum(
                for i, top in zip(axes, tops)]
     powers = [_pow_table(complex(args[i]), top) for i, top in zip(axes, tops)]
     gcd = math.gcd
-    fsum = math.fsum
     log = cmath.log
     wb, pb = weights[-1], powers[-1]
-    falls = abs(complex(args[axes[-1]])) < 1.0
-    if falls:
-        # -|y^b| ascends, so a bisection finds each row's b0
-        descent = list(map(neg, map(abs, pb)))
-        q = [list(map(mul, wb, pb))]
-        for _ in range(3):
-            q.append(list(map(mul, q[-1], pb)))
-        spf = _smallest_prime_factors(max(tops[:-1]))
+    # -|y^b| ascends, so a bisection finds each row's b0
+    descent = list(map(neg, map(abs, pb)))
+    q = [list(map(mul, wb, pb))]
+    for _ in range(3):
+        q.append(list(map(mul, q[-1], pb)))
+    spf = _smallest_prime_factors(max(tops[:-1]))
     cut = -LOG1M_SERIES_MAX
     divisors = {1: [(1, 1)]}  # g -> _squarefree_divisors(g)
     tables = {}  # d -> _suffix_tables(q, d, mu(d))
@@ -384,19 +383,15 @@ def product_log_sum(
                          for a in range(1, int((budget - later[i] + slack) / m) + 1))
             continue
         top = int(budget + slack)
-        if falls:
-            ap = abs(p)
-            b0 = bisect_right(descent, cut / ap, 1, top + 1) if ap else 1
-            # |p y^b| >= LOG1M_SERIES_MAX here, where log1m is cmath.log
-            head = [w * (wb[b] * log(1 - p * pb[b])) for b in range(1, b0) if gcd(g, b) == 1]
-        else:
-            b0 = top + 1
-            head = [w * (wb[b] * log1m(p * pb[b])) for b in range(1, b0) if gcd(g, b) == 1]
+        ap = abs(p)
+        b0 = bisect_right(descent, cut / ap, 1, top + 1) if ap else 1
+        # |p y^b| >= LOG1M_SERIES_MAX here, where log1m is cmath.log
+        head = [w * (wb[b] * log(1 - p * pb[b])) for b in range(1, b0) if gcd(g, b) == 1]
         count += len(head)
         parts += head
         if len(parts) > _BLOCK:
             # fold the list into its sum, so it holds one block of products
-            parts = [complex(fsum([z.real for z in parts]), fsum([z.imag for z in parts]))]
+            parts = [exact_sum(parts)]
         if b0 > top:
             continue
         t1 = t2 = t3 = t4 = 0j
@@ -414,7 +409,7 @@ def product_log_sum(
             t4 += r4[lo] - r4[hi]
         parts.append(-w * p * (t1 + p * (t2 * 0.5 + p * (t3 * (1 / 3) + p * (t4 * 0.25)))))
     # 0j - total, not -total: a zero part stays +0.0, as in a running sum
-    value = 0j - complex(fsum([z.real for z in parts]), fsum([z.imag for z in parts]))
+    value = 0j - exact_sum(parts)
     return require_finite(value, "product_log_sum"), count
 
 
@@ -433,7 +428,7 @@ def lattice_sum(orders: Sequence[complex], args: Sequence[complex], degree_cap: 
     orders = [complex(o) for o in orders]
     lg = [0.0] + [math.log(k) for k in range(1, degree_cap + 1)]
     powers = [[complex(x) ** k for k in range(degree_cap + 1)] for x in args]
-    acc = KahanSum()
+    total = comp = 0j  # Kahan sum of the terms and its compensation
     for d in range(n, degree_cap + 1):
         for cuts in itertools.combinations(range(1, d), n - 1):
             point = [hi - lo for lo, hi in zip((0,) + cuts, cuts + (d,))]
@@ -443,8 +438,11 @@ def lattice_sum(orders: Sequence[complex], args: Sequence[complex], degree_cap: 
             term = cmath.exp(exponent)
             for table, k in zip(powers, point):
                 term *= table[k]
-            acc.add(term)
-    return require_finite(acc.value, "lattice_sum")
+            y = term - comp
+            t = total + y
+            comp = (t - total) - y
+            total = t
+    return require_finite(total, "lattice_sum")
 
 
 # ---------------------------------------------------------------------------
@@ -475,22 +473,23 @@ def _zeta_mode_log_sum(
     """Zeta-mode left side: zeta(s) * sum_b (-b^-t log(1 - y^b)) c_b.
 
     Returns (value, certified bound, product factors summed = b_cap).
-    zeta(s) is evaluated once; its remainder times sum_b |f_b| c_b is
-    added to the bound, and its tolerance keeps that share <= 1e-15.
+    exact_sum sums the terms f_b c_b. zeta(s) is evaluated once; its
+    remainder times sum_b |f_b| c_b is added to the bound, and its
+    tolerance keeps that share <= 1e-15.
     """
     sr = complex(s).real
     yp = _pow_table(complex(y), b_cap)
     c = _coprime_factors(sr, b_cap)
     ln = log_table(b_cap)
-    acc = KahanSum()
+    terms = []
     weight = 0.0
     for b in range(1, b_cap + 1):
         f = -cmath.exp(-t * ln[b]) * log1m(yp[b]) if b > 1 else -log1m(yp[1])
-        acc.add(f * c[b])
+        terms.append(f * c[b])
         weight += abs(f) * c[b]
     zeta = zeta_real(sr, 1e-15 / max(1.0, weight))
     bound = _zeta_mode_b_tail(s, t, y, b_cap) + zeta.tail_bound * weight
-    return require_finite(zeta.value * acc.value, "zeta_mode_log_sum"), bound, b_cap
+    return require_finite(zeta.value * exact_sum(terms), "zeta_mode_log_sum"), bound, b_cap
 
 
 # ---------------------------------------------------------------------------

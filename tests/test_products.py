@@ -33,8 +33,8 @@ from vpvlab import (
     visible_points,
     zeta_real,
 )
-from vpvlab.numerics import log_table
-from vpvlab.products import _decay_ratios, tail_bound_2d, tail_bound_3d
+from vpvlab.numerics import log1m, log_table
+from vpvlab.products import _coprime_factors, _decay_ratios, tail_bound_2d, tail_bound_3d
 
 
 def _rand_disk(rng, radius):
@@ -186,6 +186,32 @@ def test_zeta_mode_matches_mpmath(s):
             ref = complex(mpmath.zeta(s) * mpmath.polylog(1 - s, y))
         assert abs(report.lhs_log - ref) <= report.tail_bound, (s, y)
         assert report.terms == report.degree_cap
+
+
+@pytest.mark.parametrize("s, y, cap", [
+    (6.0, -0.936 - 0.012j, 978),
+    (6.0, -0.9, 400),
+    (5.0, -0.88 + 0.05j, 600),
+    (4.0, cmath.rect(0.9, 2.9), 300),
+    (3.0, -0.8, 150),
+    (2.5, cmath.rect(0.85, -3.0), 250),
+])
+def test_zeta_mode_sums_its_terms_exactly(s, y, cap):
+    # zeta(s) times the sum of the terms f_b c_b, each part rounded once:
+    # bit for bit, where the terms cancel (y near -1, so Li_{1-s}(y) is
+    # far smaller than the sum of its terms' sizes)
+    t, y = 1 - s, complex(y)  # the case holds y as complex, and so y^b
+    ln = log_table(cap)
+    c = _coprime_factors(s, cap)
+    terms, weight = [], 0.0
+    for b in range(1, cap + 1):
+        f = -cmath.exp(-t * ln[b]) * log1m(y ** b) if b > 1 else -log1m(y)
+        terms.append(f * c[b])
+        weight += abs(f) * c[b]
+    head = complex(math.fsum(z.real for z in terms), math.fsum(z.imag for z in terms))
+    want = zeta_real(s, 1e-15 / max(1.0, weight)).value * head
+    value, _ = lhs_log_product(IdentityCase(2, s, 1.0, y), TruncationSpec(cap, 1e-8))
+    assert value == want
 
 
 def test_critical_line_rhs_factorization():
@@ -610,9 +636,9 @@ def test_product_log_sum_with_a_zero_argument(orders, args, level):
 
 
 @pytest.mark.parametrize("orders, args, level", [
-    # |y| >= 1 on the slow axis, so |w| = |x|^a |y|^b rises along each
-    # row and no row has a tail of small |w|: in row a = 1 it runs from
-    # 3e-9 to 0.13, and from 0.15 past 1e4 at |x| = 0.1
+    # |y| >= 1 on the slow axis, where |w| = |x|^a |y|^b would rise along
+    # each row (in row a = 1 from 3e-9 to 0.13, and from 0.15 past 1e4 at
+    # |x| = 0.1): the kernel refuses these, and the oracle still sums them
     ((2.0, -1.0), (1e-9, 3.0), 18),
     ((2.0 + 1j, -1.0 - 1j), (1e-9j, cmath.rect(3.0, 0.7)), 18),
     ((2.0, -1.0), (0.1, 1.5), 30),
@@ -631,7 +657,22 @@ def test_product_log_sum_with_a_zero_argument(orders, args, level):
     ((-1.0, -0.5 + 2j, 1.5, 1.0 - 2j), (0.4, cmath.rect(0.5, 1.0), -0.45, 0.5j), 24),
 ])
 def test_product_log_sum_matches_the_reference_at_the_edges(orders, args, level):
+    if max(map(abs, args)) >= 1:
+        with pytest.raises(DomainError):
+            product_log_sum(orders, args, level)
+        assert cmath.isfinite(lattice_sum(orders, args, level))
+        return
     _assert_matches_reference(orders, args, level)
+
+
+def test_product_log_sum_refuses_arguments_off_the_open_disk():
+    # any axis, fast or slow, on or past the unit circle (a zero argument
+    # stays allowed: test_product_log_sum_with_a_zero_argument)
+    for args in ((1.0, 0.5), (0.5, -1.0), (cmath.rect(1.0, 0.7), 0.0), (0.3, 0.2, 1.2j)):
+        orders = (2.0,) + (-1.0 / (len(args) - 1),) * (len(args) - 1)
+        with pytest.raises(DomainError):
+            product_log_sum(orders, args, 12)
+        assert cmath.isfinite(lattice_sum(orders, args, 12))
 
 
 _DISK_POINT = st.builds(cmath.rect, st.floats(0.0, 0.95), st.floats(-math.pi, math.pi))
