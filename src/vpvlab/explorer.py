@@ -9,6 +9,7 @@ import cmath
 import math
 from collections import deque
 from dataclasses import dataclass
+from functools import cache
 from itertools import product as _iproduct
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
@@ -177,11 +178,11 @@ _PRINTED_FORMS = (
 )
 
 
-def _evaluate(terms: Sequence[_Term], constants: dict, ln2_powers: dict):
+def _evaluate(terms: Sequence[_Term], value_of: Callable):
     # Left to right on purpose: sum() compensates float sums from 3.12 on.
     total = 0
-    for term in terms:
-        value = term.value(constants, ln2_powers.get(term.power))
+    for i, term in enumerate(terms):
+        value = value_of(i, term.power)
         total = total + value if term.sign > 0 else total - value
     return total
 
@@ -247,14 +248,16 @@ def _build_audit_records(li, pi, ln2, z3, ez, tol) -> list[SpecialValueRecord]:
     ln2_powers = {p: ln2 ** p for p in (1, 2, 3, 4)}
     records = []
     for k, (name, terms) in enumerate(_PRINTED_FORMS, 1):
-        printed = _evaluate(terms, constants, ln2_powers)
+        # each term's value at each ln 2 power, evaluated once for all variants
+        value_of = cache(lambda i, power, terms=terms: terms[i].value(constants, ln2_powers.get(power)))
+        printed = _evaluate(terms, value_of)
         diff = abs(li[k] - printed)
         formula = value = None
         if diff <= tol:
             verdict = MATCHES_PRINTED
             note = f"printed form {_format(terms)} confirmed by the series"
         else:
-            candidates = ((v, _evaluate(v, constants, ln2_powers)) for v in _variants(terms))
+            candidates = ((v, _evaluate(v, value_of)) for v in _variants(terms))
             hits = [(v, c) for v, c in candidates if abs(c - li[k]) <= CANDIDATE_TOL]
             off = f"printed form {_format(terms)} is off by {float(diff):.3e}"
             if len(hits) == 1:

@@ -1,5 +1,6 @@
 """Shared numeric kernels: exact block summation, the arithmetic the
-series loops run in, the shared ln k table, accurate log(1-w),
+series loops run in, the shared ln k table, the smallest-prime-factor
+sieve, accurate log(1-w),
 geometric-dominance tail bounds, and Euler-Maclaurin Dirichlet tails.
 
 Everything here is stated once and reused by the series and product
@@ -47,6 +48,21 @@ def log_table(n: int) -> array:
     return _LN
 
 
+def smallest_prime_factors(cap: int) -> list[int]:
+    """The smallest prime factor of each k in 2 .. cap, at index k.
+
+    Each p writes its multiples from p^2 on, the largest p first, so the
+    last write to k is from the least divisor p > 1 with p^2 <= k, which
+    is prime; a prime k keeps k. The lattice kernel reads it for the
+    squarefree divisors of its row gcds, and extended polylog for the
+    weights k^-s it builds from prime weights.
+    """
+    spf = list(range(cap + 1))
+    for p in range(math.isqrt(cap), 1, -1):
+        spf[p * p::p] = [p] * len(range(p * p, cap + 1, p))
+    return spf
+
+
 def _bernoulli(j: int) -> Fraction:
     """B_2j, from sum_{i<=j} C(2j+1, 2i) B_2i = (2j + 1)/2 (the recurrence
     sum_{k<=m} C(m+1, k) B_k = 0 at m = 2j, with B_1 = -1/2)."""
@@ -64,7 +80,8 @@ def exact_sum(terms) -> complex:
 
     The library sums every series this way in double: the polylog and
     zeta heads (as _Double.fsum), the lattice kernel and zeta mode. In
-    extended precision mpmath's fsum, which is exact, takes its place.
+    extended precision extended_sum takes its place for the polylog
+    series.
     """
     re = im = 0.0
     terms = iter(terms)
@@ -72,6 +89,19 @@ def exact_sum(terms) -> complex:
         re = math.fsum(chain((re,), map(_REAL, block)))
         im = math.fsum(chain((im,), map(_IMAG, block)))
     return complex(re, im)
+
+
+def extended_sum(ctx, terms):
+    """Sum of mpmath terms by ctx.fsum, which is exact but holds every term
+    it is given, over blocks of _BLOCK terms together with the running
+    total: the sum rounds once per block at the working precision and
+    holds one block at a time."""
+    total = ctx.mpf(0)
+    terms = iter(terms)
+    while block := list(islice(terms, _BLOCK)):
+        block.append(total)
+        total = ctx.fsum(block)
+    return total
 
 
 class _Double:
@@ -87,6 +117,8 @@ class _Double:
     @staticmethod
     def workdps(dps):
         return contextlib.nullcontext()
+
+    extraprec = workdps
 
     fsum = staticmethod(exact_sum)
 

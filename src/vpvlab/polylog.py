@@ -11,7 +11,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import accumulate, chain, islice, repeat
 from operator import mul
 
@@ -20,10 +20,12 @@ from .numerics import (
     TERM_CAP,
     arithmetic,
     dirichlet_tail,
+    extended_sum,
     first_within,
     log_table,
     power_geometric_tail,
     require_finite,
+    smallest_prime_factors,
 )
 
 # Arguments must stay this far inside the unit circle for the series.
@@ -96,10 +98,13 @@ def polylog_partial(s: complex, z: complex, n_terms: int, *, dps: int | None = N
 
     No domain or tolerance logic; polylog returns this sum at its
     stopping index. The terms run through C-level iterators: z^k by
-    repeated products, k^-s = exp(-s ln k) with ln k from the shared
-    table (in double; per call with mpmath's log in extended), and term 1
-    is z itself. ctx.fsum sums them: exactly per part within blocks in
-    double, exactly in mpmath.
+    repeated products, term 1 is z itself, and k^-s = exp(-s ln k) with
+    ln k from the shared table in double. In extended precision
+    _prime_weights builds k^-s from the weights at primes, and the terms
+    and their sum run with _guard_bits extra bits. The sum is exact per
+    part within blocks in double (exact_sum) and exact within blocks at
+    the guarded precision in extended (extended_sum), which rounds to dps
+    once at the end.
 
     Raises:
         ComputationError: a double term k^-s overflows (-Re s ln k past ~709).
@@ -109,16 +114,51 @@ def polylog_partial(s: complex, z: complex, n_terms: int, *, dps: int | None = N
         s, z = ctx.mpc(s), ctx.mpc(z)
         if dps is None:
             logs = islice(log_table(n_terms), 2, n_terms + 1)
+            weights = map(ctx.exp, map((-s).__mul__, logs))
+            guard, fsum = 0, ctx.fsum
         else:
-            logs = map(ctx.log, range(2, n_terms + 1))
-        powers = accumulate(repeat(z, n_terms), mul)
-        terms = chain(islice(powers, 1), map(mul, powers, map(ctx.exp, map((-s).__mul__, logs))))
-        try:
-            return ctx.fsum(terms)
-        except OverflowError:
-            raise ComputationError(
-                f"Li_s(z) series term k^-s leaves the float range for some k <= {n_terms} at s = {s!r}"
-            ) from None
+            if not (s.imag or z.imag):
+                # the same real parts from mpf arithmetic, at a fraction of the cost
+                s, z = s.real, z.real
+            weights = _prime_weights(ctx, s, n_terms)
+            guard, fsum = _guard_bits(s, n_terms), partial(extended_sum, ctx)
+        with ctx.extraprec(guard):
+            powers = accumulate(repeat(z, n_terms), mul)
+            terms = chain(islice(powers, 1), map(mul, powers, weights))
+            try:
+                value = fsum(terms)
+            except OverflowError:
+                raise ComputationError(
+                    f"Li_s(z) series term k^-s leaves the float range for some k <= {n_terms} at s = {s!r}"
+                ) from None
+        return ctx.mpc(+value)
+
+
+def _guard_bits(s, n: int) -> int:
+    """Extra bits for the extended terms of a series over n terms at order s.
+
+    exp(-s ln p) loses about log2((1 + |s|) ln n) bits to the error of
+    s ln p; each k^-s is a product of at most log2 n prime weights, and
+    z^k of k - 1 rounded products, which log2 n more bits cover.
+    """
+    return math.ceil(math.log2((1 + float(abs(s))) * math.log(n + 2))) + n.bit_length() + 4
+
+
+def _prime_weights(ctx, s, n: int):
+    """k^-s for k = 2 .. n in the arithmetic of ctx: exp(-s ln p) at each
+    prime p, and w(p) w(k/p) at each composite k with p its smallest
+    prime factor. One mpc product replaces a log and an exp per
+    composite; only the weights of k <= n/2 are held, since the factors
+    of a composite k <= n are at most n/2."""
+    spf = smallest_prime_factors(n)
+    held = [None] * (n // 2 + 1)
+    minus_s, exp, log = -s, ctx.exp, ctx.log
+    for k in range(2, n + 1):
+        p = spf[k]
+        w = exp(minus_s * log(k)) if p == k else held[p] * held[k // p]
+        if k < len(held):
+            held[k] = w
+        yield w
 
 
 @lru_cache(maxsize=None)
@@ -161,19 +201,30 @@ def _neg_order_log_floor(n: int, z: complex) -> float:
     """A lower bound on ln |Li_{-n}(z)|, or -inf where none is derived.
 
     With L = ln z principal, Li_{-n}(e^L) = n! sum_k (2 pi i k - L)^-(n+1)
-    over all integers k, and |2 pi i k - L| >= (2|k| - 1) pi for k != 0.
-    For n >= 2 and |L| < pi/2 the k = 0 term dominates:
-    |Li_{-n}(z)| >= n! |L|^-(n+1) (1 - 2 sum_{j>=1} (|L| / ((2j - 1) pi))^(n+1)),
-    and the odd-reciprocal sum is at most 7 zeta(3)/8 < 1.052 times its
-    first term. The bound costs O(1), where P_n costs about n^3.
+    over all integers k. The poles k = 0, +-1 are summed as
+    m^-(n+1) S, with m the least |2 pi i k - L| among them, so each term
+    of S has modulus at most 1. For |k| >= 2, |2 pi i k - L| >= (2|k| - 1) pi
+    since |Im L| <= pi, and for n >= 2 those terms sum to at most
+    2 (3 pi)^-(n+1) (1 + 27 (7 zeta(3)/8 - 1 - 1/27)) < 2.8 (3 pi)^-(n+1).
+    So |Li_{-n}(z)| >= n! m^-(n+1) (|S| - 2.8 (m/(3 pi))^(n+1) - e), where
+    e bounds the rounding of S: each term's exponent carries about
+    (n+1) |log| ulps. Where the nearest poles cancel (Li_{-n}(-1) = 0 for
+    even n) nothing is left and the floor is -inf. The bound costs O(1),
+    where P_n costs about n^3.
     """
     if n < 2 or z == 0:
         return -math.inf
-    ell = abs(cmath.log(z))
-    if ell >= math.pi / 2:
+    ell = cmath.log(z)
+    logs = [cmath.log(complex(-ell.real, 2 * math.pi * k - ell.imag)) for k in (-1, 0, 1)]
+    log_m = min(lg.real for lg in logs)
+    if log_m >= math.log(3 * math.pi):  # needs |ln |z|| >= 2 sqrt(2) pi; the rest may outweigh S
         return -math.inf
-    others = 2 * 1.052 * (ell / math.pi) ** (n + 1)
-    return math.lgamma(n + 1) - (n + 1) * math.log(ell) + math.log1p(-others)
+    near = abs(sum(cmath.exp(-(n + 1) * (lg - log_m)) for lg in logs))
+    rounding = 1e-14 * (n + 1) * (1 + max(map(abs, logs)))
+    rest = 2.8 * math.exp((n + 1) * (log_m - math.log(3 * math.pi)))
+    if near <= rest + rounding:
+        return -math.inf
+    return math.lgamma(n + 1) - (n + 1) * log_m + math.log(near - rest - rounding)
 
 
 def polylog_neg_int(n: int, z: complex) -> complex:

@@ -33,6 +33,7 @@ from .numerics import (
     log_table,
     power_geometric_tail,
     require_finite,
+    smallest_prime_factors,
 )
 from .polylog import EPS_DOMAIN, EPS_ZETA, polylog, polylog_neg_int, zeta_real
 
@@ -263,19 +264,6 @@ def _pow_table(base: complex, cap: int) -> list[complex]:
     return [base ** k for k in range(cap + 1)]
 
 
-def _smallest_prime_factors(cap: int) -> list[int]:
-    """The smallest prime factor of each k in 2 .. cap, at index k.
-
-    Each p writes its multiples from p^2 on, the largest p first, so the
-    last write to k is from the least divisor p > 1 with p^2 <= k, which
-    is prime; a prime k keeps k.
-    """
-    spf = list(range(cap + 1))
-    for p in range(math.isqrt(cap), 1, -1):
-        spf[p * p::p] = [p] * len(range(p * p, cap + 1, p))
-    return spf
-
-
 def _squarefree_divisors(g: int, spf: Sequence[int], known: dict) -> list[tuple[int, int]]:
     """(d, mu(d)) for the squarefree d that divide g, from those of g with
     its smallest prime p taken out; known maps g to its list and holds 1."""
@@ -363,7 +351,7 @@ def product_log_sum(
     q = [list(map(mul, wb, pb))]
     for _ in range(3):
         q.append(list(map(mul, q[-1], pb)))
-    spf = _smallest_prime_factors(max(tops[:-1]))
+    spf = smallest_prime_factors(max(tops[:-1]))
     cut = -LOG1M_SERIES_MAX
     divisors = {1: [(1, 1)]}  # g -> _squarefree_divisors(g)
     tables = {}  # d -> _suffix_tables(q, d, mu(d))

@@ -12,6 +12,7 @@ import sys
 import time
 import tracemalloc
 from fractions import Fraction
+from itertools import islice
 from operator import attrgetter
 
 import mpmath
@@ -28,13 +29,16 @@ from vpvlab import (
     polylog,
     polylog_neg_int,
     rhs_factors,
+    verify,
     zeta_real,
 )
 from vpvlab import numerics
 from vpvlab.numerics import (
     LOG1M_SERIES_MAX, dirichlet_tail, exact_sum, log1m, power_geometric_tail,
 )
-from vpvlab.polylog import _gaussian_power, _neg_order_log_floor, _neg_order_poly, polylog_partial
+from vpvlab.polylog import (
+    _gaussian_power, _guard_bits, _neg_order_log_floor, _neg_order_poly, _prime_weights, polylog_partial,
+)
 
 # The module, for patching its TERM_CAP: the package's name "polylog" is
 # the function it re-exports, so the dotted string would resolve to that.
@@ -171,7 +175,7 @@ def test_neg_int_is_correctly_rounded():
 def test_neg_order_floor_refuses_only_values_past_the_float_range(monkeypatch):
     # With the floor switched off, polylog_neg_int takes the exact path
     # for every input. On a grid of n <= 400 and z with |ln z| < pi/2
-    # (and one outside, where no floor is derived), the public call
+    # (and -0.5 outside it, where the poles k = 0, 1 carry the floor), the public call
     # returns what the exact path returns, and refuses only where the
     # exact path leaves the float range too. The floor is below
     # ln |value| wherever the value is finite.
@@ -208,7 +212,40 @@ def test_neg_order_floor_bounds_mpmath():
             ref = float(mpmath.log(abs(mpmath.polylog(-n, mpmath.mpc(z)))))
         assert _neg_order_log_floor(n, z) <= ref + 1e-14 * abs(ref), (n, z)
     assert _neg_order_log_floor(1, 0.5) == _neg_order_log_floor(5, 0.0) == -math.inf
-    assert _neg_order_log_floor(5, -0.5) == -math.inf  # |ln z| >= pi/2
+    assert _neg_order_log_floor(6, -1.0) == -math.inf  # the poles at k = 0 and 1 cancel
+    # far from the unit circle the rest is not bounded below the nearest poles
+    assert _neg_order_log_floor(1000, 1e-300) == _neg_order_log_floor(1000, 1e5) == -math.inf
+
+
+def test_neg_order_floor_bounds_mpmath_off_the_real_half_line():
+    # Where |ln z| >= pi/2 the nearest poles k = 0, +-1 carry the floor.
+    # At z = -1 and even n they cancel (Li_{-n}(-1) = 0), and the floor
+    # is -inf. Everywhere on the grid it is below 60-digit mpmath, and
+    # where it is finite it is within a unit of it.
+    zs = (-0.5, -0.9, -0.99, -0.3, -1.0, 0.3 + 0.8j, -0.6 - 0.6j, -0.2 + 0.05j, 0.05 - 0.9j, 0.7j)
+    finite = 0
+    for n in (2, 3, 4, 7, 10, 11, 25, 26, 60, 61, 120, 121):
+        for z in zs:
+            floor = _neg_order_log_floor(n, z)
+            with mpmath.workdps(40 + n // 2):
+                value = mpmath.polylog(-n, mpmath.mpc(z))
+                ref = float(mpmath.log(abs(value))) if value else -math.inf
+            if z == -1.0 and n % 2 == 0:
+                assert floor == ref == -math.inf, n
+            elif floor > -math.inf:
+                assert floor <= ref + 1e-14 * abs(ref) and ref - floor < 1.0, (n, z)
+                finite += 1
+    assert finite >= 110  # of 120; -inf at z = -1 for even n, and at n = 2, z = -0.99
+
+
+def test_neg_order_refuses_at_once_where_ln_z_passes_half_pi():
+    # Li_{-1000}(-0.5) is about e^4742: the floor refuses it before P_1000
+    # (0.8 s from a cold cache) is built.
+    _neg_order_poly.cache_clear()
+    start = time.perf_counter()
+    with pytest.raises(ComputationError):
+        verify(IdentityCase(2, 1001, 0.3, -0.5), 1e-8)
+    assert time.perf_counter() - start < 0.05
 
 
 def test_neg_order_poly_builds_high_orders_without_recursion():
@@ -440,6 +477,70 @@ def test_polylog_partial_holds_one_block_of_terms(monkeypatch):
         finally:
             tracemalloc.stop()
         assert peak <= 3 * block * (32 + 8), block
+
+
+@settings(derandomize=True, database=None, max_examples=20, deadline=None)
+@given(
+    st.floats(-210, 3),
+    st.floats(-100, 100),
+    st.floats(0, 0.9),
+    st.floats(-math.pi, math.pi),
+    st.sampled_from((20, 30, 40)),
+)
+def test_extended_polylog_is_within_one_unit_of_its_terms(sigma, height, modulus, phase, dps):
+    # Rounding only: the extended value is within 10^-dps times the sum
+    # of |terms| of the same terms_used terms summed at dps + 30 digits.
+    # Weights from exp(-s ln k) at dps digits missed this by 7.5 units at
+    # s = -200.5, z = 0.5, dps = 30.
+    s, z = complex(sigma, height), cmath.rect(modulus, phase)
+    res = polylog(s, z, 1e-12, dps=dps)
+    with mpmath.workdps(dps + 30):
+        s_, z_ = mpmath.mpc(s), mpmath.mpc(z)
+        terms = [z_ ** k * mpmath.mpf(k) ** -s_ for k in range(1, res.terms_used + 1)]
+        unit = mpmath.mpf(10) ** -dps * mpmath.fsum(terms, absolute=True)
+        assert abs(res.value - mpmath.fsum(terms)) <= unit, (s, z, dps)
+
+
+def test_prime_weights_match_direct_powers():
+    # At 53 bits with the guard bits on, each weight built from the prime
+    # weights rounds to mpmath's own k^-s within an ulp or so, for orders
+    # far off the real axis and far below it.
+    n = 1500
+    with mpmath.workprec(53):
+        for s in (mpmath.mpc(0.5, 100), mpmath.mpc(-200.5, 0), mpmath.mpc(2, -30), mpmath.mpc(3, 0)):
+            with mpmath.extraprec(_guard_bits(s, n)):
+                weights = list(_prime_weights(mpmath.mp, s, n))
+            assert len(weights) == n - 1
+            for k, w in enumerate(weights, 2):
+                ref = mpmath.mpf(k) ** -s
+                assert abs(+w - ref) <= 2.0 ** -51 * abs(ref), (s, k)
+
+
+def test_extended_polylog_holds_at_most_half_its_weights(monkeypatch):
+    # The weights of k <= n/2 are held, for the composites past them; the
+    # rest stream, and so does the sum, a block at a time. So the peak is
+    # under n/2 weights, two blocks of terms and the sieve (a list of
+    # ints), well short of n weights. A weight's size is measured on
+    # products at the same precision, as the held composites are. The
+    # call is the one that took 61 us per term, cut from 56,428 terms to
+    # 4,000, and the block from 4,096 to 128.
+    block = 128
+    monkeypatch.setattr(numerics, "_BLOCK", block)
+    n, s, z = 4000, complex(-2, 100), 0.999 * cmath.exp(1j)
+    polylog_partial(s, z, n, dps=30)  # mpmath caches its tables per precision
+    with mpmath.workdps(30), mpmath.extraprec(_guard_bits(mpmath.mpc(s), n)):
+        factors = list(islice(_prime_weights(mpmath.mp, mpmath.mpc(s), 1001), 1000))
+        tracemalloc.start()
+        try:
+            products = [factors[0] * w for w in factors]
+            weight = tracemalloc.get_traced_memory()[0] / len(products)
+            del products
+            tracemalloc.reset_peak()
+            polylog_partial(s, z, n, dps=30)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak <= (n / 2 + 2 * block) * weight + 40 * n < 0.75 * n * weight
 
 
 def test_exact_sum_rounds_each_part_once_per_block(monkeypatch):
