@@ -11,9 +11,10 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cache
 from itertools import product as _iproduct
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import ComputationError, DomainError, NonConvergence, VpvError
+from .forms import _PRINTED_FORMS, _Term, _evaluate, _term_values
 from .numerics import arithmetic
 from .polylog import TERM_CAP, SeriesResult, polylog, zeta_real
 from .products import DEFAULT_DEGREE_CAP_MAX, IdentityCase, IdentityReport, verify
@@ -140,52 +141,15 @@ def euler_zagier_31(tol: float = 1e-10) -> SeriesResult:
     return SeriesResult(value=value, terms_used=m, tail_bound=omitted + 1e-15)
 
 
+@cache
+def _audit_ez31() -> float:
+    """The audit's zeta_alt(3,1): one fixed constant, summed once per process."""
+    return euler_zagier_31(1e-13).value
+
+
 # ---------------------------------------------------------------------------
 # special-value audit
 # ---------------------------------------------------------------------------
-
-class _Term(NamedTuple):
-    """One signed term of a printed form, with its ln 2 power or None.
-    text has a `{}` slot for that power; value(c, lp) is the unsigned value
-    from the audit constants c and lp = ln(2)^power. A term that is not
-    free is the same in every variant."""
-
-    sign: int
-    power: Optional[int]
-    text: str
-    value: Callable
-    free: bool = True
-
-
-# The printed closed forms of Li_k(1/2), k = 1..4, in audit order.
-_PRINTED_FORMS = (
-    ("LI1_HALF", (_Term(1, 1, "{}", lambda c, lp: lp, free=False),)),
-    ("LI2_HALF", (
-        _Term(1, None, "pi^2/12", lambda c, lp: c["pi"] ** 2 / 12, free=False),
-        _Term(-1, 2, "{}/2", lambda c, lp: lp / 2, free=False),
-    )),
-    ("LI3_HALF", (
-        _Term(1, 3, "{}/6", lambda c, lp: lp / 6),
-        _Term(-1, 2, "(pi^2/12) {}", lambda c, lp: c["pi"] ** 2 / 12 * lp),
-        _Term(-1, None, "(7/8) zeta(3)", lambda c, lp: 7 * c["zeta3"] / 8),
-    )),
-    ("LI4_HALF", (
-        _Term(1, None, "pi^4/360", lambda c, lp: c["pi"] ** 4 / 360, free=False),
-        _Term(-1, 4, "{}/24", lambda c, lp: lp / 24),
-        _Term(-1, 4, "(pi^2/24) {}", lambda c, lp: c["pi"] ** 2 / 24 * lp),
-        _Term(-1, None, "zeta_alt(3,1)/2", lambda c, lp: c["ez31"] / 2),
-    )),
-)
-
-
-def _evaluate(terms: Sequence[_Term], value_of: Callable):
-    # Left to right on purpose: sum() compensates float sums from 3.12 on.
-    total = 0
-    for i, term in enumerate(terms):
-        value = value_of(i, term.power)
-        total = total + value if term.sign > 0 else total - value
-    return total
-
 
 def _format(terms: Sequence[_Term]) -> str:
     out = []
@@ -240,16 +204,27 @@ def audit_special_values(tol: float = 1e-12, *, dps: Optional[int] = None) -> li
     with ctx.workdps(dps):
         z3 = zeta_real(3.0, series_tol, dps=dps).value
         li = {k: polylog(k, 0.5, series_tol, dps=dps).value.real for k in (1, 2, 3, 4)}
-        return _build_audit_records(li, +ctx.pi, ctx.log(2), z3, euler_zagier_31(1e-13).value, tol)
+        return _build_audit_records(li, +ctx.pi, ctx.log(2), z3, _audit_ez31(), tol)
+
+
+def _matching_variants(terms, value_of, target) -> list:
+    """(variant, value) for each variant of terms within CANDIDATE_TOL of
+    target. Every variant is screened on float copies of the term values,
+    with a margin far above a 4-term float sum's rounding; only the few
+    that pass are decided at working precision."""
+    screen_of = cache(lambda i, power: float(value_of(i, power)))
+    screen_target = float(target)
+    near = (v for v in _variants(terms)
+            if abs(_evaluate(v, screen_of) - screen_target) <= CANDIDATE_TOL + 1e-13)
+    candidates = ((v, _evaluate(v, value_of)) for v in near)
+    return [(v, c) for v, c in candidates if abs(c - target) <= CANDIDATE_TOL]
 
 
 def _build_audit_records(li, pi, ln2, z3, ez, tol) -> list[SpecialValueRecord]:
     constants = {"pi": pi, "zeta3": z3, "ez31": ez}
-    ln2_powers = {p: ln2 ** p for p in (1, 2, 3, 4)}
     records = []
     for k, (name, terms) in enumerate(_PRINTED_FORMS, 1):
-        # each term's value at each ln 2 power, evaluated once for all variants
-        value_of = cache(lambda i, power, terms=terms: terms[i].value(constants, ln2_powers.get(power)))
+        value_of = _term_values(terms, constants, ln2)
         printed = _evaluate(terms, value_of)
         diff = abs(li[k] - printed)
         formula = value = None
@@ -257,8 +232,7 @@ def _build_audit_records(li, pi, ln2, z3, ez, tol) -> list[SpecialValueRecord]:
             verdict = MATCHES_PRINTED
             note = f"printed form {_format(terms)} confirmed by the series"
         else:
-            candidates = ((v, _evaluate(v, value_of)) for v in _variants(terms))
-            hits = [(v, c) for v, c in candidates if abs(c - li[k]) <= CANDIDATE_TOL]
+            hits = _matching_variants(terms, value_of, li[k])
             off = f"printed form {_format(terms)} is off by {float(diff):.3e}"
             if len(hits) == 1:
                 verdict = MATCHES_CORRECTED

@@ -165,7 +165,10 @@ def power_geometric_tail(cap: int, p: float, r: float) -> float:
         raise ValueError("r must lie in [0, 1)")
     if r == 0.0:
         return 0.0
-    q = (1.0 + 1.0 / (cap + 1)) ** p * r
+    try:
+        q = (1.0 + 1.0 / (cap + 1)) ** p * r
+    except OverflowError:  # q is past the float range, so far above 1
+        return math.inf
     if q >= 1.0:
         return math.inf
     # Log-space first term avoids overflow of (cap+1)^p at large p.

@@ -24,6 +24,7 @@ from operator import mul, neg, sub
 from typing import Callable, Optional, Sequence
 
 from .errors import ComputationError, DomainError, TailBoundExceedsTol
+from .forms import _PRINTED_FORMS, _evaluate, _term_values
 from .numerics import (
     _BLOCK,
     LOG1M_SERIES_MAX,
@@ -43,14 +44,21 @@ DEFAULT_DEGREE_CAP_MAX = 4000
 REL_ERR_FLOOR = 1e-300
 
 
+def _printed_half_value(row: int) -> complex:
+    """A printed form of Li_k(1/2) that the audit confirms, in double."""
+    terms = _PRINTED_FORMS[row][1]
+    return complex(_evaluate(terms, _term_values(terms, {"pi": math.pi}, math.log(2.0))))
+
+
 # Named constants usable as the leading right-side factor: the
 # (order, argument) of the Li_s(x) each stands for, and its value at a
-# tolerance. The two series-backed entries exist because the printed
+# tolerance. The first two evaluate the printed forms of the audit's
+# table; the two series-backed entries exist because the printed
 # closed forms they replace fail the special-value audit; see the
 # explorer module.
 _CLOSED_FORM_CONSTANTS: dict[str, tuple[int, float, Callable[[float], complex]]] = {
-    "ln2": (1, 0.5, lambda tol: complex(math.log(2.0))),
-    "dilog-half": (2, 0.5, lambda tol: complex(math.pi ** 2 / 12 - math.log(2.0) ** 2 / 2)),
+    "ln2": (1, 0.5, lambda tol: _printed_half_value(0)),
+    "dilog-half": (2, 0.5, lambda tol: _printed_half_value(1)),
     "trilog-half-series": (3, 0.5, lambda tol: complex(polylog(3, 0.5, tol).value)),
     "quadlog-half-series": (4, 0.5, lambda tol: complex(polylog(4, 0.5, tol).value)),
 }

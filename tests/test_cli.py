@@ -215,6 +215,19 @@ def test_huge_negative_order_is_refused_at_once(capsys, s):
     assert err.startswith("error:") and "leaves the float range" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["polylog", "--s=-3000", "--z", "0.3"],
+    ["verify2", "--s=-3000.5", "--x", "0.3", "--y", "0.3"],
+])
+def test_overflowing_tail_bound_is_a_domain_error(capsys, argv):
+    # The first caps of the tail-bound search overflow (1 + 1/(cap+1))^p;
+    # that is an infinite bound, not an internal error.
+    code, out, err = _run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
+
 def test_internal_errors_do_not_leak_tracebacks(capsys):
     # An unknown subcommand is a usage error, not an internal one.
     code, _, err = _run(capsys, ["frobnicate"])

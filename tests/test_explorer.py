@@ -6,9 +6,11 @@ import sys
 import pytest
 
 from vpvlab.explorer import (
-    CANDIDATE_TOL, EXPONENT_TOL, _PRINTED_FORMS, _averaged_estimate, _build_audit_records,
-    _format, _variants,
+    CANDIDATE_TOL, EXPONENT_TOL, _PRINTED_FORMS, _audit_ez31, _averaged_estimate,
+    _build_audit_records, _evaluate, _format, _matching_variants, _variants,
 )
+from vpvlab.forms import _term_values
+from vpvlab.numerics import arithmetic
 from vpvlab import (
     TERM_CAP,
     DomainError,
@@ -227,6 +229,55 @@ def test_audit_extended_precision_agrees():
     assert [r.verdict for r in double] == [r.verdict for r in wide]
     for d, w in zip(double, wide):
         assert abs(d.series_value - w.series_value) <= 1e-12
+
+
+def test_audit_sums_its_constant_once_per_process(monkeypatch):
+    calls = []
+
+    def counted(tol):
+        calls.append(tol)
+        return euler_zagier_31(tol)
+
+    _audit_ez31.cache_clear()
+    monkeypatch.setattr(EXPLORER_MODULE, "euler_zagier_31", counted)
+    for dps in (None, 30):
+        assert audit_special_values(1e-12, dps=dps) == audit_special_values(1e-12, dps=dps)
+    assert calls == [1e-13]
+
+
+def test_euler_zagier_31_stays_uncached(monkeypatch):
+    # A cached public function would return the 1e-13 value here, past a
+    # TERM_CAP that no longer reaches it.
+    audit_special_values(1e-12)
+    monkeypatch.setattr(EXPLORER_MODULE, "TERM_CAP", 1000)
+    with pytest.raises(NonConvergence):
+        euler_zagier_31(1e-13)
+
+
+@pytest.mark.parametrize("dps", [None, 30])
+@pytest.mark.parametrize("row", [2, 3], ids=["LI3_HALF", "LI4_HALF"])
+def test_screened_variant_search_finds_the_full_search_hits(row, dps):
+    # The double screen may only drop variants that working precision
+    # would also reject: targets at and just inside or outside
+    # CANDIDATE_TOL of the series value, and of the one matching variant.
+    ctx = arithmetic(dps)
+    series_tol = 1e-15 if dps is None else 10.0 ** (2 - dps)
+    with ctx.workdps(dps):
+        constants = {"pi": +ctx.pi, "zeta3": zeta_real(3.0, series_tol, dps=dps).value,
+                     "ez31": euler_zagier_31(1e-13).value}
+        terms = _PRINTED_FORMS[row][1]
+        value_of = _term_values(terms, constants, ctx.log(2))
+        li = polylog(row + 1, 0.5, series_tol, dps=dps).value.real
+        (_, match), = _matching_variants(terms, value_of, li)
+        targets = [li + f * CANDIDATE_TOL for f in (0, 0.999, -0.999, 1.001, -1.001)]
+        targets += [li + 1e-3, match + CANDIDATE_TOL, match - CANDIDATE_TOL]
+        found = []
+        for target in targets:
+            full = [(v, c) for v in _variants(terms)
+                    if abs((c := _evaluate(v, value_of)) - target) <= CANDIDATE_TOL]
+            assert _matching_variants(terms, value_of, target) == full
+            found.append(len(full))
+    assert found[:6] == [1, 1, 1, 0, 0, 0]
 
 
 def test_audit_refuses_tol_below_working_precision():

@@ -34,7 +34,9 @@ from vpvlab import (
     zeta_real,
 )
 from vpvlab.numerics import log1m, log_table
-from vpvlab.products import _coprime_factors, _decay_ratios, tail_bound_2d, tail_bound_3d
+from vpvlab.products import (
+    _CLOSED_FORM_CONSTANTS, _coprime_factors, _decay_ratios, tail_bound_2d, tail_bound_3d,
+)
 
 
 def _rand_disk(rng, radius):
@@ -74,6 +76,16 @@ def test_non_finite_order_or_argument_is_a_domain_error(name, build):
     # bare ValueError or OverflowError, or a ComputationError naming no input).
     with pytest.raises(DomainError, match=f"^{name} = .* is not finite$"):
         build()
+
+
+def test_printed_closed_form_constants_keep_their_values():
+    # Evaluated from the audit's LI1_HALF and LI2_HALF rows, bit for bit
+    # the expressions the registry wrote out before.
+    got = {cid: repr(_CLOSED_FORM_CONSTANTS[cid][2](1e-8)) for cid in ("ln2", "dilog-half")}
+    assert got == {
+        "ln2": repr(complex(math.log(2.0))),
+        "dilog-half": repr(complex(math.pi ** 2 / 12 - math.log(2.0) ** 2 / 2)),
+    }
 
 
 def test_closed_form_id_must_match_its_case():
