@@ -79,9 +79,9 @@ def exact_sum(terms) -> complex:
     rounds once per block and holds one block at a time.
 
     The library sums every series this way in double: the polylog and
-    zeta heads (as _Double.fsum), the lattice kernel and zeta mode. In
-    extended precision extended_sum takes its place for the polylog
-    series.
+    zeta heads, the lattice kernel and zeta mode. In extended precision
+    the polylog series is summed exactly in integers instead
+    (polylog._extended_partial).
     """
     re = im = 0.0
     terms = iter(terms)
@@ -91,34 +91,18 @@ def exact_sum(terms) -> complex:
     return complex(re, im)
 
 
-def extended_sum(ctx, terms):
-    """Sum of mpmath terms by ctx.fsum, which is exact but holds every term
-    it is given, over blocks of _BLOCK terms together with the running
-    total: the sum rounds once per block at the working precision and
-    holds one block at a time."""
-    total = ctx.mpf(0)
-    terms = iter(terms)
-    while block := list(islice(terms, _BLOCK)):
-        block.append(total)
-        total = ctx.fsum(block)
-    return total
-
-
 class _Double:
     """Double precision under the names of mpmath's mp context that the
     series loops use, so one loop serves both arithmetics."""
 
     mpf = float
     mpc = complex
-    exp = cmath.exp
     log = math.log
     pi = math.pi
 
     @staticmethod
     def workdps(dps):
         return contextlib.nullcontext()
-
-    extraprec = workdps
 
     fsum = staticmethod(exact_sum)
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import accumulate, chain, islice, repeat
 from operator import mul
 
@@ -20,7 +20,7 @@ from .numerics import (
     TERM_CAP,
     arithmetic,
     dirichlet_tail,
-    extended_sum,
+    exact_sum,
     first_within,
     log_table,
     power_geometric_tail,
@@ -59,8 +59,9 @@ def polylog(s: complex, z: complex, tol: float = 1e-12, *, dps: int | None = Non
         z: argument with |z| <= 1 - EPS_DOMAIN.
         tol: positive truncation target; summation stops once the
             certified tail bound falls below it.
-        dps: when set, run the same loop in mpmath arithmetic with this
-            many significant digits (extended-precision mode).
+        dps: when set, return the partial sum at the same stopping
+            index to this many significant digits, as an mpc
+            (extended-precision mode; see polylog_partial).
 
     Raises:
         DomainError: |z| too large.
@@ -94,68 +95,141 @@ def polylog(s: complex, z: complex, tol: float = 1e-12, *, dps: int | None = Non
 
 def polylog_partial(s: complex, z: complex, n_terms: int, *, dps: int | None = None) -> complex:
     """Plain partial sum of the Li_s(z) series over exactly n_terms terms,
-    in double precision or, with dps, in mpmath at dps digits.
+    in double precision or, with dps, to dps digits.
 
     No domain or tolerance logic; polylog returns this sum at its
-    stopping index. The terms run through C-level iterators: z^k by
-    repeated products, term 1 is z itself, and k^-s = exp(-s ln k) with
-    ln k from the shared table in double. In extended precision
-    _prime_weights builds k^-s from the weights at primes, and the terms
-    and their sum run with _guard_bits extra bits. The sum is exact per
-    part within blocks in double (exact_sum) and exact within blocks at
-    the guarded precision in extended (extended_sum), which rounds to dps
-    once at the end.
+    stopping index. In double the terms run through C-level iterators:
+    z^k by repeated products, term 1 is z itself, and k^-s = exp(-s ln k)
+    with ln k from the shared table; the sum is exact per part within
+    blocks (exact_sum). With dps, _extended_partial sums the same terms
+    in integer mantissas and rounds to dps digits once.
 
     Raises:
         ComputationError: a double term k^-s overflows (-Re s ln k past ~709).
     """
-    ctx = arithmetic(dps)
-    with ctx.workdps(dps):
-        s, z = ctx.mpc(s), ctx.mpc(z)
-        if dps is None:
-            logs = islice(log_table(n_terms), 2, n_terms + 1)
-            weights = map(ctx.exp, map((-s).__mul__, logs))
-            guard, fsum = 0, ctx.fsum
-        else:
-            if not (s.imag or z.imag):
-                # the same real parts from mpf arithmetic, at a fraction of the cost
-                s, z = s.real, z.real
-            weights = _prime_weights(ctx, s, n_terms)
-            guard, fsum = _guard_bits(s, n_terms), partial(extended_sum, ctx)
-        with ctx.extraprec(guard):
-            powers = accumulate(repeat(z, n_terms), mul)
-            terms = chain(islice(powers, 1), map(mul, powers, weights))
-            try:
-                value = fsum(terms)
-            except OverflowError:
-                raise ComputationError(
-                    f"Li_s(z) series term k^-s leaves the float range for some k <= {n_terms} at s = {s!r}"
-                ) from None
-        return ctx.mpc(+value)
+    if dps is not None:
+        from mpmath import mp
+
+        with mp.workdps(dps):
+            return _extended_partial(mp.mpc(s), mp.mpc(z), n_terms)
+    s, z = complex(s), complex(z)
+    logs = islice(log_table(n_terms), 2, n_terms + 1)
+    weights = map(cmath.exp, map((-s).__mul__, logs))
+    powers = accumulate(repeat(z, n_terms), mul)
+    try:
+        return exact_sum(chain(islice(powers, 1), map(mul, powers, weights)))
+    except OverflowError:
+        raise ComputationError(
+            f"Li_s(z) series term k^-s leaves the float range for some k <= {n_terms} at s = {s!r}"
+        ) from None
 
 
-def _guard_bits(s, n: int) -> int:
-    """Extra bits for the extended terms of a series over n terms at order s.
+def _extended_partial(s, z, n: int):
+    """The partial sum over n terms for mpc s and z, rounded once to
+    mpmath's working precision.
 
-    exp(-s ln p) loses about log2((1 + |s|) ln n) bits to the error of
-    s ln p; each k^-s is a product of at most log2 n prime weights, and
-    z^k of k - 1 rounded products, which log2 n more bits cover.
+    A value is (e, re, im), or (e, re) when s and z are both real:
+    integer mantissas times 2^e, truncated after each product so that
+    the larger has _width bits. Each term z^k k^-s is truncated to a
+    multiple of 2^scale, fixed from the largest |z|^k k^-Re s over
+    k <= n, and added to an integer accumulator, so the sum is exact.
     """
-    return math.ceil(math.log2((1 + float(abs(s))) * math.log(n + 2))) + n.bit_length() + 4
+    from mpmath import libmp, mp
+
+    prec, real = mp.prec, not (s.imag or z.imag)
+    width = _width(s, n, prec)
+    z = _mantissas((z.real._mpf_,) if real else z._mpc_, width)
+    if n < 1 or not any(z[1:]):
+        return mp.mpc(0)
+    # k log2|z| - Re s log2 k is concave in k when Re s < 0 and convex
+    # otherwise, so over [1, n] it peaks at an end or next to its
+    # stationary point
+    drop = max(width - 53, 0)
+    log2_r = math.log2(math.hypot(*(m >> drop for m in z[1:]))) + z[0] + drop
+    sigma, ks = -float(s.real), {1, n}
+    if sigma > 0 > log2_r:
+        peak = sigma / (-log2_r * math.log(2))
+        ks |= {min(n, max(1, k)) for k in (math.floor(peak), math.ceil(peak))}
+    scale = math.floor(max(k * log2_r + sigma * math.log2(k) for k in ks)) - width - 2
+    # each term is below 2^(scale + width + 3) and its product has at
+    # least 2 width - 3 bits, so every cut below is positive
+    re = im = 0
+    power = _fit(0, (1,) if real else (1, 0), width)
+    if real:
+        for w in _weights(s, n, width, real):
+            power = _real_product(power, z, width)
+            re += (power[1] * w[1]) >> (scale - power[0] - w[0])
+    else:
+        for we, wr, wi in _weights(s, n, width, real):
+            e, c, d = power = _complex_product(power, z, width)
+            cut = scale - e - we
+            re += (c * wr - d * wi) >> cut
+            im += (c * wi + d * wr) >> cut
+    return mp.make_mpc(tuple(libmp.from_man_exp(m, scale, prec, libmp.round_nearest) for m in (re, im)))
 
 
-def _prime_weights(ctx, s, n: int):
-    """k^-s for k = 2 .. n in the arithmetic of ctx: exp(-s ln p) at each
-    prime p, and w(p) w(k/p) at each composite k with p its smallest
-    prime factor. One mpc product replaces a log and an exp per
-    composite; only the weights of k <= n/2 are held, since the factors
-    of a composite k <= n are at most n/2."""
-    spf = smallest_prime_factors(n)
-    held = [None] * (n // 2 + 1)
-    minus_s, exp, log = -s, ctx.exp, ctx.log
-    for k in range(2, n + 1):
-        p = spf[k]
-        w = exp(minus_s * log(k)) if p == k else held[p] * held[k // p]
+def _width(s, n: int, prec: int) -> int:
+    """Mantissa bits for a sum over n terms at order s that rounds to prec
+    bits. The guard covers the error of s ln p in exp(-s ln p), about
+    log2((1 + |s|) ln n) bits; the log2 n truncated products in k^-s and
+    the k - 1 in z^k, which log2 n bits cover; the n truncated terms,
+    log2 n more; and 8 bits leave their sum a small part of an ulp."""
+    return prec + math.ceil(math.log2((1 + float(abs(s))) * math.log(n + 2))) + 2 * n.bit_length() + 8
+
+
+def _fit(e: int, parts, width: int) -> tuple:
+    """The value (e, *parts) with its largest |mantissa| cut to width bits."""
+    cut = max(m.bit_length() for m in parts) - width
+    return (e + cut, *[m >> cut if cut >= 0 else m << -cut for m in parts])
+
+
+def _mantissas(mpfs, width: int) -> tuple:
+    """mpmath's raw (sign, man, exp, bc) parts as one _fit value; a zero
+    part does not set the exponent."""
+    e = min((exp for _, man, exp, _ in mpfs if man), default=0)
+    return _fit(e, [(-man if sign else man) << (exp - e) if man else 0 for sign, man, exp, _ in mpfs], width)
+
+
+def _real_product(a: tuple, b: tuple, width: int) -> tuple:
+    m = a[1] * b[1]
+    cut = m.bit_length() - width
+    return a[0] + b[0] + cut, m >> cut
+
+
+def _complex_product(a: tuple, b: tuple, width: int) -> tuple:
+    (ae, ar, ai), (be, br, bi) = a, b
+    re, im = ar * br - ai * bi, ar * bi + ai * br
+    cut = max(re.bit_length(), im.bit_length()) - width
+    return ae + be + cut, re >> cut, im >> cut
+
+
+def _weights(s, n: int, width: int, real: bool):
+    """k^-s for k = 1 .. n as _fit values, real ones when real is set,
+    for an mpc s. At a prime p this is exp(-s ln p) from mpmath.libmp at
+    width + 10 bits, or p^-s by exact integer division at an integer
+    order while p^|s| has at most 4 width bits; at a composite k it is
+    w(p) w(k/p), with p the smallest prime factor of k. Only the weights
+    of k <= n/2 are held, since the factors of a composite k <= n are at
+    most n/2."""
+    from mpmath import libmp
+
+    wp, minus_s = width + 10, (-s)._mpc_
+    exact = not s.imag and abs(s.real) * n.bit_length() <= 4 * width and s.real == int(s.real)
+    order = int(s.real) if exact else None
+    product = _real_product if real else _complex_product
+    spf, held = smallest_prime_factors(n), [None] * (n // 2 + 1)
+    for k in range(1, n + 1):
+        p = spf[k]  # spf[1] = 1, so w(1) = 1^-s = 1
+        if p < k:
+            w = product(held[p], held[k // p], width)
+        elif order is not None:
+            q = k ** abs(order)
+            e, m = (0, q) if order <= 0 else (-width - q.bit_length(), (1 << width + q.bit_length()) // q)
+            w = _fit(e, (m,) if real else (m, 0), width)
+        else:
+            ln_p = libmp.mpf_log(libmp.from_int(k), wp)
+            w = _mantissas((libmp.mpf_exp(libmp.mpf_mul(minus_s[0], ln_p, wp), wp),) if real
+                           else libmp.mpc_exp(libmp.mpc_mul_mpf(minus_s, ln_p, wp), wp), width)
         if k < len(held):
             held[k] = w
         yield w

@@ -578,10 +578,17 @@ def _factor(
 
 def rhs_factors(case: IdentityCase, tol: float = 1e-12) -> tuple[complex, ...]:
     """The right-side polylog factors, each to a tolerance scaled by the
-    magnitudes of its cofactors so the product meets tol."""
+    magnitudes of its cofactors so the product meets tol.
+
+    Raises ComputationError before any factor is evaluated when one
+    factor's magnitude estimate is past the float range, which would
+    leave its cofactors no tolerance.
+    """
     if not tol > 0:
         raise ValueError("tol must be positive")
     factors = [_factor(case, o, a, i == 0) for i, (o, a) in enumerate(zip(case.orders, case.args))]
+    if math.inf in [est for est, _ in factors]:
+        raise ComputationError("a right-side factor's magnitude estimate is past the float range")
     ests = [max(1.0, est) for est, _ in factors]
     values = []
     for i, (_, evaluate) in enumerate(factors):

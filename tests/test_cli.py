@@ -218,10 +218,13 @@ def test_huge_negative_order_is_refused_at_once(capsys, s):
 @pytest.mark.parametrize("argv", [
     ["polylog", "--s=-3000", "--z", "0.3"],
     ["verify2", "--s=-3000.5", "--x", "0.3", "--y", "0.3"],
+    ["verify2", "--s=2335.33", "--x=-0.962435", "--y=-0.153746"],
 ])
 def test_overflowing_tail_bound_is_a_domain_error(capsys, argv):
     # The first caps of the tail-bound search overflow (1 + 1/(cap+1))^p;
-    # that is an infinite bound, not an internal error.
+    # that is an infinite bound, not an internal error. In the last argv
+    # it is the estimate of |Li_t(y)|, which left the other factor a
+    # tolerance of 0 and gave exit 1 ("tol must be positive").
     code, out, err = _run(capsys, argv)
     assert code == 2
     assert out == ""
@@ -350,6 +353,14 @@ def test_polylog_extended_digits(capsys):
     )
     assert code == 0
     assert "0.582240526465011988703108064946" in out
+
+
+def test_polylog_extended_at_few_digits(capsys):
+    # Under 53 bits of precision this once exited 1 with
+    # "error: negative shift count".
+    code, out, err = _run(capsys, ["polylog", "--s", "2", "--z", "0.5", "--precision", "extended:5"])
+    assert code == 0 and err == ""
+    assert "value: (0.58224 + 0.0j)" in out
 
 
 @pytest.mark.parametrize("fmt", ["human", "json", "csv"])

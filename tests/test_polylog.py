@@ -37,7 +37,7 @@ from vpvlab.numerics import (
     LOG1M_SERIES_MAX, dirichlet_tail, exact_sum, log1m, power_geometric_tail,
 )
 from vpvlab.polylog import (
-    _gaussian_power, _guard_bits, _neg_order_log_floor, _neg_order_poly, _prime_weights, polylog_partial,
+    _complex_product, _gaussian_power, _neg_order_log_floor, _neg_order_poly, _weights, _width, polylog_partial,
 )
 
 # The module, for patching its TERM_CAP: the package's name "polylog" is
@@ -501,46 +501,107 @@ def test_extended_polylog_is_within_one_unit_of_its_terms(sigma, height, modulus
         assert abs(res.value - mpmath.fsum(terms)) <= unit, (s, z, dps)
 
 
+def test_extended_value_at_a_large_height_is_within_one_unit_of_its_terms():
+    # The phase T ln p of s = 1/2 + iT is carried by the guard bits: the
+    # value is within 10^-dps times the sum of |terms| of the same terms
+    # summed at dps + 30 digits.
+    s, z, dps = complex(0.5, 1e6), 0.5, 30
+    res = polylog(s, z, 1e-12, dps=dps)
+    with mpmath.workdps(dps + 30):
+        s_, z_ = mpmath.mpc(s), mpmath.mpc(z)
+        terms = [z_ ** k * mpmath.mpf(k) ** -s_ for k in range(1, res.terms_used + 1)]
+        unit = mpmath.mpf(10) ** -dps * mpmath.fsum(terms, absolute=True)
+        assert abs(res.value - mpmath.fsum(terms)) <= unit
+
+
+def test_extended_polylog_at_low_precision_is_within_one_unit_of_its_terms():
+    # Below 53 bits the mantissas are narrower than a double; the
+    # estimate of |z| once shifted them by a negative count.
+    for dps in range(1, 13):
+        for s, z in ((2, 0.5), (2.5, -0.9), (-3, 0.25 + 0.5j), (0.5 + 14j, 0.7j)):
+            res = polylog(s, z, 1e-12, dps=dps)
+            with mpmath.workdps(dps + 30):
+                s_, z_ = mpmath.mpc(s), mpmath.mpc(z)
+                terms = [z_ ** k * mpmath.mpf(k) ** -s_ for k in range(1, res.terms_used + 1)]
+                unit = mpmath.mpf(10) ** -dps * mpmath.fsum(terms, absolute=True)
+                assert abs(res.value - mpmath.fsum(terms)) <= unit, (s, z, dps)
+                assert abs(polylog_partial(s, z, 7, dps=dps) - mpmath.fsum(terms[:7])) <= unit, (s, z, dps)
+
+
+def test_extended_weights_at_a_huge_integer_order_stay_at_working_precision():
+    # p^-s at an integer order is powered at the working precision: an
+    # exact p^|s| at s = 1e9 has billions of bits.
+    start = time.perf_counter()
+    for s in (1e9, 1e12):
+        res = polylog(s, 0.5, 1e-12, dps=30)
+        assert abs(res.value - 0.5) <= 1e-30 * 0.5, s
+    value = polylog_partial(-10 ** 6, 0.5, 50, dps=30)
+    assert time.perf_counter() - start < 1.0
+    with mpmath.workdps(60):
+        terms = [mpmath.mpf(0.5) ** k * mpmath.mpf(k) ** 10 ** 6 for k in range(1, 51)]
+        assert abs(value - mpmath.fsum(terms)) <= mpmath.mpf(10) ** -30 * mpmath.fsum(terms)
+
+
+def test_extended_real_series_has_an_exactly_zero_imaginary_part():
+    # A real order and argument are summed in real mantissas only.
+    for s in (3, 2.5, -1.5, mpmath.mpf(2) / 3):
+        for z in (0.5, -0.9):
+            value = polylog(s, z, 1e-20, dps=30).value
+            assert value.imag == 0 and value.real != 0, (s, z)
+
+
+def test_extended_partial_sum_of_one_term_is_z():
+    # The first term is z itself, exact at every precision.
+    for dps in (15, 30, 50):
+        for s in (2, -3.5, 0.5 + 14j, -200.5):
+            for z in (0.5, -0.25 + 0.75j, 1e-300j, 0.999 * cmath.exp(1j)):
+                with mpmath.workdps(dps):
+                    want = mpmath.mpc(z)
+                assert polylog_partial(s, z, 1, dps=dps) == want, (dps, s, z)
+
+
 def test_prime_weights_match_direct_powers():
     # At 53 bits with the guard bits on, each weight built from the prime
     # weights rounds to mpmath's own k^-s within an ulp or so, for orders
-    # far off the real axis and far below it.
+    # far off the real axis and far below it, in integer mantissas that
+    # are complex, or real where the order is real.
     n = 1500
     with mpmath.workprec(53):
         for s in (mpmath.mpc(0.5, 100), mpmath.mpc(-200.5, 0), mpmath.mpc(2, -30), mpmath.mpc(3, 0)):
-            with mpmath.extraprec(_guard_bits(s, n)):
-                weights = list(_prime_weights(mpmath.mp, s, n))
-            assert len(weights) == n - 1
-            for k, w in enumerate(weights, 2):
-                ref = mpmath.mpf(k) ** -s
-                assert abs(+w - ref) <= 2.0 ** -51 * abs(ref), (s, k)
+            for real in {False, not s.imag}:
+                weights = list(_weights(s, n, _width(s, n, 53), real))
+                assert len(weights) == n
+                for k, (e, *parts) in enumerate(weights, 1):
+                    w = mpmath.mpc(*(mpmath.mpf((m, e)) for m in parts))
+                    ref = mpmath.mpf(k) ** -s
+                    assert abs(w - ref) <= 2.0 ** -51 * abs(ref), (s, real, k)
 
 
-def test_extended_polylog_holds_at_most_half_its_weights(monkeypatch):
+def test_extended_polylog_holds_at_most_half_its_weights():
     # The weights of k <= n/2 are held, for the composites past them; the
-    # rest stream, and so does the sum, a block at a time. So the peak is
-    # under n/2 weights, two blocks of terms and the sieve (a list of
-    # ints), well short of n weights. A weight's size is measured on
-    # products at the same precision, as the held composites are. The
-    # call is the one that took 61 us per term, cut from 56,428 terms to
-    # 4,000, and the block from 4,096 to 128.
-    block = 128
-    monkeypatch.setattr(numerics, "_BLOCK", block)
+    # rest stream, and so does the sum, into one integer accumulator. So
+    # the peak is under n/2 weights and the sieve (a list of ints), well
+    # short of n weights. A weight's size is measured on products at the
+    # same width, as the held composites are. The call is the one that
+    # took 61 us per term, cut from 56,428 terms to 4,000.
     n, s, z = 4000, complex(-2, 100), 0.999 * cmath.exp(1j)
     polylog_partial(s, z, n, dps=30)  # mpmath caches its tables per precision
-    with mpmath.workdps(30), mpmath.extraprec(_guard_bits(mpmath.mpc(s), n)):
-        factors = list(islice(_prime_weights(mpmath.mp, mpmath.mpc(s), 1001), 1000))
-        tracemalloc.start()
-        try:
-            products = [factors[0] * w for w in factors]
-            weight = tracemalloc.get_traced_memory()[0] / len(products)
-            del products
-            tracemalloc.reset_peak()
-            polylog_partial(s, z, n, dps=30)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-    assert peak <= (n / 2 + 2 * block) * weight + 40 * n < 0.75 * n * weight
+    with mpmath.workdps(30):
+        s_ = mpmath.mpc(s)
+        width = _width(s_, n, mpmath.mp.prec)
+        factors = list(islice(_weights(s_, 1001, width, False), 1, 1001))
+    tracemalloc.start()
+    try:
+        products = [_complex_product(factors[0], w, width) for w in factors]
+        weight = tracemalloc.get_traced_memory()[0] / len(products)
+        del products
+        tracemalloc.reset_peak()
+        polylog_partial(s, z, n, dps=30)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= n / 2 * weight + 40 * n
+    assert peak < 0.75 * n * weight
 
 
 def test_exact_sum_rounds_each_part_once_per_block(monkeypatch):

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vpvlab import (
+    ComputationError,
     DomainError,
     IdentityCase,
     TailBoundExceedsTol,
@@ -380,6 +381,22 @@ def test_verify_carries_each_factor_evaluated_once(monkeypatch):
         rhs_factors(IdentityCase(2, complex(0.5, t), 0.2, 0.2), 0.5e-8)
         for t in (14.134725, 21.02204)
     ]
+
+
+def test_infinite_factor_estimate_is_refused_before_any_evaluation(monkeypatch):
+    # At s = 2335.33 the second order is t = 1 - s, and |Li_t(y)|'s
+    # estimate is past the float range: the first factor's tolerance
+    # was tol / inf = 0, which polylog refused as "tol must be positive".
+    from vpvlab import products
+
+    def unexpected(*args):
+        raise AssertionError("a factor was evaluated")
+
+    monkeypatch.setattr(products, "polylog", unexpected)
+    case = IdentityCase(2, 2335.33, -0.962435, -0.153746)
+    for call in (rhs_factors, verify):
+        with pytest.raises(ComputationError, match="past the float range"):
+            call(case, 1e-8)
 
 
 def test_report_error_definitions():
