@@ -27,6 +27,8 @@ _BLOCK = 1 << 12
 # lattice kernel sums the rows' series tails below it (products.product_log_sum).
 LOG1M_SERIES_MAX = 1e-4
 
+# Entries of smallest_prime_factors sieved at once.
+_SIEVE_SEGMENT = 1 << 14
 # ln k at index k (index 0 holds 0.0), grown by log_table on first need.
 _LN = array("d", (0.0,))
 # B_0, B_2, B_4, ... as exact rationals, grown by _bernoulli on first need.
@@ -53,13 +55,26 @@ def smallest_prime_factors(cap: int) -> list[int]:
 
     Each p writes its multiples from p^2 on, the largest p first, so the
     last write to k is from the least divisor p > 1 with p^2 <= k, which
-    is prime; a prime k keeps k. The lattice kernel reads it for the
-    squarefree divisors of its row gcds, and extended polylog for the
-    weights k^-s it builds from prime weights.
+    is prime; a prime k keeps k. Past the first _SIEVE_SEGMENT entries the
+    sieve runs one segment at a time, with the primes p < lo already
+    found, so only one segment of fresh int objects exists at once and
+    the peak stays near the list's own size. The lattice kernel reads it
+    for the squarefree divisors of its row gcds, and extended polylog for
+    the weights k^-s it builds from prime weights.
     """
-    spf = list(range(cap + 1))
-    for p in range(math.isqrt(cap), 1, -1):
-        spf[p * p::p] = [p] * len(range(p * p, cap + 1, p))
+    # not min(), whose call costs the kernel's small caps about 10%
+    first = cap if cap < _SIEVE_SEGMENT else _SIEVE_SEGMENT
+    spf = list(range(first + 1))
+    for p in range(math.isqrt(first), 1, -1):
+        spf[p * p::p] = [p] * len(range(p * p, first + 1, p))
+    for lo in range(first + 1, cap + 1, _SIEVE_SEGMENT):
+        hi = min(lo + _SIEVE_SEGMENT, cap + 1)
+        part = list(range(lo, hi))
+        for p in range(math.isqrt(hi - 1), 1, -1):
+            if spf[p] == p:
+                start = max(p * p, -(-lo // p) * p)
+                part[start - lo::p] = [p] * len(range(start, hi, p))
+        spf += part
     return spf
 
 

@@ -32,6 +32,11 @@ from .numerics import (
 EPS_DOMAIN = 1e-3
 # Real zeta orders must exceed 1 by this margin.
 EPS_ZETA = 1e-3
+# Double polylog takes Li_{-n} from polylog_neg_int up to this n. Past it
+# the series refuses at once (3^n leaves the float range from n = 647),
+# where P_n would cost about n^3 work (1 s at n = 1000) whenever no
+# magnitude floor refuses first.
+_ROUTED_NEG_ORDER_MAX = 1000
 # A complex modulus past exp(710.5) > sqrt(2) * max float has a part that overflows.
 _LOG_PAST_FLOAT_RANGE = 710.5
 
@@ -63,9 +68,14 @@ def polylog(s: complex, z: complex, tol: float = 1e-12, *, dps: int | None = Non
             index to this many significant digits, as an mpc
             (extended-precision mode; see polylog_partial).
 
+    In double an integer order -n with 0 <= n <= _ROUTED_NEG_ORDER_MAX
+    returns polylog_neg_int's exact closed form, with terms_used 0 and
+    tail_bound 0.0.
+
     Raises:
         DomainError: |z| too large.
         NonConvergence: tolerance unreachable within TERM_CAP terms.
+        ComputationError: the value leaves the float range.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
@@ -78,6 +88,11 @@ def polylog(s: complex, z: complex, tol: float = 1e-12, *, dps: int | None = Non
             raise DomainError(f"|z| = {r!r} exceeds 1 - eps_domain = {1.0 - EPS_DOMAIN!r}")
         if zc == 0:
             return SeriesResult(ctx.mpc(0), 1, 0.0)
+        n = -s.real
+        if dps is None and s.imag == 0 and n == round(n) and 0 <= n <= _ROUTED_NEG_ORDER_MAX:
+            # the series of Li_{-n} can cancel to nothing in double (ROADMAP
+            # item 7); the closed form is exact and needs no terms
+            return SeriesResult(polylog_neg_int(int(n), zc), 0, 0.0)
         # |z^j j^-s| <= j^sigma r^j for j > k with sigma = max(0, -Re s): the
         # bound is inf before the peak of k^sigma r^k and strictly decreasing
         # after it, so first_within finds the first k that meets tol

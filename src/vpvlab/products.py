@@ -285,17 +285,16 @@ def _squarefree_divisors(g: int, spf: Sequence[int], known: dict) -> list[tuple[
     return known[g]
 
 
-def _suffix_tables(q: Sequence[list[complex]], d: int, sign: int) -> tuple:
-    """(K, R_1, ..., R_4) for the multiples of d in q = (Q_1, ..., Q_4),
-    with K = (len(Q_j) - 1) // d.
+def _suffix_tables(q: Sequence[list[complex]], d: int, sign: int) -> list:
+    """[S_1, ..., S_4] for the multiples of d in q = (Q_1, ..., Q_4).
 
-    R_j[i] is sign times the sum of Q_j[kd] over the i largest k <= K,
-    accumulated from k = K down, so sign times the sum over
-    lo <= k <= hi is R_j[K + 1 - lo] - R_j[K - hi].
+    S_j[i] is sign times the sum of Q_j[kd] over i < k <= (len(Q_j) - 1) // d,
+    accumulated from the largest k down, so sign times the sum over
+    lo < k <= hi is S_j[lo] - S_j[hi].
     """
     k = (len(q[0]) - 1) // d
     step = None if sign > 0 else sub  # None: accumulate's own addition
-    return (k, *(list(itertools.accumulate(qj[k * d:0:-d], step, initial=0j)) for qj in q))
+    return [list(itertools.accumulate(qj[k * d:0:-d], step, initial=0j))[::-1] for qj in q]
 
 
 def product_log_sum(
@@ -324,12 +323,19 @@ def product_log_sum(
     So the row's tail b0 .. top is -sum_j p^j/j T_j with
     T_j = sum of Q_j[b] = c_b y^(jb) over its b coprime to g, which by
     Moebius inversion is the sum over the squarefree d | g, d <= top, of
-    mu(d) times the sum of Q_j over the multiples of d in b0 .. top: a
-    difference of two suffix sums (_suffix_tables), built once per call
-    and per d.
-    The head b < b0 is summed term by term. Every head term and every
-    row's tail is multiplied once by w, and exact_sum sums the products,
-    rounding once per _BLOCK of them.
+    mu(d) times the sum of Q_j over the multiples of d in b0 .. top.
+    With at most 3 such multiples and no table for d yet, that sum is
+    taken straight from Q_j; otherwise it is a difference of two suffix
+    sums (_suffix_tables), built once per call and per d when a row first
+    needs more. Short rows come first, so a table is built only for the
+    d that some longer row needs. A row with g = 1 has only d = 1.
+    The head b < b0 is summed term by term, with no gcd test when g = 1.
+    Every head term and every row's tail is multiplied once by w, and
+    exact_sum sums the products, rounding once per _BLOCK of them.
+
+    The walk keeps the coordinates before the last head axis on a stack
+    and runs the rows of that axis in a loop, from its largest coordinate
+    down, the order in which a stack of rows would pop them.
     """
     n = len(orders)
     if n < 2 or len(args) != n:
@@ -348,7 +354,7 @@ def product_log_sum(
     slack = 1e-9 * degree_cap
     tops = [max(0, int(degree_cap / m)) + 1 for m in mu]
     ln = log_table(tops[-1])
-    weights = [[cmath.exp(-complex(orders[i]) * lk) for lk in ln[:top + 1]]
+    weights = [list(map(cmath.exp, map((-complex(orders[i])).__mul__, ln[:top + 1])))
                for i, top in zip(axes, tops)]
     powers = [_pow_table(complex(args[i]), top) for i, top in zip(axes, tops)]
     gcd = math.gcd
@@ -359,6 +365,7 @@ def product_log_sum(
     q = [list(map(mul, wb, pb))]
     for _ in range(3):
         q.append(list(map(mul, q[-1], pb)))
+    q1, q2, q3, q4 = q
     spf = smallest_prime_factors(max(tops[:-1]))
     cut = -LOG1M_SERIES_MAX
     divisors = {1: [(1, 1)]}  # g -> _squarefree_divisors(g)
@@ -373,37 +380,60 @@ def product_log_sum(
         # coordinates before axis i are fixed: g is their gcd, budget what
         # is left of the level, w and p their weight and power products
         i, g, budget, w, p = stack.pop()
-        if i < n - 1:
-            m, wi, pi = mu[i], weights[i], powers[i]
+        m, wi, pi = mu[i], weights[i], powers[i]
+        last = int((budget - later[i] + slack) / m)
+        if i < n - 2:
             stack.extend((i + 1, gcd(g, a), budget - a * m, w * wi[a], p * pi[a])
-                         for a in range(1, int((budget - later[i] + slack) / m) + 1))
+                         for a in range(1, last + 1))
             continue
-        top = int(budget + slack)
-        ap = abs(p)
-        b0 = bisect_right(descent, cut / ap, 1, top + 1) if ap else 1
-        # |p y^b| >= LOG1M_SERIES_MAX here, where log1m is cmath.log
-        head = [w * (wb[b] * log(1 - p * pb[b])) for b in range(1, b0) if gcd(g, b) == 1]
-        count += len(head)
-        parts += head
-        if len(parts) > _BLOCK:
-            # fold the list into its sum, so it holds one block of products
-            parts = [exact_sum(parts)]
-        if b0 > top:
-            continue
-        t1 = t2 = t3 = t4 = 0j
-        for d, sign in _squarefree_divisors(g, spf, divisors):
-            if d > top:
-                continue
-            if d not in tables:
-                tables[d] = _suffix_tables(q, d, sign)
-            k, r1, r2, r3, r4 = tables[d]
-            lo, hi = k - (b0 - 1) // d, k - top // d
-            count += sign * (lo - hi)
-            t1 += r1[lo] - r1[hi]
-            t2 += r2[lo] - r2[hi]
-            t3 += r3[lo] - r3[hi]
-            t4 += r4[lo] - r4[hi]
-        parts.append(-w * p * (t1 + p * (t2 * 0.5 + p * (t3 * (1 / 3) + p * (t4 * 0.25)))))
+        # the rows of axis n - 2, last first, as a stack would pop them
+        for a in range(last, 0, -1):
+            ga, wa, pa = gcd(g, a), w * wi[a], p * pi[a]
+            top = int(budget - a * m + slack)
+            ap = abs(pa)
+            b0 = bisect_right(descent, cut / ap, 1, top + 1) if ap else 1
+            if b0 > 1:
+                # |p y^b| >= LOG1M_SERIES_MAX here, where log1m is cmath.log
+                head = [wa * (wb[b] * log(1 - pa * pb[b]))
+                        for b in range(1, b0) if ga == 1 or gcd(ga, b) == 1]
+                count += len(head)
+                parts += head
+            if b0 <= top:
+                bm = b0 - 1
+                t1 = t2 = t3 = t4 = 0j
+                for d, sign in divisors.get(ga) or _squarefree_divisors(ga, spf, divisors):
+                    # the multiples kd of d in b0 .. top have lo < k <= hi
+                    lo, hi = bm // d, top // d
+                    if lo == hi:
+                        continue
+                    count += sign * (hi - lo)
+                    table = tables.get(d)
+                    if table is None:
+                        if hi - lo <= 3:
+                            # too few to pay for a table: sum them from Q_j
+                            if sign > 0:
+                                for b in range(hi * d, bm, -d):
+                                    t1 += q1[b]
+                                    t2 += q2[b]
+                                    t3 += q3[b]
+                                    t4 += q4[b]
+                            else:
+                                for b in range(hi * d, bm, -d):
+                                    t1 -= q1[b]
+                                    t2 -= q2[b]
+                                    t3 -= q3[b]
+                                    t4 -= q4[b]
+                            continue
+                        table = tables[d] = _suffix_tables(q, d, sign)
+                    r1, r2, r3, r4 = table
+                    t1 += r1[lo] - r1[hi]
+                    t2 += r2[lo] - r2[hi]
+                    t3 += r3[lo] - r3[hi]
+                    t4 += r4[lo] - r4[hi]
+                parts.append(-wa * pa * (t1 + pa * (t2 * 0.5 + pa * (t3 * (1 / 3) + pa * (t4 * 0.25)))))
+            if len(parts) > _BLOCK:
+                # fold the list into its sum, so it holds one block of products
+                parts = [exact_sum(parts)]
     # 0j - total, not -total: a zero part stays +0.0, as in a running sum
     value = 0j - exact_sum(parts)
     return require_finite(value, "product_log_sum"), count

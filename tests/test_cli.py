@@ -336,6 +336,19 @@ def test_visible_csv(capsys):
     ]
 
 
+def test_polylog_at_a_negative_integer_order_prints_the_closed_form(capsys):
+    # The series cancels in double here and printed -5.31e28 with exit 0;
+    # the exact Li_-20(-0.95) is 5.92e7, summed over no terms.
+    code, out, err = _run(capsys, ["polylog", "--s=-20", "--z=-0.95", "--format", "json"])
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    with mpmath.workdps(40):
+        want = mpmath.polylog(-20, mpmath.mpf(-0.95))
+    assert abs(report["value"]["re"] - want) <= 1e-15 * abs(want)
+    assert report["value"]["im"] == 0.0
+    assert (report["terms"], report["tail_bound"]) == (0, 0.0)
+
+
 def test_polylog_extended_digits(capsys):
     code, out, _ = _run(
         capsys,

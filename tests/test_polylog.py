@@ -26,6 +26,7 @@ from vpvlab import (
     DomainError,
     IdentityCase,
     NonConvergence,
+    SeriesResult,
     polylog,
     polylog_neg_int,
     rhs_factors,
@@ -34,7 +35,7 @@ from vpvlab import (
 )
 from vpvlab import numerics
 from vpvlab.numerics import (
-    LOG1M_SERIES_MAX, dirichlet_tail, exact_sum, log1m, power_geometric_tail,
+    LOG1M_SERIES_MAX, dirichlet_tail, exact_sum, log1m, power_geometric_tail, smallest_prime_factors,
 )
 from vpvlab.polylog import (
     _complex_product, _gaussian_power, _neg_order_log_floor, _neg_order_poly, _weights, _width, polylog_partial,
@@ -120,9 +121,30 @@ def test_neg_int_quartic_at_half():
 
 
 def test_neg_int_against_series_order_five():
-    want = polylog(-5, 0.1, 1e-12)
+    # The plain series, not polylog, which now returns polylog_neg_int
+    # itself at this order: 40 terms leave a tail below 40^5 / 10^40.
+    want = polylog_partial(-5, 0.1, 40)
     got = polylog_neg_int(5, 0.1)
-    assert abs(got - want.value) <= 1e-11
+    assert abs(got - want) <= 1e-11
+
+
+@pytest.mark.parametrize("n, z", [(0, 0.5), (1, -0.3 + 0.4j), (5, 0.1), (20, -0.95), (26, -0.768936)])
+def test_polylog_takes_non_positive_integer_orders_from_the_closed_form(n, z):
+    # The series cancels here in double: at (20, -0.95) it returned -5.31e28
+    # for a true 5.92e7. The closed form needs no terms and has no tail.
+    res = polylog(-n, z, 1e-14)
+    assert res == SeriesResult(polylog_neg_int(n, z), 0, 0.0)
+    # extended precision still sums the series
+    assert polylog(-n, z, 1e-14, dps=30).terms_used > 0
+
+
+def test_polylog_keeps_its_refusals_at_non_positive_integer_orders():
+    with pytest.raises(ComputationError):
+        polylog(-1000, 0.3)  # past the float range: refused by the magnitude floor
+    with pytest.raises(ComputationError):
+        polylog(-3000, 0.3)  # past the routed orders: the series refuses its terms
+    with pytest.raises(DomainError):
+        polylog(-2, 0.9995)
 
 
 def test_neg_int_rejects_bad_inputs():
@@ -793,3 +815,22 @@ def test_dirichlet_tail_bound():
     direct = ZETA3 - sum(k**-3.0 for k in range(1, 50))
     assert abs(val - direct) <= rem + 1e-15
     assert rem <= 1e-12
+
+
+def test_smallest_prime_factors_peaks_near_what_it_holds():
+    # Sieved one segment at a time, so the ints of only one segment are
+    # fresh at once: at the n of a 529,045-term extended sum the list holds
+    # 5.7 MB and peaks at 6.5 MB (21.2 MB when it made an int per k at once).
+    n = 529_045
+    tracemalloc.start()
+    try:
+        spf = smallest_prime_factors(n)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * held
+    # every entry is the least prime factor, across the segment seams
+    for k in [2, 3, 4, 16383, 16384, 16385, 16387, 32768, 32771, 257 ** 2, 727 ** 2, 2 * 727, n - 1, n]:
+        p = next(d for d in range(2, k + 1) if k % d == 0)
+        assert spf[k] == p, k
+    assert len(spf) == n + 1

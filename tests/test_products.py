@@ -684,6 +684,21 @@ def test_product_log_sum_with_a_zero_argument(orders, args, level):
     ((3.0, -2.0 + 5j), (1e-3j, cmath.rect(0.5, 1.0)), 60),
     # 4D, with two rising weights
     ((-1.0, -0.5 + 2j, 1.5, 1.0 - 2j), (0.4, cmath.rect(0.5, 1.0), -0.45, 0.5j), 24),
+    # Short rows come first (the last head axis runs from its largest
+    # coordinate down), so a divisor is first summed directly and a later
+    # row builds its table: d = 2 directly in rows a = 36 and 34 (top 4
+    # and 6), its table in row 32; d = 7 in rows 21 and 14, its table in
+    # row 7, whose head is b < 7.
+    ((2.0, -1.0), (0.5, 0.5), 40),
+    ((2.0 - 1j, -1.0 + 1j), (cmath.rect(0.5, 1.0), cmath.rect(0.6, -2.0)), 40),
+    # coprime heads wholly in the tail: row a = 1 (|p y| = 5e-6, top 43),
+    # and in 3D two rows with g = 1 and tops 2 and 14, where d = 1 is
+    # first summed directly and then from its table
+    ((2.0, -1.0), (1e-5, 0.5), 60),
+    ((1.5, 0.5 + 2j, -1.0 - 2j), (1e-3, 2e-3j, cmath.rect(0.6, 0.5)), 40),
+    # 4D with distinct decay rates and heads on every axis, so the rows of
+    # the last head axis come from many stack entries
+    ((1.5 + 1j, -0.5, 0.5 - 2j, -0.5 + 1j), (0.3, 0.5j, cmath.rect(0.6, 1.0), 0.7), 30),
 ])
 def test_product_log_sum_matches_the_reference_at_the_edges(orders, args, level):
     if max(map(abs, args)) >= 1:
@@ -709,10 +724,10 @@ _ORDER = st.builds(complex, st.floats(-6.0, 8.0), st.floats(-20.0, 20.0))
 
 
 @settings(derandomize=True, database=None, max_examples=120, deadline=None)
-@given(st.integers(2, 3).flatmap(lambda n: st.tuples(
+@given(st.integers(2, 4).flatmap(lambda n: st.tuples(
     st.lists(_ORDER, min_size=n - 1, max_size=n - 1),
     st.lists(_DISK_POINT, min_size=n, max_size=n),
-    st.integers(n, 90 if n == 2 else 24),
+    st.integers(n, {2: 90, 3: 24, 4: 16}[n]),
 )))
 def test_product_log_sum_matches_the_reference_property(draw):
     free, args, level = draw
