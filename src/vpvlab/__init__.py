@@ -33,11 +33,9 @@ from .polylog import (
     zeta_real,
 )
 from .products import (
-    DEFAULT_DEGREE_CAP_MAX,
     IdentityCase,
     IdentityReport,
     TruncationSpec,
-    brute_force_log,
     choose_degree_cap,
     lattice_sum,
     lhs_log_product,
@@ -75,11 +73,9 @@ __all__ = [
     "polylog",
     "polylog_neg_int",
     "zeta_real",
-    "DEFAULT_DEGREE_CAP_MAX",
     "IdentityCase",
     "IdentityReport",
     "TruncationSpec",
-    "brute_force_log",
     "choose_degree_cap",
     "lattice_sum",
     "lhs_log_product",

@@ -30,12 +30,7 @@ from .explorer import (
 from .lattice import visible_points_2d, visible_points_3d
 from .numerics import require_finite
 from .polylog import polylog
-from .products import (
-    DEFAULT_DEGREE_CAP_MAX,
-    IdentityCase,
-    IdentityReport,
-    verify,
-)
+from .products import IdentityCase, IdentityReport, verify
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -135,7 +130,7 @@ _PARSERS = {
 
 @dataclass(frozen=True)
 class _Opt:
-    name: str  # config key / dest, e.g. "degree_cap_max"
+    name: str  # config key / dest, e.g. "degree_cap"
     kind: str  # key into _PARSERS
     default: object = None
     required: bool = False
@@ -153,7 +148,6 @@ _COMMANDS: dict[str, tuple[_Opt, ...]] = {
         _Opt("x", "complex", required=True, help="first argument; x=1 switches to the zeta mode"),
         _Opt("y", "complex", required=True, help="second argument, |y| < 1"),
         _Opt("tol", "float", 1e-8, help="target tolerance for both sides"),
-        _Opt("degree_cap_max", "int", DEFAULT_DEGREE_CAP_MAX, help="largest degree cap to consider"),
     ),
     "verify3": (
         _Opt("s", "complex", required=True, help="first order s (a+bi)"),
@@ -162,25 +156,21 @@ _COMMANDS: dict[str, tuple[_Opt, ...]] = {
         _Opt("y", "complex", required=True, help="second argument, |y| < 1"),
         _Opt("z", "complex", required=True, help="third argument, |z| < 1"),
         _Opt("tol", "float", 1e-8, help="target tolerance for both sides"),
-        _Opt("degree_cap_max", "int", DEFAULT_DEGREE_CAP_MAX, help="largest degree cap to consider"),
     ),
     "catalog": (
         _Opt("tol", "float", 1e-8, help="tolerance applied to every catalog case"),
-        _Opt("degree_cap_max", "int", DEFAULT_DEGREE_CAP_MAX, help="largest degree cap to consider"),
     ),
     "scan": (
         _Opt("T", "float_list", tuple(DEFAULT_T_VALUES), help="comma-separated T values for s = 1/2 + iT"),
         _Opt("x", "complex", complex(0.2), help="first argument"),
         _Opt("y", "complex", complex(0.2), help="second argument"),
         _Opt("tol", "float", 1e-8, help="per-row tolerance"),
-        _Opt("degree_cap_max", "int", DEFAULT_DEGREE_CAP_MAX, help="largest degree cap to consider"),
     ),
     "probe": (
         _Opt("order", "int", 3, help="positive order (2, 3, or 4); the probed factor has order 1-order"),
         _Opt("x", "complex", complex(0.5), help="first argument, held fixed"),
         _Opt("deltas", "float_list", _DEFAULT_DELTAS, help="comma-separated deltas; y = 1 - delta"),
         _Opt("tol", "float", 1e-8, help="per-row tolerance"),
-        _Opt("degree_cap_max", "int", DEFAULT_DEGREE_CAP_MAX, help="largest degree cap to consider"),
     ),
     "audit": (
         _Opt("tol", "float", 1e-12, help="tolerance for accepting a printed form"),
@@ -311,8 +301,6 @@ def _resolve_options(args: argparse.Namespace, command: str) -> dict:
 def _validate_common(res: dict) -> None:
     if "tol" in res and not res["tol"] > 0:
         raise DomainError(f"tol must be positive, got {res['tol']!r}")
-    if "degree_cap_max" in res and res["degree_cap_max"] < 2:
-        raise DomainError(f"degree-cap-max must be >= 2, got {res['degree_cap_max']!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -441,7 +429,7 @@ _AUDIT_LINE = "{name:9s} {verdict:17s} discrepancy={discrepancy:.3e}  {note}"
 # ---------------------------------------------------------------------------
 
 def _verified(case: IdentityCase, res: dict) -> str:
-    report = verify(case, res["tol"], degree_cap_max=res["degree_cap_max"])
+    report = verify(case, res["tol"])
     if not report.passed:
         raise _NotVerified(
             f"abs_err {report.abs_err!r} exceeds 3*tol = {3 * res['tol']!r} "
@@ -464,21 +452,19 @@ def _cmd_verify3(res: dict) -> str:
 
 
 def _cmd_catalog(res: dict) -> str:
-    reports = run_catalog(res["tol"], degree_cap_max=res["degree_cap_max"])
+    reports = run_catalog(res["tol"])
     records = [[("label", r.case.label, False)] + _report_record(r) for r in reports]
     return _render(res["format"], records, _CATALOG_LINE)
 
 
 def _cmd_scan(res: dict) -> str:
-    rows = critical_line_scan(res["T"], res["x"], res["y"], res["tol"],
-                              degree_cap_max=res["degree_cap_max"])
+    rows = critical_line_scan(res["T"], res["x"], res["y"], res["tol"])
     records = [_fields_record(r, t_value="T") for r in rows]
     return _render(res["format"], records, _SCAN_LINE)
 
 
 def _cmd_probe(res: dict) -> str:
-    rows, note = trivial_zero_probe(res["order"], res["x"], res["deltas"],
-                                    tol=res["tol"], degree_cap_max=res["degree_cap_max"])
+    rows, note = trivial_zero_probe(res["order"], res["x"], res["deltas"], tol=res["tol"])
     records = [_fields_record(r) for r in rows]
     if res["format"] == "json":
         rows_json = [_json_record(r) for r in records]

@@ -17,7 +17,7 @@ from .errors import ComputationError, DomainError, NonConvergence, VpvError
 from .forms import _PRINTED_FORMS, _Term, _evaluate, _term_values
 from .numerics import arithmetic
 from .polylog import TERM_CAP, SeriesResult, polylog, zeta_real
-from .products import DEFAULT_DEGREE_CAP_MAX, IdentityCase, IdentityReport, verify
+from .products import IdentityCase, IdentityReport, verify
 
 # Ordinates of the first three nontrivial zeta zeros; natural default
 # probe heights for complex-order cases on the critical line.
@@ -279,13 +279,9 @@ def catalog() -> list[IdentityCase]:
     return cases
 
 
-def run_catalog(
-    tol: float = 1e-8,
-    *,
-    degree_cap_max: int = DEFAULT_DEGREE_CAP_MAX,
-) -> list[IdentityReport]:
+def run_catalog(tol: float = 1e-8) -> list[IdentityReport]:
     """Verify every catalog case; reports come back in catalog order."""
-    return [verify(c, tol, degree_cap_max=degree_cap_max) for c in catalog()]
+    return [verify(c, tol) for c in catalog()]
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +294,6 @@ def trivial_zero_probe(
     deltas: Iterable[float] = (0.5, 0.4, 0.3, 0.2),
     *,
     tol: float = 1e-8,
-    degree_cap_max: int = DEFAULT_DEGREE_CAP_MAX,
 ) -> tuple[list[ProbeRow], str]:
     """Verify the 2D identity with orders (order, 1 - order) at y = 1 - delta.
 
@@ -321,7 +316,7 @@ def trivial_zero_probe(
         y = 1.0 - delta
         try:
             case = IdentityCase(2, order, x, y, label=f"probe-{order}-{delta}")
-            report = verify(case, tol, degree_cap_max=degree_cap_max)
+            report = verify(case, tol)
             rows.append(ProbeRow(
                 delta=delta,
                 y=y,
@@ -352,7 +347,7 @@ def trivial_zero_probe(
 # critical-line scan
 # ---------------------------------------------------------------------------
 
-def exponent_pair_deviation(t_value: float, pairs: Sequence[tuple[int, int]] = _EXPONENT_PAIRS) -> float:
+def exponent_pair_deviation(t_value: float) -> float:
     """Max deviation between a^-s b^-(1-s) and (ab)^-1/2 e^(iT ln(b/a))
     at s = 1/2 + iT over the sample pairs.
 
@@ -363,7 +358,7 @@ def exponent_pair_deviation(t_value: float, pairs: Sequence[tuple[int, int]] = _
     s = complex(0.5, t_value)
     t = 1 - s
     worst = 0.0
-    for a, b in pairs:
+    for a, b in _EXPONENT_PAIRS:
         direct = cmath.exp(-s * math.log(a) - t * math.log(b))
         split = math.exp(-0.5 * math.log(a * b)) * cmath.exp(1j * t_value * math.log(b / a))
         worst = max(worst, abs(direct - split))
@@ -375,8 +370,6 @@ def critical_line_scan(
     x: complex = 0.2,
     y: complex = 0.2,
     tol: float = 1e-8,
-    *,
-    degree_cap_max: int = DEFAULT_DEGREE_CAP_MAX,
 ) -> list[ScanRow]:
     """Verify the 2D identity at s = 1/2 + iT for each T.
 
@@ -396,7 +389,7 @@ def critical_line_scan(
                 f"(tolerance {limit!r})"
             )
         case = IdentityCase(2, complex(0.5, t_value), x, y, label=f"critical-T={t_value}")
-        report = verify(case, tol, degree_cap_max=degree_cap_max)
+        report = verify(case, tol)
         li_s_x, li_t_y = report.rhs_factors
         return ScanRow(
             t_value=t_value,

@@ -34,8 +34,8 @@ EPS_DOMAIN = 1e-3
 EPS_ZETA = 1e-3
 # Double polylog takes Li_{-n} from polylog_neg_int up to this n. Past it
 # the series refuses at once (3^n leaves the float range from n = 647),
-# where P_n would cost about n^3 work (1 s at n = 1000) whenever no
-# magnitude floor refuses first.
+# and polylog_neg_int refuses wherever no magnitude floor decides, as
+# P_n costs about n^3 work (1 s at n = 1000).
 _ROUTED_NEG_ORDER_MAX = 1000
 # A complex modulus past exp(710.5) > sqrt(2) * max float has a part that overflows.
 _LOG_PAST_FLOAT_RANGE = 710.5
@@ -330,7 +330,9 @@ def polylog_neg_int(n: int, z: complex) -> complex:
         DomainError: n negative or non-integer, or z = 1 (the pole).
         ComputationError: z is not finite, or the value leaves the float
             range (from n = 160 at z = 1/2). Where _neg_order_log_floor
-            shows that already, before P_n is built.
+            shows that already, before P_n is built. Past
+            n = _ROUTED_NEG_ORDER_MAX also wherever that floor finds no
+            bound, rather than build P_n.
     """
     if not isinstance(n, int) or isinstance(n, bool) or n < 0:
         raise DomainError(f"polylog_neg_int expects an integer n >= 0, got {n!r}")
@@ -339,8 +341,16 @@ def polylog_neg_int(n: int, z: complex) -> complex:
         raise DomainError("z = 1 is the pole of Li_{-n}")
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         raise ComputationError(f"non-finite argument in Li_{{-{n}}}({z!r})")
-    if _neg_order_log_floor(n, z) > _LOG_PAST_FLOAT_RANGE:
+    if z == 0:
+        return 0j
+    floor = _neg_order_log_floor(n, z)
+    if floor > _LOG_PAST_FLOAT_RANGE:
         raise ComputationError(f"Li_{{-{n}}}(z) leaves the float range at z = {z!r}")
+    if floor == -math.inf and n > _ROUTED_NEG_ORDER_MAX:
+        raise ComputationError(
+            f"Li_{{-{n}}}(z) at z = {z!r} has no magnitude floor, and building P_n "
+            f"past n = {_ROUTED_NEG_ORDER_MAX} costs about n^3 work"
+        )
     (a, a_den), (b, b_den) = z.real.as_integer_ratio(), z.imag.as_integer_ratio()
     d = max(a_den, b_den)  # D = 2^e: the larger is a multiple of the other
     e = d.bit_length() - 1

@@ -38,8 +38,11 @@ from .numerics import (
 )
 from .polylog import EPS_DOMAIN, EPS_ZETA, polylog, polylog_neg_int, zeta_real
 
-# Largest degree cap verify() will consider.
-DEFAULT_DEGREE_CAP_MAX = 4000
+# The most lattice points a case's level may enclose (_level_limit). At
+# equal moduli that is level 6324 in 2D and 493 in 3D.
+_WORK_BUDGET = 2 * 10**7
+# Zeta mode sums one term per b, so its level is its term count.
+_ZETA_MODE_LEVEL_MAX = 4000
 # Relative error denominators are floored here to avoid division blowups.
 REL_ERR_FLOOR = 1e-300
 
@@ -548,13 +551,6 @@ def lhs_log_product(case: IdentityCase, trunc: TruncationSpec) -> tuple[complex,
 lhs_log_product_2d = lhs_log_product_3d = lhs_log_product
 
 
-def brute_force_log(case: IdentityCase, degree_cap: int) -> complex:
-    """Independent full-lattice oracle for the right-side log."""
-    if case.is_zeta_mode:
-        raise DomainError("the lattice oracle requires |x| < 1")
-    return lattice_sum(case.orders, case.args, degree_cap)
-
-
 def _series_magnitude_bound(order: complex, arg: complex) -> float:
     r = abs(arg)
     if r == 0.0:
@@ -639,34 +635,43 @@ def rhs_log(case: IdentityCase, tol: float = 1e-12) -> complex:
     return _rhs_product(rhs_factors(case, tol))
 
 
-def choose_degree_cap(case: IdentityCase, tol: float, degree_cap_max: int = DEFAULT_DEGREE_CAP_MAX) -> int:
+def _level_limit(case: IdentityCase) -> int:
+    """The largest level choose_degree_cap considers: _ZETA_MODE_LEVEL_MAX
+    in zeta mode, else the largest L whose simplex volume L^n / (n! prod
+    mu_i), the point count of the region sum a_i mu_i <= L, fits
+    _WORK_BUDGET. A faster axis so buys a higher level."""
+    if case.is_zeta_mode:
+        return _ZETA_MODE_LEVEL_MAX
+    n = case.dimension
+    return int((_WORK_BUDGET * math.factorial(n) * math.prod(_decay_ratios(case.args))) ** (1 / n))
+
+
+def choose_degree_cap(case: IdentityCase, tol: float) -> int:
     """Smallest degree cap (the level of product_log_sum) whose certified
     tail bound meets tol.
 
     The bound is inf before its peak and decreasing after it, so
     first_within finds the level a scan from n upward would find.
     Raises TailBoundExceedsTol (carrying the achievable bound) when no
-    cap up to degree_cap_max suffices.
+    level up to _level_limit(case) suffices.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
+    limit = _level_limit(case)
     # the first level holding a point is n
-    found = None
-    if degree_cap_max >= case.dimension:
-        found = first_within(partial(_tail_bound, case), tol, case.dimension, degree_cap_max)
+    found = first_within(partial(_tail_bound, case), tol, case.dimension, limit)
     if found is not None:
         return found[0]
-    best = _tail_bound(case, degree_cap_max)
+    best = _tail_bound(case, limit)
+    budget = "" if case.is_zeta_mode else f" (the work budget of {_WORK_BUDGET:.0e} lattice points)"
     raise TailBoundExceedsTol(
-        f"no degree cap <= {degree_cap_max} meets tol={tol!r}; achievable bound is {best!r}",
+        f"no degree cap <= {limit}{budget} meets tol={tol!r}; achievable bound is {best!r}",
         achievable_bound=best,
-        degree_cap=degree_cap_max,
+        degree_cap=limit,
     )
 
 
-def verify(
-    case: IdentityCase, tol: float, *, degree_cap_max: int = DEFAULT_DEGREE_CAP_MAX
-) -> IdentityReport:
+def verify(case: IdentityCase, tol: float) -> IdentityReport:
     """Verify one identity: evaluate both sides and report the errors.
 
     The degree cap is chosen from the tail-bound formula so the
@@ -679,7 +684,7 @@ def verify(
         raise ValueError("tol must be positive")
     factors = rhs_factors(case, tol / 2)
     rhs = _rhs_product(factors)
-    cap = choose_degree_cap(case, tol / 2, degree_cap_max)
+    cap = choose_degree_cap(case, tol / 2)
     lhs, bound, terms = _eval_lhs(case, cap)
     abs_err = abs(lhs - rhs)
     rel_err = abs_err / max(abs(rhs), REL_ERR_FLOOR)

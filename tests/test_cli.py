@@ -152,24 +152,34 @@ def test_audit_at_working_precision_is_allowed(capsys, precision):
 
 
 def test_unachievable_tolerance_exit_code(capsys):
-    code, _, err = _run(
-        capsys,
-        [
-            "verify2",
-            "--s",
-            "1",
-            "--x",
-            "0.9",
-            "--y",
-            "0.995",
-            "--tol",
-            "1e-10",
-            "--degree-cap-max",
-            "60",
-        ],
-    )
+    # |x| = |y| = .999 needs a level past 20,000 for 1e-10; the work budget
+    # stops 2D at equal moduli at level 6324.
+    code, out, err = _run(capsys, ["verify2", "--s", "1", "--x", "0.999", "--y", "0.999",
+                                   "--tol", "1e-10"])
     assert code == 2
-    assert err
+    assert out == ""
+    assert err.startswith("error: no degree cap <= 6324 (the work budget of 2e+07 lattice points)")
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_work_budget_refuses_a_3d_case_at_once(capsys):
+    # Level 3944 (about 8.5e9 visible points) would meet the tolerance; the
+    # work budget stops 3D at equal moduli at level 493, so nothing is summed.
+    t0 = time.perf_counter()
+    code, out, err = _run(capsys, ["verify3", "--s", ".3", "--t", ".3", "--x", ".99",
+                                   "--y", ".99", "--z", ".99"])
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: no degree cap <= 493 (the work budget of 2e+07 lattice points)")
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_option_removed_with_the_level_cap_is_a_usage_error(capsys):
+    code, _, err = _run(capsys, ["verify2", "--s", "2", "--x", ".5", "--y", ".3",
+                                 "--degree-cap-max", "60"])
+    assert code == 1
+    assert err.startswith("error:")
 
 
 def test_unverified_result_exit_code(capsys):
@@ -213,6 +223,24 @@ def test_huge_negative_order_is_refused_at_once(capsys, s):
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and "leaves the float range" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify2", "--s=-1e15", "--x=0.3", "--y=0.3"],
+    ["verify2", "--s=-1e300", "--x=0.3", "--y=0.3"],
+    ["verify2", "--s=-1e15", "--x=-0.3", "--y=0.3"],
+])
+def test_negative_order_with_no_magnitude_floor_is_refused_at_once(capsys, argv):
+    # The floor's rounding allowance outgrows |Li_{-n}| from n near 1e13, also
+    # at x = -0.3, where the two nearest poles have equal moduli. Building
+    # P_n there never returned.
+    t0 = time.perf_counter()
+    code, out, err = _run(capsys, argv)
+    assert time.perf_counter() - t0 < 0.2
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "no magnitude floor" in err
+    assert len(err.strip().splitlines()) == 1
 
 
 @pytest.mark.parametrize("argv", [

@@ -350,14 +350,14 @@ def test_probe_zero_argument():
 
 
 def test_probe_reports_per_row_failures():
-    # A delta small enough that no cap under the max meets tol fails in
-    # its own row without sinking the table.
-    rows, _ = trivial_zero_probe(
-        order=3, x=0.5, deltas=(0.5, 0.0005), tol=1e-8, degree_cap_max=400
-    )
+    # A delta small enough that no level within the work budget meets tol
+    # (y = .998 next to x = .99), and one inside the excluded band, each
+    # fail in their own row without sinking the table.
+    rows, _ = trivial_zero_probe(order=3, x=0.99, deltas=(0.5, 0.002, 0.0005), tol=1e-8)
     assert rows[0].error is None
-    assert rows[1].error is not None
-    assert rows[1].lhs_log is None
+    assert rows[1].error.startswith("TailBoundExceedsTol: no degree cap <= 14170 ")
+    assert rows[2].error.startswith("DomainError")
+    assert rows[1].lhs_log is None and rows[2].lhs_log is None
 
 
 def test_probe_validates_order_and_deltas():

@@ -162,6 +162,23 @@ def test_neg_int_out_of_float_range_raises_computation_error(n, z):
         polylog_neg_int(n, z)
 
 
+@pytest.mark.parametrize("n, z", [(10**15, 0.3), (10**15, -0.3), (10**300, 0.3), (1001, 1e-5)])
+def test_neg_int_without_a_floor_past_the_routed_orders_is_refused_at_once(n, z):
+    # _neg_order_log_floor finds no bound here: its rounding allowance
+    # outgrows the value from n near 1e13, and it takes none at
+    # |ln z| >= 2 sqrt(2) pi. P_n would cost about n^3.
+    t0 = time.perf_counter()
+    with pytest.raises(ComputationError, match="no magnitude floor"):
+        polylog_neg_int(n, z)
+    assert time.perf_counter() - t0 < 0.1
+
+
+def test_neg_int_at_zero_is_zero_at_any_order():
+    t0 = time.perf_counter()
+    assert [polylog_neg_int(n, z) for n in (0, 5, 10**15) for z in (0.0, -0j)] == [0j] * 6
+    assert time.perf_counter() - t0 < 0.1
+
+
 def test_neg_int_is_exact_past_the_float_horner_range():
     # The Eulerian coefficients of P_200 pass the float range, but
     # Li_-200(-0.9) itself is finite; mpmath 50-digit reference.

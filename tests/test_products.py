@@ -20,7 +20,6 @@ from vpvlab import (
     TailBoundExceedsTol,
     TruncationSpec,
     audit_special_values,
-    brute_force_log,
     choose_degree_cap,
     critical_line_scan,
     lattice_sum,
@@ -36,7 +35,8 @@ from vpvlab import (
 )
 from vpvlab.numerics import log1m, log_table
 from vpvlab.products import (
-    _CLOSED_FORM_CONSTANTS, _coprime_factors, _decay_ratios, tail_bound_2d, tail_bound_3d,
+    _CLOSED_FORM_CONSTANTS, _coprime_factors, _decay_ratios, _level_limit, tail_bound_2d,
+    tail_bound_3d,
 )
 
 
@@ -155,7 +155,7 @@ def test_order_two_quarter_arguments():
 
 def test_brute_force_matches_closed_form():
     case = IdentityCase(2, 1.0, 0.3, 0.4)
-    val = brute_force_log(case, 80)
+    val = lattice_sum(case.orders, case.args, 80)
     want = (-math.log(0.7)) * (2 / 3)
     assert abs(val - want) <= 1e-10
 
@@ -185,8 +185,6 @@ def test_zeta_mode_rhs_value():
     assert abs(rhs_log(case) - want) <= 1e-10
     report = verify(case, 1e-8)
     assert report.rel_err <= 1e-7
-    with pytest.raises(DomainError):
-        brute_force_log(case, 60)  # no finite-lattice oracle at x=1
 
 
 @pytest.mark.parametrize("s", [1.01, 1.3, 2.0, 2.5, 3.0, 4.0])
@@ -325,12 +323,27 @@ def test_choose_degree_cap_meets_tol():
 
 
 def test_unachievable_tolerance_raises_with_details():
-    case = IdentityCase(2, 1.0, 0.9, 0.995)
+    # Level 6324 holds the 2D work budget at equal moduli; |x| = |y| = .999
+    # needs a level past 20,000 for 1e-10.
+    case = IdentityCase(2, 1.0, 0.999, 0.999)
     with pytest.raises(TailBoundExceedsTol) as info:
-        verify(case, 1e-10, degree_cap_max=60)
+        verify(case, 1e-10)
     err = info.value
-    assert err.degree_cap == 60
+    assert err.degree_cap == _level_limit(case) == 6324
     assert err.achievable_bound > 1e-10
+    assert "work budget" in str(err)
+
+
+def test_level_limit_follows_the_work_budget():
+    # The limit is least at equal moduli, where every mu_i is 1, and there it
+    # stays at or above 4000, so no 2D case that meets tol by level 4000 is refused.
+    for x in (0.3, 0.99, -0.5j):
+        assert _level_limit(IdentityCase(2, 0.5, x, abs(x))) >= 4000
+    assert _level_limit(IdentityCase(3, 0.3, 0.99, 0.99, t=0.3, z=0.99)) == 493
+    # A faster axis buys a higher level for the same count of points.
+    assert _level_limit(IdentityCase(2, 3.0, 0.5, 0.99)) > 50_000
+    # zeta mode's level is its term count
+    assert _level_limit(IdentityCase(2, 3.0, 1.0, 0.99)) == 4000
 
 
 def test_verify_rejects_bad_tolerance():
@@ -407,7 +420,7 @@ def test_report_error_definitions():
 
 def test_brute_force_3d_zero_argument():
     case = IdentityCase(3, 1.0, 0.2, 0.0, t=1.0, z=0.2)
-    assert brute_force_log(case, 40) == 0
+    assert lattice_sum(case.orders, case.args, 40) == 0
 
 
 def test_product_log_sum_counts_every_visible_point():
@@ -477,23 +490,32 @@ def test_choose_degree_cap_matches_per_level_scan():
     cases += [IdentityCase(3, complex(rng.uniform(-2, 3)), _rand_disk(rng, 0.7), _rand_disk(rng, 0.7),
                            t=complex(rng.uniform(-2, 3)), z=_rand_disk(rng, 0.7)) for _ in range(20)]
     cases += [IdentityCase(2, rng.uniform(1.01, 7), 1.0, rng.uniform(-0.99, 0.99)) for _ in range(20)]
+    # past the work budget: refused at the level limit
+    cases += [IdentityCase(2, 0.5, 0.999, -0.999), IdentityCase(2, 3.0, 1.0, 0.999),
+              IdentityCase(3, 0.3, 0.99, 0.99, t=0.3, z=0.99j)]
+    refused = 0
     for case in cases:
         tol = 10 ** rng.uniform(-12, -4)
-        top = rng.choice((60, 4000))
+        top = _level_limit(case)
         scan = next((c for c in range(case.dimension, top + 1) if _tail_bound(case, c) <= tol), None)
         if scan is None:
-            with pytest.raises(TailBoundExceedsTol):
-                choose_degree_cap(case, tol, top)
+            refused += 1
+            with pytest.raises(TailBoundExceedsTol) as info:
+                choose_degree_cap(case, tol)
+            assert info.value.degree_cap == top
         else:
-            assert choose_degree_cap(case, tol, top) == scan, (case, tol, top)
+            assert choose_degree_cap(case, tol) == scan, (case, tol, top)
+    assert refused >= 3
 
 
 def test_weighted_level_cuts_the_terms_near_the_trivial_zeros():
     # y -> 1 with x = 1/2: the x axis decays 13.5x faster than the y axis
     # at y = .95, so the diagonal region (207,097 terms) wasted most of them.
     assert verify(IdentityCase(2, 3.0, 0.5, 0.95), 1e-8).terms <= 207_097 // 5
-    report = verify(IdentityCase(2, 3.0, 0.5, 0.99), 1e-8, degree_cap_max=5000)
+    # Level 4454 with 87,429 terms, far inside this case's limit of 52,523.
+    report = verify(IdentityCase(2, 3.0, 0.5, 0.99), 1e-8)
     assert report.passed and report.tail_bound <= 0.5e-8
+    assert (report.degree_cap, report.terms) == (4454, 87_429)
 
 
 def test_series_constant_is_evaluated_once(monkeypatch):
