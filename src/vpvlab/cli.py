@@ -16,7 +16,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, fields
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .errors import ComputationError, DomainError, NonConvergence, TailBoundExceedsTol
 from .explorer import (
@@ -112,17 +112,6 @@ def _parse_format(text: str) -> str:
     return text
 
 
-_PARSERS = {
-    "complex": _parse_complex,
-    "float": _parse_float,
-    "int": _parse_int,
-    "float_list": _parse_float_list,
-    "precision": _parse_precision,
-    "format": _parse_format,
-    "str": lambda s: s,
-}
-
-
 # ---------------------------------------------------------------------------
 # option schema: one row per flag, shared by argparse, config files, and
 # defaulting (flag > config > default)
@@ -131,63 +120,64 @@ _PARSERS = {
 @dataclass(frozen=True)
 class _Opt:
     name: str  # config key / dest, e.g. "degree_cap"
-    kind: str  # key into _PARSERS
+    parse: Callable[[str], object]  # flag or config text -> value
     default: object = None
     required: bool = False
     help: str = ""
 
 
 _COMMON = (
-    _Opt("format", "format", "human", help="output format: json, csv, or human"),
-    _Opt("output", "str", None, help="write output to this path instead of stdout"),
+    _Opt("format", _parse_format, "human", help="output format: json, csv, or human"),
+    _Opt("output", str, None, help="write output to this path instead of stdout"),
 )
 
 _COMMANDS: dict[str, tuple[_Opt, ...]] = {
     "verify2": (
-        _Opt("s", "complex", required=True, help="leading order s (a+bi); the second order is 1-s"),
-        _Opt("x", "complex", required=True, help="first argument; x=1 switches to the zeta mode"),
-        _Opt("y", "complex", required=True, help="second argument, |y| < 1"),
-        _Opt("tol", "float", 1e-8, help="target tolerance for both sides"),
+        _Opt("s", _parse_complex, required=True, help="leading order s (a+bi); the second order is 1-s"),
+        _Opt("x", _parse_complex, required=True, help="first argument; x=1 switches to the zeta mode"),
+        _Opt("y", _parse_complex, required=True, help="second argument, |y| < 1"),
+        _Opt("tol", _parse_float, 1e-8, help="target tolerance for both sides"),
     ),
     "verify3": (
-        _Opt("s", "complex", required=True, help="first order s (a+bi)"),
-        _Opt("t", "complex", required=True, help="second order t; the third order is 1-s-t"),
-        _Opt("x", "complex", required=True, help="first argument, |x| < 1"),
-        _Opt("y", "complex", required=True, help="second argument, |y| < 1"),
-        _Opt("z", "complex", required=True, help="third argument, |z| < 1"),
-        _Opt("tol", "float", 1e-8, help="target tolerance for both sides"),
+        _Opt("s", _parse_complex, required=True, help="first order s (a+bi)"),
+        _Opt("t", _parse_complex, required=True, help="second order t; the third order is 1-s-t"),
+        _Opt("x", _parse_complex, required=True, help="first argument, |x| < 1"),
+        _Opt("y", _parse_complex, required=True, help="second argument, |y| < 1"),
+        _Opt("z", _parse_complex, required=True, help="third argument, |z| < 1"),
+        _Opt("tol", _parse_float, 1e-8, help="target tolerance for both sides"),
     ),
     "catalog": (
-        _Opt("tol", "float", 1e-8, help="tolerance applied to every catalog case"),
+        _Opt("tol", _parse_float, 1e-8, help="tolerance applied to every catalog case"),
     ),
     "scan": (
-        _Opt("T", "float_list", tuple(DEFAULT_T_VALUES), help="comma-separated T values for s = 1/2 + iT"),
-        _Opt("x", "complex", complex(0.2), help="first argument"),
-        _Opt("y", "complex", complex(0.2), help="second argument"),
-        _Opt("tol", "float", 1e-8, help="per-row tolerance"),
+        _Opt("T", _parse_float_list, tuple(DEFAULT_T_VALUES),
+             help="comma-separated T values for s = 1/2 + iT"),
+        _Opt("x", _parse_complex, complex(0.2), help="first argument"),
+        _Opt("y", _parse_complex, complex(0.2), help="second argument"),
+        _Opt("tol", _parse_float, 1e-8, help="per-row tolerance"),
     ),
     "probe": (
-        _Opt("order", "int", 3, help="positive order (2, 3, or 4); the probed factor has order 1-order"),
-        _Opt("x", "complex", complex(0.5), help="first argument, held fixed"),
-        _Opt("deltas", "float_list", _DEFAULT_DELTAS, help="comma-separated deltas; y = 1 - delta"),
-        _Opt("tol", "float", 1e-8, help="per-row tolerance"),
+        _Opt("order", _parse_int, 3, help="positive order (2, 3, or 4); the probed factor has order 1-order"),
+        _Opt("x", _parse_complex, complex(0.5), help="first argument, held fixed"),
+        _Opt("deltas", _parse_float_list, _DEFAULT_DELTAS, help="comma-separated deltas; y = 1 - delta"),
+        _Opt("tol", _parse_float, 1e-8, help="per-row tolerance"),
     ),
     "audit": (
-        _Opt("tol", "float", 1e-12, help="tolerance for accepting a printed form"),
-        _Opt("precision", "precision", None, help="'double' or 'extended:<digits>'"),
+        _Opt("tol", _parse_float, 1e-12, help="tolerance for accepting a printed form"),
+        _Opt("precision", _parse_precision, None, help="'double' or 'extended:<digits>'"),
     ),
     "ez31": (
-        _Opt("tol", "float", 1e-10, help="certified bound target (>= 1e-14)"),
+        _Opt("tol", _parse_float, 1e-10, help="certified bound target (>= 1e-14)"),
     ),
     "visible": (
-        _Opt("dimension", "int", 2, help="2 or 3"),
-        _Opt("degree_cap", "int", 30, help="maximum coordinate sum"),
+        _Opt("dimension", _parse_int, 2, help="2 or 3"),
+        _Opt("degree_cap", _parse_int, 30, help="maximum coordinate sum"),
     ),
     "polylog": (
-        _Opt("s", "complex", required=True, help="order (a+bi)"),
-        _Opt("z", "complex", required=True, help="argument, |z| < 1"),
-        _Opt("tol", "float", 1e-12, help="certified truncation bound target"),
-        _Opt("precision", "precision", None, help="'double' or 'extended:<digits>'"),
+        _Opt("s", _parse_complex, required=True, help="order (a+bi)"),
+        _Opt("z", _parse_complex, required=True, help="argument, |z| < 1"),
+        _Opt("tol", _parse_float, 1e-12, help="certified truncation bound target"),
+        _Opt("precision", _parse_precision, None, help="'double' or 'extended:<digits>'"),
     ),
 }
 
@@ -216,23 +206,19 @@ def _build_parser() -> _Parser:
         ),
         epilog=(
             "Complex flags accept a+bi syntax (use --s=-2-3i for negative "
-            "values, or the split --s-re/--s-im forms). A --config file "
-            "supplies the same keys as flat key=value lines; flags win."
+            "values). A --config file supplies the same options as flat "
+            "key = value lines, each key the option's name with _ for - "
+            "(degree_cap = 30); flags win."
         ),
     )
     sub = parser.add_subparsers(dest="command", metavar="command")
     for command, opts in _COMMANDS.items():
         p = sub.add_parser(command, help=_COMMAND_HELP[command], description=_COMMAND_HELP[command])
         for opt in opts + _COMMON:
-            flag = "--" + opt.name.replace("_", "-")
-            p.add_argument(flag, dest=opt.name, default=None, help=opt.help, metavar="V")
-            if opt.kind == "complex":
-                p.add_argument(f"{flag}-re", dest=f"{opt.name}_re", default=None,
-                               help=f"real part of --{opt.name}", metavar="V")
-                p.add_argument(f"{flag}-im", dest=f"{opt.name}_im", default=None,
-                               help=f"imaginary part of --{opt.name}", metavar="V")
+            p.add_argument("--" + opt.name.replace("_", "-"), dest=opt.name, default=None,
+                           help=opt.help, metavar="V")
         p.add_argument("--config", dest="config", default=None, metavar="PATH",
-                       help="flat key=value file supplying any of the above keys")
+                       help="flat key = value file supplying any of the above options")
     return parser
 
 
@@ -257,40 +243,19 @@ def _load_config(path: str) -> dict[str, str]:
 def _resolve_options(args: argparse.Namespace, command: str) -> dict:
     config = _load_config(args.config) if args.config else {}
     opts = _COMMANDS[command] + _COMMON
-    known_keys = set()
-    for opt in opts:
-        known_keys.add(opt.name)
-        if opt.kind == "complex":
-            known_keys.add(f"{opt.name}_re")
-            known_keys.add(f"{opt.name}_im")
-    unknown = sorted(set(config) - known_keys)
+    unknown = sorted(set(config) - {opt.name for opt in opts})
     if unknown:
-        raise _UsageError(f"unknown config key(s) for {command}: {', '.join(unknown)}")
-
-    def pick(name: str) -> Optional[str]:
-        flag_value = getattr(args, name, None)
-        if flag_value is not None:
-            return flag_value
-        return config.get(name)
-
+        raise _UsageError(
+            f"unknown config key(s) for {command}: {', '.join(unknown)}; "
+            f"the keys are {', '.join(opt.name for opt in opts)}"
+        )
     resolved: dict = {}
     for opt in opts:
-        whole = pick(opt.name)
-        if opt.kind == "complex":
-            re_part = pick(f"{opt.name}_re")
-            im_part = pick(f"{opt.name}_im")
-            if whole is not None and (re_part is not None or im_part is not None):
-                raise _UsageError(
-                    f"give --{opt.name} or the split --{opt.name}-re/--{opt.name}-im, not both"
-                )
-            if re_part is not None or im_part is not None:
-                resolved[opt.name] = complex(
-                    _parse_float(re_part) if re_part is not None else 0.0,
-                    _parse_float(im_part) if im_part is not None else 0.0,
-                )
-                continue
-        if whole is not None:
-            resolved[opt.name] = _PARSERS[opt.kind](whole)
+        text = getattr(args, opt.name)
+        if text is None:
+            text = config.get(opt.name)
+        if text is not None:
+            resolved[opt.name] = opt.parse(text)
         elif opt.required:
             raise _UsageError(f"--{opt.name.replace('_', '-')} is required (flag or config)")
         else:

@@ -156,7 +156,9 @@ class IdentityCase:
 
 @dataclass(frozen=True)
 class TruncationSpec:
-    """Degree cap plus tolerance; tail_bound is filled by the evaluators."""
+    """The argument and result of lhs_log_product, and nothing else: the
+    level and tolerance to sum at, and the certified tail_bound that
+    lhs_log_product fills in."""
 
     degree_cap: int
     tol: float
@@ -173,29 +175,31 @@ class TruncationSpec:
 
 @dataclass(frozen=True)
 class IdentityReport:
+    """The outcome of verify(case, tol).
+
+    degree_cap is the level the left side was summed to (the smallest
+    whose certified tail bound meets tol/2), tol the tolerance asked
+    for, tail_bound that level's certified bound on the dropped
+    left-side terms, and terms the number of terms summed. passed is
+    the success criterion abs_err <= 3 * tol.
+    """
+
     case: IdentityCase
     lhs_log: complex
     rhs_log: complex
     abs_err: float
     rel_err: float
-    truncation: TruncationSpec
+    degree_cap: int
+    tol: float
+    tail_bound: float
     terms: int
     # the right-side factors Li_s_i(x_i) (or their constants), in case.orders order
     rhs_factors: tuple[complex, ...]
 
     @property
-    def degree_cap(self) -> int:
-        return self.truncation.degree_cap
-
-    @property
-    def tail_bound(self) -> float:
-        bound = self.truncation.tail_bound
-        return 0.0 if bound is None else bound
-
-    @property
     def passed(self) -> bool:
         """The success criterion: abs_err <= 3 * tol."""
-        return self.abs_err <= 3 * self.truncation.tol
+        return self.abs_err <= 3 * self.tol
 
 
 # ---------------------------------------------------------------------------
@@ -696,7 +700,9 @@ def verify(case: IdentityCase, tol: float) -> IdentityReport:
         rhs_log=rhs,
         abs_err=abs_err,
         rel_err=rel_err,
-        truncation=TruncationSpec(degree_cap=cap, tol=tol, tail_bound=bound),
+        degree_cap=cap,
+        tol=tol,
+        tail_bound=bound,
         terms=terms,
         rhs_factors=factors,
     )

@@ -79,40 +79,33 @@ def test_verify3_runs(capsys):
 
 
 def test_complex_flag_forms_agree(capsys):
-    whole = ["scan", "--T", "14.134725", "--format", "json"]
-    code_a, out_a, _ = _run(capsys, whole)
-    assert code_a == 0
+    # scan builds s = 1/2 + iT itself; verify2 parses the same s from a+bi.
+    code_a, out_a, _ = _run(capsys, ["scan", "--T", "14.134725", "--format", "json"])
     code_b, out_b, _ = _run(
         capsys,
         ["verify2", "--s", "0.5+14.134725i", "--x", "0.2", "--y", "0.2", "--format", "json"],
     )
-    code_c, out_c, _ = _run(
-        capsys,
-        [
-            "verify2",
-            "--s-re",
-            "0.5",
-            "--s-im",
-            "14.134725",
-            "--x",
-            "0.2",
-            "--y",
-            "0.2",
-            "--format",
-            "json",
-        ],
-    )
-    assert code_b == code_c == 0
-    assert json.loads(out_b) == json.loads(out_c)
+    assert code_a == code_b == 0
+    (row,) = json.loads(out_a)
+    report = json.loads(out_b)
+    for key in ("lhs_log", "rhs_log", "abs_err", "degree_cap", "tail_bound"):
+        assert row[key] == report[key], key
 
 
-def test_conflicting_complex_forms_rejected(capsys):
-    code, _, err = _run(
-        capsys,
-        ["verify2", "--s", "1", "--s-re", "1", "--x", "0.3", "--y", "0.4"],
-    )
+@pytest.mark.parametrize("source", ["flags", "config"])
+def test_split_complex_forms_are_usage_errors(tmp_path, capsys, source):
+    # A complex value has one spelling, a+bi, as a flag and as a config key.
+    if source == "flags":
+        argv = ["verify2", "--s-re", "0.5", "--s-im", "1", "--x", "0.3", "--y", "0.4"]
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("s_re = 0.5\nx = 0.3\ny = 0.4\n")
+        argv = ["verify2", "--config", str(cfg)]
+    code, out, err = _run(capsys, argv)
     assert code == 1
-    assert "--s" in err
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "s_re" in err if source == "config" else "--s-re" in err
 
 
 def test_missing_required_flag(capsys):
@@ -437,7 +430,19 @@ def test_config_unknown_key_rejected(tmp_path, capsys):
     cfg.write_text("s = 1\nx = 0.3\ny = 0.4\nbogus = 7\n")
     code, _, err = _run(capsys, ["verify2", "--config", str(cfg)])
     assert code == 1
-    assert "bogus" in err
+    assert err == (
+        "error: unknown config key(s) for verify2: bogus; "
+        "the keys are s, x, y, tol, format, output\n"
+    )
+    # A key is the option's name with _ for -, as in degree_cap.
+    cfg.write_text("degree-cap = 5\n")
+    code, _, err = _run(capsys, ["visible", "--config", str(cfg)])
+    assert code == 1
+    assert err.endswith("the keys are dimension, degree_cap, format, output\n")
+    cfg.write_text("degree_cap = 5\n")
+    code, out, _ = _run(capsys, ["visible", "--config", str(cfg)])
+    assert code == 0
+    assert out == _run(capsys, ["visible", "--degree-cap", "5"])[1]
 
 
 def test_output_file(tmp_path, capsys):
