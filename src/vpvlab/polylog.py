@@ -23,6 +23,7 @@ from .numerics import (
     exact_sum,
     first_within,
     log_table,
+    power_geometric_guess,
     power_geometric_tail,
     require_finite,
     smallest_prime_factors,
@@ -97,7 +98,8 @@ def polylog(s: complex, z: complex, tol: float = 1e-12, *, dps: int | None = Non
         # bound is inf before the peak of k^sigma r^k and strictly decreasing
         # after it, so first_within finds the first k that meets tol
         sigma_minus = max(0.0, -float(s.real))
-        found = first_within(lambda k: power_geometric_tail(k, sigma_minus, r), tol, 1, TERM_CAP)
+        guess = power_geometric_guess(sigma_minus, r, tol)
+        found = first_within(lambda k: power_geometric_tail(k, sigma_minus, r), tol, 1, TERM_CAP, guess)
         if found is None:
             raise NonConvergence(f"polylog(s={complex(s)!r}, z={complex(z)!r}) did not reach "
                                  f"tol={tol!r} within {TERM_CAP} terms")

@@ -32,6 +32,7 @@ from .numerics import (
     first_within,
     log1m,
     log_table,
+    power_geometric_guess,
     power_geometric_tail,
     require_finite,
     smallest_prime_factors,
@@ -45,6 +46,11 @@ _WORK_BUDGET = 2 * 10**7
 _ZETA_MODE_LEVEL_MAX = 4000
 # Relative error denominators are floored here to avoid division blowups.
 REL_ERR_FLOOR = 1e-300
+# (d, mu(d)) for the squarefree d that divide g, at index g >= 1, grown by
+# _squarefree_divisors on first need. The work budget keeps the row gcds
+# of verify's kernel calls below about 6,325, so the table stays within a
+# few MB; a direct product_log_sum call past the budget grows it further.
+_DIVISORS: list[list[tuple[int, int]]] = [[], [(1, 1)]]
 
 
 def _printed_half_value(row: int) -> complex:
@@ -279,17 +285,20 @@ def _pow_table(base: complex, cap: int) -> list[complex]:
     return [base ** k for k in range(cap + 1)]
 
 
-def _squarefree_divisors(g: int, spf: Sequence[int], known: dict) -> list[tuple[int, int]]:
-    """(d, mu(d)) for the squarefree d that divide g, from those of g with
-    its smallest prime p taken out; known maps g to its list and holds 1."""
-    if g not in known:
-        p = spf[g]
-        rest = g // p
-        while rest % p == 0:
-            rest //= p
-        smaller = _squarefree_divisors(rest, spf, known)
-        known[g] = smaller + [(d * p, -m) for d, m in smaller]
-    return known[g]
+def _squarefree_divisors(top: int) -> list[list[tuple[int, int]]]:
+    """_DIVISORS, grown to index top: entry g lists (d, mu(d)) for the
+    squarefree d | g, those of g with its smallest prime p taken out
+    first, then each of them times p with the sign flipped."""
+    if len(_DIVISORS) <= top:
+        spf = smallest_prime_factors(top)
+        for g in range(len(_DIVISORS), top + 1):
+            p = spf[g]
+            rest = g // p
+            while rest % p == 0:
+                rest //= p
+            smaller = _DIVISORS[rest]
+            _DIVISORS.append(smaller + [(d * p, -m) for d, m in smaller])
+    return _DIVISORS
 
 
 def _suffix_tables(q: Sequence[list[complex]], d: int, sign: int) -> list:
@@ -330,7 +339,8 @@ def product_log_sum(
     So the row's tail b0 .. top is -sum_j p^j/j T_j with
     T_j = sum of Q_j[b] = c_b y^(jb) over its b coprime to g, which by
     Moebius inversion is the sum over the squarefree d | g, d <= top, of
-    mu(d) times the sum of Q_j over the multiples of d in b0 .. top.
+    mu(d) times the sum of Q_j over the multiples of d in b0 .. top; the
+    (d, mu(d)) lists come from the process-wide _DIVISORS.
     With at most 3 such multiples and no table for d yet, that sum is
     taken straight from Q_j; otherwise it is a difference of two suffix
     sums (_suffix_tables), built once per call and per d when a row first
@@ -342,7 +352,9 @@ def product_log_sum(
 
     The walk keeps the coordinates before the last head axis on a stack
     and runs the rows of that axis in a loop, from its largest coordinate
-    down, the order in which a stack of rows would pop them.
+    down, the order in which a stack of rows would pop them. When the
+    first axis has no coordinate the region is empty, and the call
+    returns (0j, 0) before it builds any table.
     """
     n = len(orders)
     if n < 2 or len(args) != n:
@@ -359,6 +371,9 @@ def product_log_sum(
     # covers the rounding of the running budget, so no point of the region
     # is lost; at equal moduli every budget is an exact integer
     slack = 1e-9 * degree_cap
+    if int((degree_cap - later[0] + slack) / mu[0]) < 1:
+        # the walk's first axis has no coordinate: the region is empty
+        return 0j, 0
     tops = [max(0, int(degree_cap / m)) + 1 for m in mu]
     ln = log_table(tops[-1])
     weights = [list(map(cmath.exp, map((-complex(orders[i])).__mul__, ln[:top + 1])))
@@ -373,9 +388,9 @@ def product_log_sum(
     for _ in range(3):
         q.append(list(map(mul, q[-1], pb)))
     q1, q2, q3, q4 = q
-    spf = smallest_prime_factors(max(tops[:-1]))
+    # every row gcd divides a coordinate of an axis before the last
+    divisors = _squarefree_divisors(max(tops[:-1]))
     cut = -LOG1M_SERIES_MAX
-    divisors = {1: [(1, 1)]}  # g -> _squarefree_divisors(g)
     tables = {}  # d -> _suffix_tables(q, d, mu(d))
     parts = []
     count = 0
@@ -408,7 +423,7 @@ def product_log_sum(
             if b0 <= top:
                 bm = b0 - 1
                 t1 = t2 = t3 = t4 = 0j
-                for d, sign in divisors.get(ga) or _squarefree_divisors(ga, spf, divisors):
+                for d, sign in divisors[ga]:
                     # the multiples kd of d in b0 .. top have lo < k <= hi
                     lo, hi = bm // d, top // d
                     if lo == hi:
@@ -650,12 +665,27 @@ def _level_limit(case: IdentityCase) -> int:
     return int((_WORK_BUDGET * math.factorial(n) * math.prod(_decay_ratios(case.args))) ** (1 / n))
 
 
+def _cap_guess(case: IdentityCase, tol: float) -> int:
+    """Where the cap search starts: the guess of power_geometric_guess for
+    the power_geometric_tail inside _tail_bound's bound, at tol times the
+    constants the bound divides it by (all but 1 - r^(cap+1), near 1)."""
+    if case.is_zeta_mode:
+        sigma_t = max(0.0, -case.orders[1].real)
+        return power_geometric_guess(sigma_t, abs(case.y), tol / (1.0 + 1.0 / (case.s.real - 1.0)))
+    n = case.dimension
+    r = max(map(abs, case.args))
+    power = n - 1 + sum(max(0.0, -o.real) for o in case.orders)
+    scale = r * math.factorial(n - 1) * math.prod(_decay_ratios(case.args))
+    return power_geometric_guess(power, r, tol * scale)
+
+
 def choose_degree_cap(case: IdentityCase, tol: float) -> int:
     """Smallest degree cap (the level of product_log_sum) whose certified
     tail bound meets tol.
 
     The bound is inf before its peak and decreasing after it, so
-    first_within finds the level a scan from n upward would find.
+    first_within, started at _cap_guess, finds the level a scan from n
+    upward would find.
     Raises TailBoundExceedsTol (carrying the achievable bound) when no
     level up to _level_limit(case) suffices.
     """
@@ -663,7 +693,7 @@ def choose_degree_cap(case: IdentityCase, tol: float) -> int:
         raise ValueError("tol must be positive")
     limit = _level_limit(case)
     # the first level holding a point is n
-    found = first_within(partial(_tail_bound, case), tol, case.dimension, limit)
+    found = first_within(partial(_tail_bound, case), tol, case.dimension, limit, _cap_guess(case, tol))
     if found is not None:
         return found[0]
     best = _tail_bound(case, limit)

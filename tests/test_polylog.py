@@ -35,7 +35,8 @@ from vpvlab import (
 )
 from vpvlab import numerics
 from vpvlab.numerics import (
-    LOG1M_SERIES_MAX, dirichlet_tail, exact_sum, log1m, power_geometric_tail, smallest_prime_factors,
+    LOG1M_SERIES_MAX, dirichlet_tail, exact_sum, first_within, log1m, power_geometric_guess,
+    power_geometric_tail, smallest_prime_factors,
 )
 from vpvlab.polylog import (
     _complex_product, _gaussian_power, _neg_order_log_floor, _neg_order_poly, _weights, _width, polylog_partial,
@@ -824,6 +825,75 @@ def test_power_geometric_tail_is_a_true_bound():
         for cap in (10, 30, 60):
             direct = sum(k**p * r**k for k in range(cap + 1, cap + 4000))
             assert power_geometric_tail(cap, p, r) >= direct
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(
+    st.floats(0.0, 30.0),
+    st.floats(0.05, 0.99),
+    st.floats(-14.0, 0.0),
+    st.integers(1, 50),
+    st.integers(0, 2000),
+    st.booleans(),
+    st.sampled_from(["below start", "past stop", "before the peak", "exact", "any"]),
+    st.integers(-1000, 3000),
+)
+def test_first_within_matches_a_scan_from_any_guess(p, r, log_tol, start, span, shell, kind, offset):
+    # Shaped like power_geometric_tail, or like products._shell_tail (the
+    # same over r (1 - r^k) times a constant): inf before the peak and
+    # nonincreasing after it. Whatever the guess, the search returns what
+    # a scan of every k returns, and evaluates no k outside start .. stop.
+    tol, stop = 10.0 ** log_tol, start + span
+    if shell:
+        def bound(k):
+            return power_geometric_tail(k, p, r) / (r * (1.0 - r ** k) * 0.5)
+    else:
+        def bound(k):
+            return power_geometric_tail(k, p, r)
+    scan = next(((k, bound(k)) for k in range(start, stop + 1) if bound(k) <= tol), None)
+    guess = {
+        "below start": start - 1 - abs(offset),
+        "past stop": stop + 1 + abs(offset),
+        "before the peak": int(p / -math.log(r)) // 2,
+        "exact": scan[0] if scan else stop,
+        "any": offset,
+    }[kind]
+    seen = []
+
+    def counted(k):
+        seen.append(k)
+        return bound(k)
+
+    assert first_within(counted, tol, start, stop, guess) == scan
+    assert all(start <= k <= stop for k in seen)
+
+
+@pytest.mark.parametrize("s, z, tol", [
+    (2, 0.5, 1e-12), (0.5 + 14.134725j, 0.99, 1e-10), (-2.5, -0.97, 1e-8),
+    (3 - 40j, 0.3 + 0.6j, 1e-15), (-7.3, 0.999, 1e-12),
+])
+def test_polylog_search_starts_at_its_guess(monkeypatch, s, z, tol):
+    # power_geometric_guess puts the search within a step or two of the
+    # stopping index, where a search from k = 1 took about 2 log2(k)
+    # evaluations.
+    calls = []
+    monkeypatch.setattr(POLYLOG_MODULE, "power_geometric_tail",
+                        lambda *args: calls.append(args) or power_geometric_tail(*args))
+    result = polylog(s, z, tol)
+    assert 1 <= len(calls) <= 4
+    assert result.terms_used == _scan_stop(s, z, tol, 10**6)[0]
+
+
+def test_power_geometric_guess_at_the_edges():
+    # out of range: 0, which first_within moves up to its start
+    assert power_geometric_guess(2.0, 0.0, 1e-10) == 0
+    assert power_geometric_guess(2.0, 0.5, 0.0) == 0
+    # p = 0: the bound is r^(cap+1) / (1 - r), here 2^-cap
+    target = 1.5 * 2.0 ** -40
+    assert power_geometric_guess(0.0, 0.5, target) == 40
+    assert power_geometric_tail(40, 0.0, 0.5) <= target < power_geometric_tail(39, 0.0, 0.5)
+    # a target above the peak of x^p r^x gives the peak, less one
+    assert power_geometric_guess(10.0, 0.5, 1e300) == math.ceil(10 / math.log(2)) - 1
 
 
 def test_dirichlet_tail_bound():

@@ -5,6 +5,7 @@ import gc
 import itertools
 import math
 import random
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -35,8 +36,8 @@ from vpvlab import (
 )
 from vpvlab.numerics import log1m, log_table
 from vpvlab.products import (
-    _CLOSED_FORM_CONSTANTS, _coprime_factors, _decay_ratios, _level_limit, tail_bound_2d,
-    tail_bound_3d,
+    _CLOSED_FORM_CONSTANTS, _coprime_factors, _decay_ratios, _level_limit, _squarefree_divisors,
+    tail_bound_2d, tail_bound_3d,
 )
 
 
@@ -480,8 +481,8 @@ def test_product_log_sum_is_within_the_shell_bound():
 
 
 def test_choose_degree_cap_matches_per_level_scan():
-    # The search brackets by doubling and bisects; the bound is inf before
-    # its peak and decreasing after, so it finds what a scan would.
+    # The search starts at _cap_guess, gallops and bisects; the bound is
+    # inf before its peak and decreasing after, so it finds what a scan would.
     from vpvlab.products import _tail_bound
 
     rng = random.Random(8117)
@@ -783,6 +784,46 @@ def test_product_log_sum_holds_one_block_of_products():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def test_divisor_table_lists_the_squarefree_divisors_in_the_kernel_order():
+    # The kernel adds each row's Moebius terms in this order, so the order
+    # is part of its bit-identical values: the divisors of g with its
+    # smallest prime p taken out, then each of them times p.
+    table = _squarefree_divisors(2000)
+    for g in range(1, 2001):
+        primes = [p for p in range(2, g + 1) if g % p == 0 and all(p % f for f in range(2, math.isqrt(p) + 1))]
+        want = {math.prod(c): (-1) ** len(c) for k in range(len(primes) + 1)
+                for c in itertools.combinations(primes, k)}
+        assert len(table[g]) == len(want) and dict(table[g]) == want, g
+        if g > 1:
+            p, rest = primes[0], g
+            while rest % p == 0:
+                rest //= p
+            assert table[g] == table[rest] + [(d * p, -m) for d, m in table[rest]], g
+    assert table[30] == [(1, 1), (5, -1), (3, -1), (15, 1), (2, -1), (10, 1), (6, 1), (30, -1)]
+
+
+def test_empty_region_returns_before_building_tables():
+    # mu_x is about 690,000, so no point of the level-74,428 region has
+    # a coordinate on the fast axis: the kernel sums nothing, and it
+    # returns before it builds level-sized tables (0.105 s for verify and
+    # a 20.5 MB kernel peak when it built them; 0.023 s and 1.3 kB now).
+    case = IdentityCase(2, 0.5, 1e-300, 0.999)
+    times = []
+    for _ in range(3):
+        start = time.perf_counter()
+        report = verify(case, 1e-30)
+        times.append(time.perf_counter() - start)
+    assert (report.degree_cap, report.terms, report.lhs_log, report.passed) == (74428, 0, 0j, True)
+    assert min(times) < 0.1
+    tracemalloc.start()
+    try:
+        assert product_log_sum(case.orders, case.args, report.degree_cap) == (0j, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6
 
 
 def test_product_log_sum_rejects_mismatched_shapes():
