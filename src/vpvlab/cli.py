@@ -126,72 +126,18 @@ class _Opt:
     help: str = ""
 
 
+@dataclass(frozen=True)
+class _Command:
+    help: str  # the subcommand's one-line help and description
+    run: Callable[[dict], str]  # resolved options -> output text
+    opts: tuple[_Opt, ...]
+
+
 _COMMON = (
     _Opt("format", _parse_format, "human", help="output format: json, csv, or human"),
     _Opt("output", str, None, help="write output to this path instead of stdout"),
 )
-
-_COMMANDS: dict[str, tuple[_Opt, ...]] = {
-    "verify2": (
-        _Opt("s", _parse_complex, required=True, help="leading order s (a+bi); the second order is 1-s"),
-        _Opt("x", _parse_complex, required=True, help="first argument; x=1 switches to the zeta mode"),
-        _Opt("y", _parse_complex, required=True, help="second argument, |y| < 1"),
-        _Opt("tol", _parse_float, 1e-8, help="target tolerance for both sides"),
-    ),
-    "verify3": (
-        _Opt("s", _parse_complex, required=True, help="first order s (a+bi)"),
-        _Opt("t", _parse_complex, required=True, help="second order t; the third order is 1-s-t"),
-        _Opt("x", _parse_complex, required=True, help="first argument, |x| < 1"),
-        _Opt("y", _parse_complex, required=True, help="second argument, |y| < 1"),
-        _Opt("z", _parse_complex, required=True, help="third argument, |z| < 1"),
-        _Opt("tol", _parse_float, 1e-8, help="target tolerance for both sides"),
-    ),
-    "catalog": (
-        _Opt("tol", _parse_float, 1e-8, help="tolerance applied to every catalog case"),
-    ),
-    "scan": (
-        _Opt("T", _parse_float_list, tuple(DEFAULT_T_VALUES),
-             help="comma-separated T values for s = 1/2 + iT"),
-        _Opt("x", _parse_complex, complex(0.2), help="first argument"),
-        _Opt("y", _parse_complex, complex(0.2), help="second argument"),
-        _Opt("tol", _parse_float, 1e-8, help="per-row tolerance"),
-    ),
-    "probe": (
-        _Opt("order", _parse_int, 3, help="positive order (2, 3, or 4); the probed factor has order 1-order"),
-        _Opt("x", _parse_complex, complex(0.5), help="first argument, held fixed"),
-        _Opt("deltas", _parse_float_list, _DEFAULT_DELTAS, help="comma-separated deltas; y = 1 - delta"),
-        _Opt("tol", _parse_float, 1e-8, help="per-row tolerance"),
-    ),
-    "audit": (
-        _Opt("tol", _parse_float, 1e-12, help="tolerance for accepting a printed form"),
-        _Opt("precision", _parse_precision, None, help="'double' or 'extended:<digits>'"),
-    ),
-    "ez31": (
-        _Opt("tol", _parse_float, 1e-10, help="certified bound target (>= 1e-14)"),
-    ),
-    "visible": (
-        _Opt("dimension", _parse_int, 2, help="2 or 3"),
-        _Opt("degree_cap", _parse_int, 30, help="maximum coordinate sum"),
-    ),
-    "polylog": (
-        _Opt("s", _parse_complex, required=True, help="order (a+bi)"),
-        _Opt("z", _parse_complex, required=True, help="argument, |z| < 1"),
-        _Opt("tol", _parse_float, 1e-12, help="certified truncation bound target"),
-        _Opt("precision", _parse_precision, None, help="'double' or 'extended:<digits>'"),
-    ),
-}
-
-_COMMAND_HELP = {
-    "verify2": "verify a 2D product identity with orders (s, 1-s)",
-    "verify3": "verify a 3D product identity with orders (s, t, 1-s-t)",
-    "catalog": "verify every named identity instance",
-    "scan": "verify along the critical line s = 1/2 + iT",
-    "probe": "verify near y = 1 at a negative integer order",
-    "audit": "check printed half-argument constants against the series",
-    "ez31": "evaluate the alternating double zeta sum",
-    "visible": "list visible lattice points up to a coordinate sum",
-    "polylog": "evaluate one polylogarithm value",
-}
+# (each command's own options are in _COMMANDS, after the subcommand bodies)
 
 
 @functools.cache
@@ -212,9 +158,9 @@ def _build_parser() -> _Parser:
         ),
     )
     sub = parser.add_subparsers(dest="command", metavar="command")
-    for command, opts in _COMMANDS.items():
-        p = sub.add_parser(command, help=_COMMAND_HELP[command], description=_COMMAND_HELP[command])
-        for opt in opts + _COMMON:
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help, description=command.help)
+        for opt in command.opts + _COMMON:
             p.add_argument("--" + opt.name.replace("_", "-"), dest=opt.name, default=None,
                            help=opt.help, metavar="V")
         p.add_argument("--config", dest="config", default=None, metavar="PATH",
@@ -242,7 +188,7 @@ def _load_config(path: str) -> dict[str, str]:
 
 def _resolve_options(args: argparse.Namespace, command: str) -> dict:
     config = _load_config(args.config) if args.config else {}
-    opts = _COMMANDS[command] + _COMMON
+    opts = _COMMANDS[command].opts + _COMMON
     unknown = sorted(set(config) - {opt.name for opt in opts})
     if unknown:
         raise _UsageError(
@@ -484,16 +430,55 @@ def _cmd_polylog(res: dict) -> str:
     return _render(res["format"], [_series_record(value, result)])
 
 
-_DISPATCH = {
-    "verify2": _cmd_verify2,
-    "verify3": _cmd_verify3,
-    "catalog": _cmd_catalog,
-    "scan": _cmd_scan,
-    "probe": _cmd_probe,
-    "audit": _cmd_audit,
-    "ez31": _cmd_ez31,
-    "visible": _cmd_visible,
-    "polylog": _cmd_polylog,
+# the command set, read by the parser, option resolution and dispatch
+_COMMANDS: dict[str, _Command] = {
+    "verify2": _Command("verify a 2D product identity with orders (s, 1-s)", _cmd_verify2, (
+        _Opt("s", _parse_complex, required=True, help="leading order s (a+bi); the second order is 1-s"),
+        _Opt("x", _parse_complex, required=True, help="first argument; x=1 switches to the zeta mode"),
+        _Opt("y", _parse_complex, required=True, help="second argument, |y| < 1"),
+        _Opt("tol", _parse_float, 1e-8, help="target tolerance for both sides"),
+    )),
+    "verify3": _Command("verify a 3D product identity with orders (s, t, 1-s-t)", _cmd_verify3, (
+        _Opt("s", _parse_complex, required=True, help="first order s (a+bi)"),
+        _Opt("t", _parse_complex, required=True, help="second order t; the third order is 1-s-t"),
+        _Opt("x", _parse_complex, required=True, help="first argument, |x| < 1"),
+        _Opt("y", _parse_complex, required=True, help="second argument, |y| < 1"),
+        _Opt("z", _parse_complex, required=True, help="third argument, |z| < 1"),
+        _Opt("tol", _parse_float, 1e-8, help="target tolerance for both sides"),
+    )),
+    "catalog": _Command("verify every named identity instance", _cmd_catalog, (
+        _Opt("tol", _parse_float, 1e-8, help="tolerance applied to every catalog case"),
+    )),
+    "scan": _Command("verify along the critical line s = 1/2 + iT", _cmd_scan, (
+        _Opt("T", _parse_float_list, tuple(DEFAULT_T_VALUES),
+             help="comma-separated T values for s = 1/2 + iT"),
+        _Opt("x", _parse_complex, complex(0.2), help="first argument"),
+        _Opt("y", _parse_complex, complex(0.2), help="second argument"),
+        _Opt("tol", _parse_float, 1e-8, help="per-row tolerance"),
+    )),
+    "probe": _Command("verify near y = 1 at a negative integer order", _cmd_probe, (
+        _Opt("order", _parse_int, 3, help="positive order (2, 3, or 4); the probed factor has order 1-order"),
+        _Opt("x", _parse_complex, complex(0.5), help="first argument, held fixed"),
+        _Opt("deltas", _parse_float_list, _DEFAULT_DELTAS, help="comma-separated deltas; y = 1 - delta"),
+        _Opt("tol", _parse_float, 1e-8, help="per-row tolerance"),
+    )),
+    "audit": _Command("check printed half-argument constants against the series", _cmd_audit, (
+        _Opt("tol", _parse_float, 1e-12, help="tolerance for accepting a printed form"),
+        _Opt("precision", _parse_precision, None, help="'double' or 'extended:<digits>'"),
+    )),
+    "ez31": _Command("evaluate the alternating double zeta sum", _cmd_ez31, (
+        _Opt("tol", _parse_float, 1e-10, help="certified bound target (>= 1e-14)"),
+    )),
+    "visible": _Command("list visible lattice points up to a coordinate sum", _cmd_visible, (
+        _Opt("dimension", _parse_int, 2, help="2 or 3"),
+        _Opt("degree_cap", _parse_int, 30, help="maximum coordinate sum"),
+    )),
+    "polylog": _Command("evaluate one polylogarithm value", _cmd_polylog, (
+        _Opt("s", _parse_complex, required=True, help="order (a+bi)"),
+        _Opt("z", _parse_complex, required=True, help="argument, |z| < 1"),
+        _Opt("tol", _parse_float, 1e-12, help="certified truncation bound target"),
+        _Opt("precision", _parse_precision, None, help="'double' or 'extended:<digits>'"),
+    )),
 }
 
 
@@ -505,10 +490,13 @@ def _run(argv: Optional[Sequence[str]]) -> int:
         return EXIT_USAGE
     res = _resolve_options(args, args.command)
     _validate_common(res)
-    text = _DISPATCH[args.command](res)
+    text = _COMMANDS[args.command].run(res)
     if res["output"]:
-        with open(res["output"], "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(res["output"], "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise _UsageError(f"cannot write output file {res['output']!r}: {exc}")
     else:
         sys.stdout.write(text)
     return EXIT_OK

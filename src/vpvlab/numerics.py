@@ -53,28 +53,27 @@ def log_table(n: int) -> array:
 def smallest_prime_factors(cap: int) -> list[int]:
     """The smallest prime factor of each k in 2 .. cap, at index k.
 
-    Each p writes its multiples from p^2 on, the largest p first, so the
-    last write to k is from the least divisor p > 1 with p^2 <= k, which
-    is prime; a prime k keeps k. Past the first _SIEVE_SEGMENT entries the
-    sieve runs one segment at a time, with the primes p < lo already
-    found, so only one segment of fresh int objects exists at once and
-    the peak stays near the list's own size. The lattice kernel reads it
-    for the squarefree divisors of its row gcds, and extended polylog for
-    the weights k^-s it builds from prime weights.
+    The sieve runs one segment of _SIEVE_SEGMENT entries at a time, so
+    only one segment of fresh int objects exists at once and the peak
+    stays near the list's own size. In each segment every p with
+    spf[p] == p, the largest first, writes its multiples from
+    max(p^2, lo) on, so the last write to k is from the least such p
+    dividing k with p^2 <= k, which is prime; a prime k keeps k. Past
+    the first segment those p are the primes below lo; in the first
+    every p qualifies, as no larger p writes at p. _squarefree_divisors
+    reads the table as it grows the lattice kernel's divisor lists, and
+    extended polylog's _weights for the weights k^-s it builds from
+    prime weights.
     """
-    # not min(), whose call costs the kernel's small caps about 10%
-    first = cap if cap < _SIEVE_SEGMENT else _SIEVE_SEGMENT
-    spf = list(range(first + 1))
-    for p in range(math.isqrt(first), 1, -1):
-        spf[p * p::p] = [p] * len(range(p * p, first + 1, p))
-    for lo in range(first + 1, cap + 1, _SIEVE_SEGMENT):
+    spf = []
+    for lo in range(0, cap + 1, _SIEVE_SEGMENT):
         hi = min(lo + _SIEVE_SEGMENT, cap + 1)
-        part = list(range(lo, hi))
+        spf += range(lo, hi)
         for p in range(math.isqrt(hi - 1), 1, -1):
             if spf[p] == p:
-                start = max(p * p, -(-lo // p) * p)
-                part[start - lo::p] = [p] * len(range(start, hi, p))
-        spf += part
+                # not max(): its call made a 100-entry sieve about 30% slower
+                start = p * p if p * p >= lo else -(-lo // p) * p
+                spf[start::p] = [p] * len(range(start, hi, p))
     return spf
 
 

@@ -46,10 +46,14 @@ _LOG_PAST_FLOAT_RANGE = 710.5
 class SeriesResult:
     """A certified series evaluation.
 
-    value: the partial sum (complex; an mpmath mpc in extended mode).
+    value: the partial sum: in double a complex from polylog and a
+        float from zeta_real, in extended mode an mpmath mpc from
+        polylog and an mpf from zeta_real.
     terms_used: number of series terms summed.
     tail_bound: certified upper bound on |true value - value| from
-        truncation alone; rounding is separate and of order ulp.
+        truncation alone. Rounding is not bounded yet, and it can be far
+        larger: polylog(-8.5, -0.5, 1e-12) is 3.2e-9 off with a
+        tail_bound of 5.8e-13 (ROADMAP item 3).
     """
 
     value: complex
@@ -145,17 +149,18 @@ def _extended_partial(s, z, n: int):
     """The partial sum over n terms for mpc s and z, rounded once to
     mpmath's working precision.
 
-    A value is (e, re, im), or (e, re) when s and z are both real:
-    integer mantissas times 2^e, truncated after each product so that
-    the larger has _width bits. Each term z^k k^-s is truncated to a
-    multiple of 2^scale, fixed from the largest |z|^k k^-Re s over
-    k <= n, and added to an integer accumulator, so the sum is exact.
+    A value is (e, re, im): integer mantissas times 2^e, truncated
+    after each product so that the larger has _width bits. A zero
+    imaginary mantissa stays exactly zero, so a real s and z give a
+    real sum. Each term z^k k^-s is truncated to a multiple of 2^scale,
+    fixed from the largest |z|^k k^-Re s over k <= n, and added to an
+    integer accumulator, so the sum is exact.
     """
     from mpmath import libmp, mp
 
-    prec, real = mp.prec, not (s.imag or z.imag)
+    prec = mp.prec
     width = _width(s, n, prec)
-    z = _mantissas((z.real._mpf_,) if real else z._mpc_, width)
+    z = _mantissas(z._mpc_, width)
     if n < 1 or not any(z[1:]):
         return mp.mpc(0)
     # k log2|z| - Re s log2 k is concave in k when Re s < 0 and convex
@@ -171,17 +176,12 @@ def _extended_partial(s, z, n: int):
     # each term is below 2^(scale + width + 3) and its product has at
     # least 2 width - 3 bits, so every cut below is positive
     re = im = 0
-    power = _fit(0, (1,) if real else (1, 0), width)
-    if real:
-        for w in _weights(s, n, width, real):
-            power = _real_product(power, z, width)
-            re += (power[1] * w[1]) >> (scale - power[0] - w[0])
-    else:
-        for we, wr, wi in _weights(s, n, width, real):
-            e, c, d = power = _complex_product(power, z, width)
-            cut = scale - e - we
-            re += (c * wr - d * wi) >> cut
-            im += (c * wi + d * wr) >> cut
+    power = _fit(0, (1, 0), width)
+    for we, wr, wi in _weights(s, n, width):
+        e, c, d = power = _complex_product(power, z, width)
+        cut = scale - e - we
+        re += (c * wr - d * wi) >> cut
+        im += (c * wi + d * wr) >> cut
     return mp.make_mpc(tuple(libmp.from_man_exp(m, scale, prec, libmp.round_nearest) for m in (re, im)))
 
 
@@ -207,46 +207,38 @@ def _mantissas(mpfs, width: int) -> tuple:
     return _fit(e, [(-man if sign else man) << (exp - e) if man else 0 for sign, man, exp, _ in mpfs], width)
 
 
-def _real_product(a: tuple, b: tuple, width: int) -> tuple:
-    m = a[1] * b[1]
-    cut = m.bit_length() - width
-    return a[0] + b[0] + cut, m >> cut
-
-
 def _complex_product(a: tuple, b: tuple, width: int) -> tuple:
     (ae, ar, ai), (be, br, bi) = a, b
     re, im = ar * br - ai * bi, ar * bi + ai * br
-    cut = max(re.bit_length(), im.bit_length()) - width
+    # the larger bit length of the two, without a call of max()
+    cut = (abs(re) | abs(im)).bit_length() - width
     return ae + be + cut, re >> cut, im >> cut
 
 
-def _weights(s, n: int, width: int, real: bool):
-    """k^-s for k = 1 .. n as _fit values, real ones when real is set,
-    for an mpc s. At a prime p this is exp(-s ln p) from mpmath.libmp at
-    width + 10 bits, or p^-s by exact integer division at an integer
-    order while p^|s| has at most 4 width bits; at a composite k it is
-    w(p) w(k/p), with p the smallest prime factor of k. Only the weights
-    of k <= n/2 are held, since the factors of a composite k <= n are at
-    most n/2."""
+def _weights(s, n: int, width: int):
+    """k^-s for k = 1 .. n as _fit values, for an mpc s. At a prime p
+    this is exp(-s ln p) from mpmath.libmp at width + 10 bits, or p^-s by
+    exact integer division at an integer order while p^|s| has at most
+    4 width bits; at a composite k it is w(p) w(k/p), with p the smallest
+    prime factor of k. Only the weights of k <= n/2 are held, since the
+    factors of a composite k <= n are at most n/2."""
     from mpmath import libmp
 
     wp, minus_s = width + 10, (-s)._mpc_
     exact = not s.imag and abs(s.real) * n.bit_length() <= 4 * width and s.real == int(s.real)
     order = int(s.real) if exact else None
-    product = _real_product if real else _complex_product
     spf, held = smallest_prime_factors(n), [None] * (n // 2 + 1)
     for k in range(1, n + 1):
         p = spf[k]  # spf[1] = 1, so w(1) = 1^-s = 1
         if p < k:
-            w = product(held[p], held[k // p], width)
+            w = _complex_product(held[p], held[k // p], width)
         elif order is not None:
             q = k ** abs(order)
             e, m = (0, q) if order <= 0 else (-width - q.bit_length(), (1 << width + q.bit_length()) // q)
-            w = _fit(e, (m,) if real else (m, 0), width)
+            w = _fit(e, (m, 0), width)
         else:
             ln_p = libmp.mpf_log(libmp.from_int(k), wp)
-            w = _mantissas((libmp.mpf_exp(libmp.mpf_mul(minus_s[0], ln_p, wp), wp),) if real
-                           else libmp.mpc_exp(libmp.mpc_mul_mpf(minus_s, ln_p, wp), wp), width)
+            w = _mantissas(libmp.mpc_exp(libmp.mpc_mul_mpf(minus_s, ln_p, wp), wp), width)
         if k < len(held):
             held[k] = w
         yield w

@@ -20,7 +20,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, replace
 from functools import partial
-from operator import mul, neg, sub
+from operator import add, mul, neg, sub
 from typing import Callable, Optional, Sequence
 
 from .errors import ComputationError, DomainError, TailBoundExceedsTol
@@ -98,7 +98,8 @@ class IdentityCase:
     label: str = ""
 
     def __post_init__(self) -> None:
-        if self.dimension not in (2, 3):
+        # a bool is an int, but neither True nor False is 2 or 3
+        if not isinstance(self.dimension, int) or self.dimension not in (2, 3):
             raise DomainError(f"dimension must be 2 or 3, got {self.dimension!r}")
         object.__setattr__(self, "s", complex(self.s))
         object.__setattr__(self, "x", complex(self.x))
@@ -433,18 +434,14 @@ def product_log_sum(
                     if table is None:
                         if hi - lo <= 3:
                             # too few to pay for a table: sum them from Q_j
-                            if sign > 0:
-                                for b in range(hi * d, bm, -d):
-                                    t1 += q1[b]
-                                    t2 += q2[b]
-                                    t3 += q3[b]
-                                    t4 += q4[b]
-                            else:
-                                for b in range(hi * d, bm, -d):
-                                    t1 -= q1[b]
-                                    t2 -= q2[b]
-                                    t3 -= q3[b]
-                                    t4 -= q4[b]
+                            # add or sub, not sign * q: that product costs
+                            # more than the addition it signs
+                            step = add if sign > 0 else sub
+                            for b in range(hi * d, bm, -d):
+                                t1 = step(t1, q1[b])
+                                t2 = step(t2, q2[b])
+                                t3 = step(t3, q3[b])
+                                t4 = step(t4, q4[b])
                             continue
                         table = tables[d] = _suffix_tables(q, d, sign)
                     r1, r2, r3, r4 = table

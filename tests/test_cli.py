@@ -1,11 +1,17 @@
 """End-to-end command-line tests driven through main(argv)."""
 
+import cmath
+import contextlib
 import csv
+import io
 import json
+import math
 import time
 
 import mpmath
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from vpvlab import catalog
 from vpvlab.cli import _build_parser, main
@@ -467,6 +473,62 @@ def test_output_file(tmp_path, capsys):
     assert out == ""
     payload = json.loads(target.read_text())
     assert payload["rel_err"] <= 1e-7
+
+
+@pytest.mark.parametrize("where", ["missing/out.txt", "."])
+def test_unwritable_output_is_a_usage_error(tmp_path, capsys, where):
+    # A missing directory, or a directory in place of a file, is the
+    # caller's mistake: exit 1 with one error line, not exit 3.
+    target = tmp_path / where
+    code, out, err = _run(capsys, ["polylog", "--s", "2", "--z", ".5", "--output", str(target)])
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: cannot write output file {str(target)!r}: ")
+    assert err.count("\n") == 1 and err.endswith("\n")
+
+
+def _cx(v: complex) -> str:
+    return f"{v.real!r}{'' if math.copysign(1, v.imag) < 0 else '+'}{v.imag!r}i"
+
+
+@st.composite
+def _contract_argv(draw):
+    """verify2, verify3 or polylog argv over wide orders, arguments and
+    tolerances, in every format, and for polylog in both precisions."""
+    command = draw(st.sampled_from(["verify2", "verify3", "polylog"]))
+
+    def order():
+        return complex(draw(st.floats(-20, 20)), draw(st.floats(-60, 60)))
+
+    def arg():
+        r = draw(st.floats(0, 0.95 if command == "polylog" else 0.7))
+        return cmath.rect(r, draw(st.floats(-math.pi, math.pi)))
+
+    names = {"verify2": "sxy", "verify3": "stxyz", "polylog": "sz"}[command]
+    argv = [command] + [f"--{n}={_cx(order() if n in 'st' else arg())}" for n in names]
+    argv.append(f"--tol={10 ** draw(st.floats(-14, -3))!r}")
+    argv.append(f"--format={draw(st.sampled_from(['human', 'csv', 'json']))}")
+    if command == "polylog":
+        dps = draw(st.one_of(st.none(), st.integers(20, 40)))
+        argv.append("--precision=double" if dps is None else f"--precision=extended:{dps}")
+    return argv
+
+
+@settings(derandomize=True, database=None, max_examples=80, deadline=None)
+@given(_contract_argv())
+@example(["polylog", "--s", "2", "--z", ".5", "--output", "/nonexistent/dir/x"])
+@example(["polylog", "--s", "2", "--z", ".5", "--output", "."])
+def test_cli_exit_code_contract(argv):
+    # Legitimate input gets a value (exit 0) or a typed refusal (exit 1 or
+    # 2), never an internal error; a refusal prints nothing on stdout and
+    # exactly one error line on stderr.
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2), (code, err.getvalue())
+    if code:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+        assert err.getvalue().endswith("\n")
 
 
 def test_tolerance_validation(capsys):

@@ -583,7 +583,8 @@ def test_extended_weights_at_a_huge_integer_order_stay_at_working_precision():
 
 
 def test_extended_real_series_has_an_exactly_zero_imaginary_part():
-    # A real order and argument are summed in real mantissas only.
+    # A real order and argument give real weights and powers: each zero
+    # imaginary mantissa stays exactly zero through every product.
     for s in (3, 2.5, -1.5, mpmath.mpf(2) / 3):
         for z in (0.5, -0.9):
             value = polylog(s, z, 1e-20, dps=30).value
@@ -603,18 +604,18 @@ def test_extended_partial_sum_of_one_term_is_z():
 def test_prime_weights_match_direct_powers():
     # At 53 bits with the guard bits on, each weight built from the prime
     # weights rounds to mpmath's own k^-s within an ulp or so, for orders
-    # far off the real axis and far below it, in integer mantissas that
-    # are complex, or real where the order is real.
+    # far off the real axis and far below it. A real order's weights have
+    # an imaginary mantissa of exactly zero.
     n = 1500
     with mpmath.workprec(53):
         for s in (mpmath.mpc(0.5, 100), mpmath.mpc(-200.5, 0), mpmath.mpc(2, -30), mpmath.mpc(3, 0)):
-            for real in {False, not s.imag}:
-                weights = list(_weights(s, n, _width(s, n, 53), real))
-                assert len(weights) == n
-                for k, (e, *parts) in enumerate(weights, 1):
-                    w = mpmath.mpc(*(mpmath.mpf((m, e)) for m in parts))
-                    ref = mpmath.mpf(k) ** -s
-                    assert abs(w - ref) <= 2.0 ** -51 * abs(ref), (s, real, k)
+            weights = list(_weights(s, n, _width(s, n, 53)))
+            assert len(weights) == n
+            for k, (e, re, im) in enumerate(weights, 1):
+                w = mpmath.mpc(mpmath.mpf((re, e)), mpmath.mpf((im, e)))
+                ref = mpmath.mpf(k) ** -s
+                assert abs(w - ref) <= 2.0 ** -51 * abs(ref), (s, k)
+                assert s.imag or im == 0, (s, k)
 
 
 def test_extended_polylog_holds_at_most_half_its_weights():
@@ -629,7 +630,7 @@ def test_extended_polylog_holds_at_most_half_its_weights():
     with mpmath.workdps(30):
         s_ = mpmath.mpc(s)
         width = _width(s_, n, mpmath.mp.prec)
-        factors = list(islice(_weights(s_, 1001, width, False), 1, 1001))
+        factors = list(islice(_weights(s_, 1001, width), 1, 1001))
     tracemalloc.start()
     try:
         products = [_complex_product(factors[0], w, width) for w in factors]

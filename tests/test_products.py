@@ -61,6 +61,14 @@ def test_case_validation():
         IdentityCase(2, 2.0, 0.3, 0.4, closed_form_id="nope")
 
 
+@pytest.mark.parametrize("dimension", [2.0, 3.0, True, "2", None, 2 + 0j])
+def test_dimension_must_be_an_int(dimension):
+    # 2.0 and 2 + 0j equal 2, so a membership test alone lets them through,
+    # and verify would meet them as a bare TypeError from math.factorial.
+    with pytest.raises(DomainError, match="^dimension must be 2 or 3"):
+        IdentityCase(dimension, 2, 0.5, 0.3)
+
+
 _NAN, _INF = float("nan"), float("inf")
 
 
