@@ -18,7 +18,6 @@ from .explorer import (
     catalog,
     critical_line_scan,
     euler_zagier_31,
-    exponent_pair_deviation,
     run_catalog,
     trivial_zero_probe,
 )
@@ -35,13 +34,9 @@ from .polylog import (
 from .products import (
     IdentityCase,
     IdentityReport,
-    TruncationSpec,
-    choose_degree_cap,
     lattice_sum,
-    lhs_log_product,
     product_log_sum,
     rhs_factors,
-    rhs_log,
     verify,
 )
 
@@ -61,7 +56,6 @@ __all__ = [
     "catalog",
     "critical_line_scan",
     "euler_zagier_31",
-    "exponent_pair_deviation",
     "run_catalog",
     "trivial_zero_probe",
     "decompose",
@@ -75,13 +69,9 @@ __all__ = [
     "zeta_real",
     "IdentityCase",
     "IdentityReport",
-    "TruncationSpec",
-    "choose_degree_cap",
     "lattice_sum",
-    "lhs_log_product",
     "product_log_sum",
     "rhs_factors",
-    "rhs_log",
     "verify",
     "__version__",
 ]

@@ -295,24 +295,17 @@ def _render(fmt: str, records, line: Optional[str] = None) -> str:
     return text
 
 
-def _fields_record(row, **names):
-    """A result dataclass as a record: one column per field, in field order,
-    renamed by `names`. A field is complex when its annotation names
-    complex, so a None value still gets its two csv columns."""
+def _fields_record(row, skip=(), **names):
+    """A result dataclass as a record: one column per field not in `skip`,
+    in field order, renamed by `names`. A field is complex when its
+    annotation names complex, so a None value still gets its two csv
+    columns."""
     return [(names.get(f.name, f.name), getattr(row, f.name), "complex" in str(f.type))
-            for f in fields(row)]
+            for f in fields(row) if f.name not in skip]
 
 
-def _report_record(r: IdentityReport):
-    return [
-        ("lhs_log", r.lhs_log, True),
-        ("rhs_log", r.rhs_log, True),
-        ("abs_err", r.abs_err, False),
-        ("rel_err", r.rel_err, False),
-        ("degree_cap", r.degree_cap, False),
-        ("tail_bound", r.tail_bound, False),
-        ("terms", r.terms, False),
-    ]
+def _report_record(report: IdentityReport):
+    return _fields_record(report, skip=("case", "tol", "rhs_factors"))
 
 
 def _series_record(value, result):
@@ -339,7 +332,11 @@ _AUDIT_LINE = "{name:9s} {verdict:17s} discrepancy={discrepancy:.3e}  {note}"
 # subcommand bodies
 # ---------------------------------------------------------------------------
 
-def _verified(case: IdentityCase, res: dict) -> str:
+def _verified(res: dict) -> str:
+    # verify3 resolves t and z; verify2 has neither option
+    dimension = 3 if "z" in res else 2
+    case = IdentityCase(dimension, res["s"], res["x"], res["y"], t=res.get("t"), z=res.get("z"),
+                        label=f"verify{dimension}")
     report = verify(case, res["tol"])
     if not report.passed:
         raise _NotVerified(
@@ -351,15 +348,6 @@ def _verified(case: IdentityCase, res: dict) -> str:
     label = {"json": [], "csv": [("label", case.label, False)],
              "human": [("case", case.label, False)]}[fmt]
     return _render(fmt, [label + _report_record(report)])
-
-
-def _cmd_verify2(res: dict) -> str:
-    return _verified(IdentityCase(2, res["s"], res["x"], res["y"], label="verify2"), res)
-
-
-def _cmd_verify3(res: dict) -> str:
-    case = IdentityCase(3, res["s"], res["x"], res["y"], t=res["t"], z=res["z"], label="verify3")
-    return _verified(case, res)
 
 
 def _cmd_catalog(res: dict) -> str:
@@ -432,13 +420,13 @@ def _cmd_polylog(res: dict) -> str:
 
 # the command set, read by the parser, option resolution and dispatch
 _COMMANDS: dict[str, _Command] = {
-    "verify2": _Command("verify a 2D product identity with orders (s, 1-s)", _cmd_verify2, (
+    "verify2": _Command("verify a 2D product identity with orders (s, 1-s)", _verified, (
         _Opt("s", _parse_complex, required=True, help="leading order s (a+bi); the second order is 1-s"),
         _Opt("x", _parse_complex, required=True, help="first argument; x=1 switches to the zeta mode"),
         _Opt("y", _parse_complex, required=True, help="second argument, |y| < 1"),
         _Opt("tol", _parse_float, 1e-8, help="target tolerance for both sides"),
     )),
-    "verify3": _Command("verify a 3D product identity with orders (s, t, 1-s-t)", _cmd_verify3, (
+    "verify3": _Command("verify a 3D product identity with orders (s, t, 1-s-t)", _verified, (
         _Opt("s", _parse_complex, required=True, help="first order s (a+bi)"),
         _Opt("t", _parse_complex, required=True, help="second order t; the third order is 1-s-t"),
         _Opt("x", _parse_complex, required=True, help="first argument, |x| < 1"),

@@ -186,12 +186,14 @@ def audit_special_values(tol: float = 1e-12, *, dps: Optional[int] = None) -> li
     yields MATCHES_CORRECTED, otherwise UNRESOLVED. The audit only
     reports; no other module substitutes corrected forms.
 
-    Raises DomainError when the working precision cannot certify the
-    series values to min(tol, CANDIDATE_TOL): below that floor the
-    verdicts would compare rounding noise.
+    Raises DomainError when dps is not a positive int, or when the
+    working precision cannot certify the series values to min(tol,
+    CANDIDATE_TOL): below that floor the verdicts would compare rounding
+    noise.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
+    ctx = arithmetic(dps)
     series_tol = 1e-15 if dps is None else max(10.0 ** (2 - dps), 1e-45)
     if series_tol > min(tol, CANDIDATE_TOL):
         precision = "double" if dps is None else f"extended:{dps}"
@@ -199,7 +201,6 @@ def audit_special_values(tol: float = 1e-12, *, dps: Optional[int] = None) -> li
             f"{precision} precision certifies the series only to {series_tol!r}; the audit "
             f"needs that floor <= min(tol, {CANDIDATE_TOL!r}), got tol={tol!r}"
         )
-    ctx = arithmetic(dps)
     # candidate evaluation and comparisons run at working precision
     with ctx.workdps(dps):
         z3 = zeta_real(3.0, series_tol, dps=dps).value

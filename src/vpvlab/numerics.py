@@ -16,6 +16,8 @@ from fractions import Fraction
 from itertools import chain, count, islice
 from operator import attrgetter
 
+from .errors import ComputationError, DomainError
+
 # Smallest positive bound reported instead of 0.0 when an underflowed
 # tail is known to be far below representable magnitudes.
 TINY_BOUND = 1e-300
@@ -61,9 +63,9 @@ def smallest_prime_factors(cap: int) -> list[int]:
     dividing k with p^2 <= k, which is prime; a prime k keeps k. Past
     the first segment those p are the primes below lo; in the first
     every p qualifies, as no larger p writes at p. _squarefree_divisors
-    reads the table as it grows the lattice kernel's divisor lists, and
-    extended polylog's _weights for the weights k^-s it builds from
-    prime weights.
+    reads the table as it grows the lattice kernel's divisor lists, zeta
+    mode's _coprime_factors for the primes of each b, and extended
+    polylog's _weights for the weights k^-s it builds from prime weights.
     """
     spf = []
     for lo in range(0, cap + 1, _SIEVE_SEGMENT):
@@ -123,9 +125,15 @@ class _Double:
 
 def arithmetic(dps):
     """_Double for dps None, else mpmath's mp context, imported on first
-    use (callers enter ctx.workdps(dps) around the computation)."""
+    use (callers enter ctx.workdps(dps) around the computation).
+
+    Raises DomainError for a dps that is not a positive int; a bool is
+    refused although it is an int.
+    """
     if dps is None:
         return _Double
+    if not isinstance(dps, int) or isinstance(dps, bool) or dps < 1:
+        raise DomainError(f"dps must be a positive integer, got {dps!r}")
     from mpmath import mp
 
     return mp
@@ -185,7 +193,8 @@ def power_geometric_tail(cap: int, p: float, r: float) -> float:
 def power_geometric_guess(p: float, r: float, target: float) -> int:
     """A guess at the first cap where power_geometric_tail(cap, p, r) <=
     target, for 0 < r < 1 and p >= 0, for first_within to start from; 0
-    when r or target is out of range.
+    when r or target is out of range, or when an iterate leaves the float
+    range, as it can for p near 1e308.
 
     With x = cap + 1 and q = (1 + 1/x)^p r the bound is about
     x^p r^x / (1 - q). Newton steps from past the peak p / ln(1/r) first
@@ -209,6 +218,8 @@ def power_geometric_guess(p: float, r: float, target: float) -> int:
     for _ in range(4):
         step = (p * math.log(x) + x * lr - lead) / (p / x + lr)
         x -= step
+        if not math.isfinite(x):
+            return 0
         if abs(step) <= 1e-9 * x:
             break
     low = x
@@ -221,7 +232,7 @@ def power_geometric_guess(p: float, r: float, target: float) -> int:
         x = max(low, x - step)
         if abs(step) <= 1e-9 * x:
             break
-    return math.ceil(x) - 1
+    return math.ceil(x) - 1 if math.isfinite(x) else 0
 
 
 def first_within(bound, tol: float, start: int, stop: int, guess: int):
@@ -322,8 +333,6 @@ def dirichlet_tail(s, start: int, tol=math.inf):
 
 def require_finite(value: complex, where: str) -> complex:
     """Raise ComputationError if a non-finite value is about to escape."""
-    from .errors import ComputationError
-
     if not (math.isfinite(value.real) and math.isfinite(value.imag)):
         raise ComputationError(f"non-finite value in {where}: {value!r}")
     return value

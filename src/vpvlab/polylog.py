@@ -78,7 +78,7 @@ def polylog(s: complex, z: complex, tol: float = 1e-12, *, dps: int | None = Non
     tail_bound 0.0.
 
     Raises:
-        DomainError: |z| too large.
+        DomainError: |z| too large, or dps not a positive int.
         NonConvergence: tolerance unreachable within TERM_CAP terms.
         ComputationError: the value leaves the float range.
     """
@@ -126,11 +126,11 @@ def polylog_partial(s: complex, z: complex, n_terms: int, *, dps: int | None = N
     in integer mantissas and rounds to dps digits once.
 
     Raises:
+        DomainError: dps not a positive int.
         ComputationError: a double term k^-s overflows (-Re s ln k past ~709).
     """
     if dps is not None:
-        from mpmath import mp
-
+        mp = arithmetic(dps)
         with mp.workdps(dps):
             return _extended_partial(mp.mpc(s), mp.mpc(z), n_terms)
     s, z = complex(s), complex(z)
@@ -382,7 +382,7 @@ def zeta_real(s: float, tol: float = 1e-12, *, dps: int | None = None) -> Series
     within any sane term budget, which is why the corrected tail is used.
 
     Raises:
-        DomainError: s too close to (or below) 1.
+        DomainError: s too close to (or below) 1, or dps not a positive int.
         NonConvergence: no admissible N within TERM_CAP meets tol.
     """
     if not tol > 0:

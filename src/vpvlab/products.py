@@ -319,7 +319,8 @@ def product_log_sum(
 ) -> tuple[complex, int]:
     """Sum of -prod a_i^-s_i log(1 - prod x_i^a_i) over visible points
     (a_1, ..., a_n) with a_1 mu_1 + ... + a_n mu_n <= degree_cap, for n >= 2.
-    Every |x_i| must be below 1 (DomainError otherwise); 0 is allowed.
+    Every |x_i| must be below 1 (DomainError otherwise); 0 is allowed. A
+    weight a^-s_i past the float range is a ComputationError.
 
     Returns (value, number of product factors summed). Orders are taken
     as given; the product equals exp(prod Li_s_i(x_i)) only when the
@@ -377,8 +378,14 @@ def product_log_sum(
         return 0j, 0
     tops = [max(0, int(degree_cap / m)) + 1 for m in mu]
     ln = log_table(tops[-1])
-    weights = [list(map(cmath.exp, map((-complex(orders[i])).__mul__, ln[:top + 1])))
-               for i, top in zip(axes, tops)]
+    try:
+        weights = [list(map(cmath.exp, map((-complex(orders[i])).__mul__, ln[:top + 1])))
+                   for i, top in zip(axes, tops)]
+    except OverflowError:
+        raise ComputationError(
+            f"a lattice weight a^-s_i leaves the float range for some a <= {max(tops)} "
+            f"at orders {list(orders)!r}"
+        ) from None
     powers = [_pow_table(complex(args[i]), top) for i, top in zip(axes, tops)]
     gcd = math.gcd
     log = cmath.log
@@ -499,16 +506,16 @@ def _coprime_factors(s: float, cap: int) -> list[float]:
 
     Euler product: the Dirichlet series over a coprime to b is zeta(s)
     with the factors of the primes dividing b removed (Apostol,
-    Introduction to Analytic Number Theory, ch. 11).
+    Introduction to Analytic Number Theory, ch. 11). The primes are those
+    of smallest_prime_factors, and each one, the smallest first, scales
+    every c_b at its multiples.
     """
+    spf = smallest_prime_factors(cap)
     c = [1.0] * (cap + 1)
-    sieved = bytearray(cap + 1)
     for p in range(2, cap + 1):
-        if not sieved[p]:
+        if spf[p] == p:
             f = 1.0 - p ** -s
-            for m in range(p, cap + 1, p):
-                c[m] *= f
-                sieved[m] = 1
+            c[p::p] = [v * f for v in c[p::p]]
     return c
 
 

@@ -492,9 +492,10 @@ def _cx(v: complex) -> str:
 
 @st.composite
 def _contract_argv(draw):
-    """verify2, verify3 or polylog argv over wide orders, arguments and
-    tolerances, in every format, and for polylog in both precisions."""
-    command = draw(st.sampled_from(["verify2", "verify3", "polylog"]))
+    """verify2, verify3, polylog, scan or probe argv over wide orders,
+    arguments, heights and tolerances, in every format, and for polylog
+    in both precisions."""
+    command = draw(st.sampled_from(["probe", "scan", "verify2", "verify3", "polylog"]))
 
     def order():
         return complex(draw(st.floats(-20, 20)), draw(st.floats(-60, 60)))
@@ -503,8 +504,18 @@ def _contract_argv(draw):
         r = draw(st.floats(0, 0.95 if command == "polylog" else 0.7))
         return cmath.rect(r, draw(st.floats(-math.pi, math.pi)))
 
-    names = {"verify2": "sxy", "verify3": "stxyz", "polylog": "sz"}[command]
-    argv = [command] + [f"--{n}={_cx(order() if n in 'st' else arg())}" for n in names]
+    def some(values):
+        return ",".join(map(repr, draw(st.lists(values, min_size=1, max_size=3))))
+
+    if command == "scan":
+        argv = [command, f"--T={some(st.floats(-1e3, 1e3))}", f"--x={_cx(arg())}", f"--y={_cx(arg())}"]
+    elif command == "probe":
+        # orders 2 .. 4 are the probe's; 1 and 5 are refused with exit 1
+        argv = [command, f"--order={draw(st.integers(1, 5))}", f"--x={_cx(arg())}",
+                f"--deltas={some(st.floats(0.01, 0.99))}"]
+    else:
+        names = {"verify2": "sxy", "verify3": "stxyz", "polylog": "sz"}[command]
+        argv = [command] + [f"--{n}={_cx(order() if n in 'st' else arg())}" for n in names]
     argv.append(f"--tol={10 ** draw(st.floats(-14, -3))!r}")
     argv.append(f"--format={draw(st.sampled_from(['human', 'csv', 'json']))}")
     if command == "polylog":
@@ -513,10 +524,28 @@ def _contract_argv(draw):
     return argv
 
 
-@settings(derandomize=True, database=None, max_examples=80, deadline=None)
+# Orders at which the polylog stopping-index guess, or the lattice
+# weights a^-s, leave the float range.
+_OVERFLOW_ARGV = [
+    ["polylog", "--s=-1e308", "--z", "0.5"],
+    ["polylog", "--s=-6.588739302961221e+307+976.0311053020514i", "--z=0.998"],
+    ["polylog", "--s=-1e308", "--z", "0.5", "--precision", "extended:20"],
+    ["verify2", "--s=-800.5", "--x=0", "--y=0.3"],
+    ["verify2", "--s=1500.5", "--x=0.3", "--y=0"],
+    ["verify3", "--s=-900.5", "--t=1", "--x=0", "--y=.3", "--z=.3"],
+]
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
 @given(_contract_argv())
 @example(["polylog", "--s", "2", "--z", ".5", "--output", "/nonexistent/dir/x"])
 @example(["polylog", "--s", "2", "--z", ".5", "--output", "."])
+@example(_OVERFLOW_ARGV[0])
+@example(_OVERFLOW_ARGV[1])
+@example(_OVERFLOW_ARGV[2])
+@example(_OVERFLOW_ARGV[3])
+@example(_OVERFLOW_ARGV[4])
+@example(_OVERFLOW_ARGV[5])
 def test_cli_exit_code_contract(argv):
     # Legitimate input gets a value (exit 0) or a typed refusal (exit 1 or
     # 2), never an internal error; a refusal prints nothing on stdout and
@@ -529,6 +558,15 @@ def test_cli_exit_code_contract(argv):
         assert out.getvalue() == ""
         assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
         assert err.getvalue().endswith("\n")
+
+
+@pytest.mark.parametrize("argv", _OVERFLOW_ARGV)
+def test_overflow_at_extreme_orders_is_a_tolerance_error(capsys, argv):
+    # A typed refusal with one error line, not exit 1 from a NaN guess
+    # or exit 3 from a bare OverflowError.
+    code, out, err = _run(capsys, argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_tolerance_validation(capsys):

@@ -8,6 +8,7 @@ import pytest
 from vpvlab.explorer import (
     CANDIDATE_TOL, EXPONENT_TOL, _PRINTED_FORMS, _audit_ez31, _averaged_estimate,
     _build_audit_records, _evaluate, _format, _matching_variants, _variants,
+    exponent_pair_deviation,
 )
 from vpvlab.forms import _term_values
 from vpvlab.numerics import arithmetic
@@ -19,7 +20,6 @@ from vpvlab import (
     catalog,
     critical_line_scan,
     euler_zagier_31,
-    exponent_pair_deviation,
     polylog,
     run_catalog,
     trivial_zero_probe,

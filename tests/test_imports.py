@@ -53,3 +53,13 @@ def test_mpmath_is_imported_only_on_demand():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True).stdout
     assert out == "False\n"
+
+
+def test_module_level_helpers_are_not_exported():
+    # They stay attributes of their modules, where bench/run.py reads the
+    # products ones and the scan calls exponent_pair_deviation, but the
+    # package exports only the identity, polylog and explorer API.
+    helpers = {"TruncationSpec", "lhs_log_product", "rhs_log", "choose_degree_cap",
+               "exponent_pair_deviation"}
+    assert helpers.isdisjoint(vpvlab.__all__)
+    assert not any(hasattr(vpvlab, name) for name in helpers)

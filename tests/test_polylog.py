@@ -12,7 +12,7 @@ import sys
 import time
 import tracemalloc
 from fractions import Fraction
-from itertools import islice
+from itertools import islice, product
 from operator import attrgetter
 
 import mpmath
@@ -27,6 +27,7 @@ from vpvlab import (
     IdentityCase,
     NonConvergence,
     SeriesResult,
+    audit_special_values,
     polylog,
     polylog_neg_int,
     rhs_factors,
@@ -765,6 +766,19 @@ def test_extended_polylog_keeps_an_mpmath_order():
         assert abs(res.value - ref) <= mpmath.mpf("1e-36")
 
 
+@pytest.mark.parametrize("dps", [0, -3, 2.5, 30.0, True, False, "30"])
+@pytest.mark.parametrize("call", [
+    lambda dps: polylog(2, 0.5, dps=dps),
+    lambda dps: polylog_partial(2, 0.5, 10, dps=dps),
+    lambda dps: zeta_real(3.0, dps=dps),
+    lambda dps: audit_special_values(dps=dps),
+], ids=["polylog", "polylog_partial", "zeta_real", "audit_special_values"])
+def test_dps_must_be_a_positive_int(call, dps):
+    # unchecked, dps=0 gives Li_2(1/2) = 0.625 and zeta(3) = 1.25
+    with pytest.raises(DomainError, match="dps must be a positive integer"):
+        call(dps)
+
+
 def test_extended_precision_paths():
     import mpmath
 
@@ -895,6 +909,14 @@ def test_power_geometric_guess_at_the_edges():
     assert power_geometric_tail(40, 0.0, 0.5) <= target < power_geometric_tail(39, 0.0, 0.5)
     # a target above the peak of x^p r^x gives the peak, less one
     assert power_geometric_guess(10.0, 0.5, 1e300) == math.ceil(10 / math.log(2)) - 1
+
+
+@pytest.mark.parametrize("p", [1e300, 1.5e305, 6.6e307, 1e308, 1.7e308])
+def test_power_geometric_guess_is_an_int_up_to_the_float_range(p):
+    # p ln x and x ln r can leave the float range; the guess must still
+    # give a start, not take ceil(nan) or the log of a negative iterate.
+    for r, target in product([1e-19, 0.18, 0.5, 0.998], [1e-300, 1e-12, 1e90]):
+        assert isinstance(power_geometric_guess(p, r, target), int), (r, target)
 
 
 def test_dirichlet_tail_bound():

@@ -19,25 +19,21 @@ from vpvlab import (
     DomainError,
     IdentityCase,
     TailBoundExceedsTol,
-    TruncationSpec,
     audit_special_values,
-    choose_degree_cap,
     critical_line_scan,
     lattice_sum,
-    lhs_log_product,
     polylog,
     polylog_neg_int,
     product_log_sum,
     rhs_factors,
-    rhs_log,
     verify,
     visible_points,
     zeta_real,
 )
 from vpvlab.numerics import log1m, log_table
 from vpvlab.products import (
-    _CLOSED_FORM_CONSTANTS, _coprime_factors, _decay_ratios, _level_limit, _squarefree_divisors,
-    tail_bound_2d, tail_bound_3d,
+    _CLOSED_FORM_CONSTANTS, _coprime_factors, _decay_ratios, _eval_lhs, _level_limit, _rhs_product,
+    _shell_tail, _squarefree_divisors, choose_degree_cap,
 )
 
 
@@ -134,10 +130,10 @@ def test_zeta_mode_gating():
 
 def test_zero_argument_gives_zero_logs():
     case = IdentityCase(2, 2.0, 0.0, 0.4)
-    val, trunc = lhs_log_product(case, TruncationSpec(40, 1e-10))
+    val, bound, _ = _eval_lhs(case, 40)
     assert val == 0
-    assert trunc.tail_bound == 0.0
-    assert rhs_log(case) == 0
+    assert bound == 0.0
+    assert _rhs_product(rhs_factors(case)) == 0
     # Li_-200(0) = 0 without the rational form, whose Horner loop over
     # coefficients near 200! leaves the float range.
     report = verify(IdentityCase(2, 201.0, 0.5, 0.0), 1e-8)
@@ -148,9 +144,9 @@ def test_log_identity_order_one():
     # s=1 (t=0): log-LHS equals (y/(1-y)) * ln(1/(1-x)).
     want = (0.4 / 0.6) * math.log(1 / 0.7)
     case = IdentityCase(2, 1.0, 0.3, 0.4)
-    val, trunc = lhs_log_product(case, TruncationSpec(80, 1e-10))
-    assert abs(val - want) <= trunc.tail_bound + 1e-12
-    assert abs(rhs_log(case) - want) <= 1e-12
+    val, bound, _ = _eval_lhs(case, 80)
+    assert abs(val - want) <= bound + 1e-12
+    assert abs(_rhs_product(rhs_factors(case)) - want) <= 1e-12
 
 
 def test_order_two_quarter_arguments():
@@ -182,7 +178,7 @@ def test_three_dimensional_examples():
     third = 1.0 / 3.0
     case = IdentityCase(3, third, 0.3, 0.3, t=third, z=0.3)
     li_third = polylog(third, 0.3, 1e-15).value
-    assert abs(rhs_log(case, 1e-14) - li_third**3) <= 1e-12
+    assert abs(_rhs_product(rhs_factors(case, 1e-14)) - li_third**3) <= 1e-12
     report = verify(case, 1e-9)
     assert report.rel_err <= 1e-8
 
@@ -191,7 +187,7 @@ def test_zeta_mode_rhs_value():
     # x=1 mode at s=3, y=0.5: zeta(3) * y(1+y)/(1-y)^3 = zeta(3) * 6.
     case = IdentityCase(2, 3.0, 1.0, 0.5)
     want = zeta_real(3.0, 1e-14).value * 6.0
-    assert abs(rhs_log(case) - want) <= 1e-10
+    assert abs(_rhs_product(rhs_factors(case)) - want) <= 1e-10
     report = verify(case, 1e-8)
     assert report.rel_err <= 1e-7
 
@@ -230,7 +226,7 @@ def test_zeta_mode_sums_its_terms_exactly(s, y, cap):
         weight += abs(f) * c[b]
     head = complex(math.fsum(z.real for z in terms), math.fsum(z.imag for z in terms))
     want = zeta_real(s, 1e-15 / max(1.0, weight)).value * head
-    value, _ = lhs_log_product(IdentityCase(2, s, 1.0, y), TruncationSpec(cap, 1e-8))
+    value, _, _ = _eval_lhs(IdentityCase(2, s, 1.0, y), cap)
     assert value == want
 
 
@@ -238,7 +234,7 @@ def test_critical_line_rhs_factorization():
     s = 0.5 + 5j
     case = IdentityCase(2, s, 0.2, 0.2)
     want = polylog(s, 0.2, 1e-14).value * polylog(1 - s, 0.2, 1e-14).value
-    assert abs(rhs_log(case) - want) <= 1e-13
+    assert abs(_rhs_product(rhs_factors(case)) - want) <= 1e-13
 
 
 def test_verify_quartic_order():
@@ -270,7 +266,7 @@ def test_oracle_equivalence_random_2d():
         cap = choose_degree_cap(IdentityCase(2, s, x, y), 1e-9)
         lhs, _ = product_log_sum((s, 1 - s), (x, y), cap)
         oracle = lattice_sum((s, 1 - s), (x, y), cap)
-        allowance = 2 * tail_bound_2d(s, 1 - s, x, y, cap)
+        allowance = 2 * _shell_tail((s, 1 - s), (x, y), cap)
         assert abs(lhs - oracle) <= allowance, (s, x, y)
 
 
@@ -286,7 +282,7 @@ def test_oracle_equivalence_random_3d():
         cap = choose_degree_cap(IdentityCase(3, s, x, y, t=t, z=z), 1e-8)
         lhs, _ = product_log_sum((s, t, u), (x, y, z), cap)
         oracle = lattice_sum((s, t, u), (x, y, z), cap)
-        allowance = 2 * tail_bound_3d(s, t, u, x, y, z, cap)
+        allowance = 2 * _shell_tail((s, t, u), (x, y, z), cap)
         assert abs(lhs - oracle) <= allowance, (s, t, x, y, z)
 
 
@@ -299,7 +295,7 @@ def test_constraint_perturbation_is_detected():
         cap = 70
         lhs, _ = product_log_sum((s, t), (0.4, 0.4), cap)
         oracle = lattice_sum((s, t), (0.4, 0.4), cap)
-        allowance = 2 * tail_bound_2d(s, t, 0.4, 0.4, cap)
+        allowance = 2 * _shell_tail((s, t), (0.4, 0.4), cap)
         assert abs(lhs - oracle) > 100 * allowance, s
 
 
@@ -307,13 +303,12 @@ def test_tail_bound_monotone_and_valid():
     case = IdentityCase(2, 0.5 + 14.134725j, 0.3, 0.3)
     bounds = []
     for cap in range(10, 120, 10):
-        _, trunc = lhs_log_product(case, TruncationSpec(cap, 1.0))
-        bounds.append(trunc.tail_bound)
+        bounds.append(_eval_lhs(case, cap)[1])
     assert all(b2 <= b1 for b1, b2 in zip(bounds, bounds[1:]))
     # Doubling the cap moves the value by less than the reported bound.
-    v1, t1 = lhs_log_product(case, TruncationSpec(40, 1.0))
-    v2, _ = lhs_log_product(case, TruncationSpec(80, 1.0))
-    assert abs(v2 - v1) < t1.tail_bound
+    v1, t1, _ = _eval_lhs(case, 40)
+    v2, _, _ = _eval_lhs(case, 80)
+    assert abs(v2 - v1) < t1
 
 
 def test_conjugate_symmetry():
@@ -327,7 +322,7 @@ def test_conjugate_symmetry():
 def test_choose_degree_cap_meets_tol():
     case = IdentityCase(2, 2.0, 0.5, 0.3)
     cap = choose_degree_cap(case, 1e-8)
-    assert tail_bound_2d(2.0, -1.0, 0.5, 0.3, cap) <= 1e-8
+    assert _shell_tail((2.0, -1.0), (0.5, 0.3), cap) <= 1e-8
     assert cap >= 2
 
 
@@ -368,9 +363,8 @@ def test_verify_rejects_bad_tolerance():
     lambda tol: choose_degree_cap(IdentityCase(2, 2.0, 0.5, 0.3), tol),
     lambda tol: verify(IdentityCase(2, 2.0, 0.5, 0.3), tol),
     lambda tol: audit_special_values(tol),
-    lambda tol: TruncationSpec(10, tol),
 ], ids=["polylog", "zeta_real", "rhs_factors", "choose_degree_cap", "verify",
-        "audit_special_values", "TruncationSpec"])
+        "audit_special_values"])
 def test_nan_tolerance_is_rejected(call):
     # tol <= 0 is False for nan: polylog stopped after one term, and
     # the other entry points ran on to a wrong value or a misleading error.
@@ -480,7 +474,7 @@ def test_product_log_sum_is_within_the_shell_bound():
         case = (IdentityCase(2, orders[0], *args) if len(args) == 2 else
                 IdentityCase(3, orders[0], args[0], args[1], t=orders[1], z=args[2]))
         level = choose_degree_cap(case, tol)
-        bound = (tail_bound_2d if len(args) == 2 else tail_bound_3d)(*orders, *args, level)
+        bound = _shell_tail(orders, args, level)
         assert bound <= tol
         value, _ = product_log_sum(orders, args, level)
         doubled, _ = product_log_sum(orders, args, 2 * level)
@@ -693,6 +687,19 @@ def _assert_matches_reference(orders, args, level):
 def test_product_log_sum_with_a_zero_argument(orders, args, level):
     value, count = _assert_matches_reference(orders, args, level)
     assert value == 0 and count > 0
+
+
+@pytest.mark.parametrize("orders, args", [
+    ((-800.5, 801.5), (0.0, 0.3)),
+    ((1500.5, -1499.5), (0.3, 0.0)),
+    ((-900.5, 1.0, 900.5), (0.0, 0.3, 0.3)),
+])
+def test_weight_past_the_float_range_is_a_computation_error(orders, args):
+    # a^-s overflows once -Re s ln a passes 709.8, here at a = 3: a typed
+    # error, not a bare OverflowError (exit 3 in the CLI). A zero argument
+    # still walks the region, so the weights are built there too.
+    with pytest.raises(ComputationError, match="lattice weight"):
+        product_log_sum(orders, args, 3)
 
 
 @pytest.mark.parametrize("orders, args, level", [
