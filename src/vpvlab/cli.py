@@ -53,6 +53,11 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
 
+    # an @file holds one argument per line; blank and # lines are skipped
+    def convert_arg_line_to_args(self, arg_line):
+        arg = arg_line.strip()
+        return [arg] if arg and not arg.startswith("#") else []
+
 
 # ---------------------------------------------------------------------------
 # value parsing
@@ -113,14 +118,13 @@ def _parse_format(text: str) -> str:
 
 
 # ---------------------------------------------------------------------------
-# option schema: one row per flag, shared by argparse, config files, and
-# defaulting (flag > config > default)
+# option schema: one row per flag; argparse parses and defaults each one
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class _Opt:
-    name: str  # config key / dest, e.g. "degree_cap"
-    parse: Callable[[str], object]  # flag or config text -> value
+    name: str  # dest, e.g. "degree_cap" for --degree-cap
+    parse: Callable[[str], object]  # flag text -> value
     default: object = None
     required: bool = False
     help: str = ""
@@ -152,61 +156,18 @@ def _build_parser() -> _Parser:
         ),
         epilog=(
             "Complex flags accept a+bi syntax (use --s=-2-3i for negative "
-            "values). A --config file supplies the same options as flat "
-            "key = value lines, each key the option's name with _ for - "
-            "(degree_cap = 30); flags win."
+            "values). An @PATH argument reads more arguments from a file, one "
+            "per line (blank and # lines skipped); a later argument wins."
         ),
+        fromfile_prefix_chars="@",
     )
     sub = parser.add_subparsers(dest="command", metavar="command")
     for name, command in _COMMANDS.items():
         p = sub.add_parser(name, help=command.help, description=command.help)
         for opt in command.opts + _COMMON:
-            p.add_argument("--" + opt.name.replace("_", "-"), dest=opt.name, default=None,
-                           help=opt.help, metavar="V")
-        p.add_argument("--config", dest="config", default=None, metavar="PATH",
-                       help="flat key = value file supplying any of the above options")
+            p.add_argument("--" + opt.name.replace("_", "-"), dest=opt.name, type=opt.parse,
+                           default=opt.default, help=opt.help, metavar="V")
     return parser
-
-
-def _load_config(path: str) -> dict[str, str]:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except OSError as exc:
-        raise _UsageError(f"cannot read config file {path!r}: {exc}")
-    out: dict[str, str] = {}
-    for i, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise _UsageError(f"{path}:{i}: expected key=value, got {line!r}")
-        key, _, value = line.partition("=")
-        out[key.strip()] = value.strip()
-    return out
-
-
-def _resolve_options(args: argparse.Namespace, command: str) -> dict:
-    config = _load_config(args.config) if args.config else {}
-    opts = _COMMANDS[command].opts + _COMMON
-    unknown = sorted(set(config) - {opt.name for opt in opts})
-    if unknown:
-        raise _UsageError(
-            f"unknown config key(s) for {command}: {', '.join(unknown)}; "
-            f"the keys are {', '.join(opt.name for opt in opts)}"
-        )
-    resolved: dict = {}
-    for opt in opts:
-        text = getattr(args, opt.name)
-        if text is None:
-            text = config.get(opt.name)
-        if text is not None:
-            resolved[opt.name] = opt.parse(text)
-        elif opt.required:
-            raise _UsageError(f"--{opt.name.replace('_', '-')} is required (flag or config)")
-        else:
-            resolved[opt.name] = opt.default
-    return resolved
 
 
 def _validate_common(res: dict) -> None:
@@ -418,7 +379,7 @@ def _cmd_polylog(res: dict) -> str:
     return _render(res["format"], [_series_record(value, result)])
 
 
-# the command set, read by the parser, option resolution and dispatch
+# the command set, read by the parser and dispatch
 _COMMANDS: dict[str, _Command] = {
     "verify2": _Command("verify a 2D product identity with orders (s, 1-s)", _verified, (
         _Opt("s", _parse_complex, required=True, help="leading order s (a+bi); the second order is 1-s"),
@@ -476,7 +437,12 @@ def _run(argv: Optional[Sequence[str]]) -> int:
     if args.command is None:
         parser.print_help(sys.stderr)
         return EXIT_USAGE
-    res = _resolve_options(args, args.command)
+    res = vars(args)
+    # checked here, not by argparse's required=, so that an unrecognized
+    # flag is reported before a missing one
+    for opt in _COMMANDS[args.command].opts:
+        if opt.required and res[opt.name] is None:
+            raise _UsageError(f"--{opt.name.replace('_', '-')} is required")
     _validate_common(res)
     text = _COMMANDS[args.command].run(res)
     if res["output"]:

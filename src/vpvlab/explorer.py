@@ -360,8 +360,11 @@ def exponent_pair_deviation(t_value: float) -> float:
     t = 1 - s
     worst = 0.0
     for a, b in _EXPONENT_PAIRS:
-        direct = cmath.exp(-s * math.log(a) - t * math.log(b))
-        split = math.exp(-0.5 * math.log(a * b)) * cmath.exp(1j * t_value * math.log(b / a))
+        try:
+            direct = cmath.exp(-s * math.log(a) - t * math.log(b))
+            split = math.exp(-0.5 * math.log(a * b)) * cmath.exp(1j * t_value * math.log(b / a))
+        except ValueError:  # cmath.exp of an infinite phase
+            raise ComputationError(f"the phase T ln a leaves the float range at T={t_value!r}") from None
         worst = max(worst, abs(direct - split))
     return worst
 

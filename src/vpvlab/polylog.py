@@ -127,7 +127,8 @@ def polylog_partial(s: complex, z: complex, n_terms: int, *, dps: int | None = N
 
     Raises:
         DomainError: dps not a positive int.
-        ComputationError: a double term k^-s overflows (-Re s ln k past ~709).
+        ComputationError: a double term k^-s overflows (-Re s ln k past ~709),
+            or its phase Im s ln k passes the float range.
     """
     if dps is not None:
         mp = arithmetic(dps)
@@ -139,7 +140,7 @@ def polylog_partial(s: complex, z: complex, n_terms: int, *, dps: int | None = N
     powers = accumulate(repeat(z, n_terms), mul)
     try:
         return exact_sum(chain(islice(powers, 1), map(mul, powers, weights)))
-    except OverflowError:
+    except (OverflowError, ValueError):  # cmath.exp raises ValueError at an infinite phase
         raise ComputationError(
             f"Li_s(z) series term k^-s leaves the float range for some k <= {n_terms} at s = {s!r}"
         ) from None
@@ -191,7 +192,11 @@ def _width(s, n: int, prec: int) -> int:
     log2((1 + |s|) ln n) bits; the log2 n truncated products in k^-s and
     the k - 1 in z^k, which log2 n bits cover; the n truncated terms,
     log2 n more; and 8 bits leave their sum a small part of an ulp."""
-    return prec + math.ceil(math.log2((1 + float(abs(s))) * math.log(n + 2))) + 2 * n.bit_length() + 8
+    try:
+        guard = math.ceil(math.log2((1 + float(abs(s))) * math.log(n + 2)))
+    except OverflowError:  # (1 + |s|) ln(n + 2) is inf
+        raise ComputationError(f"|s| ln n leaves the float range at |s| = {float(abs(s))!r}") from None
+    return prec + guard + 2 * n.bit_length() + 8
 
 
 def _fit(e: int, parts, width: int) -> tuple:
@@ -244,13 +249,14 @@ def _weights(s, n: int, width: int):
         yield w
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16)
 def _neg_order_poly(n: int) -> tuple[int, ...]:
     """Integer coefficients (ascending) of P_n with Li_{-n}(z) = P_n(z)/(1-z)^{n+1}.
 
     P_0 = z and P_{k+1}(z) = z * ((1 - z) P_k'(z) + (k + 1) P_k(z)),
     which is the z d/dz recurrence applied to the rational form. It runs
-    as a loop, so orders in the hundreds do not exhaust the stack.
+    as a loop, so orders in the hundreds do not exhaust the stack. The
+    cache keeps the 16 latest orders: P_1000 alone holds about 1 MB.
     """
     p = [0, 1]
     for k in range(1, n + 1):
@@ -302,8 +308,12 @@ def _neg_order_log_floor(n: int, z: complex) -> float:
     log_m = min(lg.real for lg in logs)
     if log_m >= math.log(3 * math.pi):  # needs |ln |z|| >= 2 sqrt(2) pi; the rest may outweigh S
         return -math.inf
-    near = abs(sum(cmath.exp(-(n + 1) * (lg - log_m)) for lg in logs))
     rounding = 1e-14 * (n + 1) * (1 + max(map(abs, logs)))
+    if rounding >= 4:
+        # |S| <= 3 leaves no floor; and from n near 1e308 the phases
+        # (n+1) Im(lg) below would pass the float range
+        return -math.inf
+    near = abs(sum(cmath.exp(-(n + 1) * (lg - log_m)) for lg in logs))
     rest = 2.8 * math.exp((n + 1) * (log_m - math.log(3 * math.pi)))
     if near <= rest + rounding:
         return -math.inf

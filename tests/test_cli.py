@@ -6,7 +6,9 @@ import csv
 import io
 import json
 import math
+import tempfile
 import time
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -98,20 +100,21 @@ def test_complex_flag_forms_agree(capsys):
         assert row[key] == report[key], key
 
 
-@pytest.mark.parametrize("source", ["flags", "config"])
+@pytest.mark.parametrize("source", ["flags", "file"])
 def test_split_complex_forms_are_usage_errors(tmp_path, capsys, source):
-    # A complex value has one spelling, a+bi, as a flag and as a config key.
+    # A complex value has one spelling, a+bi, on the command line and in
+    # an @file. An unknown flag is reported before the missing --s.
+    flags = ["--s-re=0.5", "--s-im=1", "--x=0.3", "--y=0.4"]
     if source == "flags":
-        argv = ["verify2", "--s-re", "0.5", "--s-im", "1", "--x", "0.3", "--y", "0.4"]
+        argv = ["verify2", *flags]
     else:
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("s_re = 0.5\nx = 0.3\ny = 0.4\n")
-        argv = ["verify2", "--config", str(cfg)]
+        args_file = tmp_path / "run.args"
+        args_file.write_text("\n".join(flags) + "\n")
+        argv = ["verify2", f"@{args_file}"]
     code, out, err = _run(capsys, argv)
     assert code == 1
     assert out == ""
-    assert len(err.splitlines()) == 1 and err.startswith("error: ")
-    assert "s_re" in err if source == "config" else "--s-re" in err
+    assert err == "error: unrecognized arguments: --s-re=0.5 --s-im=1\n"
 
 
 def test_missing_required_flag(capsys):
@@ -420,35 +423,35 @@ def test_extended_polylog_past_the_float_range(capsys, fmt):
         assert err.startswith("error: ") and err.count("\n") == 1
 
 
-def test_config_file_with_flag_precedence(tmp_path, capsys):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("s = 1\nx = 0.3\ny = 0.4\nformat = csv\n# comment line\n")
-    code, out, _ = _run(
-        capsys, ["verify2", "--config", str(cfg), "--format", "json"]
-    )
-    assert code == 0
-    payload = json.loads(out)  # flag wins over config's csv
-    assert payload["rel_err"] <= 1e-7
+def test_args_file_with_later_flag_winning(tmp_path, capsys):
+    # One argument per line; blank and # lines are skipped, and a flag
+    # after the @file wins over the file's.
+    args_file = tmp_path / "run.args"
+    args_file.write_text("# a verify2 case\n--s=1\n\n--x\n0.3\n  --y=0.4  \n--format=csv\n")
+    flags = ["--s=1", "--x=0.3", "--y=0.4"]
+    code, out, err = _run(capsys, ["verify2", f"@{args_file}", "--format", "json"])
+    assert (code, err) == (0, "")
+    assert out == _run(capsys, ["verify2", *flags, "--format", "json"])[1]
+    assert json.loads(out)["rel_err"] <= 1e-7
+    code, out, err = _run(capsys, ["verify2", f"@{args_file}"])
+    assert (code, err) == (0, "")
+    assert out == _run(capsys, ["verify2", *flags, "--format", "csv"])[1]
 
 
-def test_config_unknown_key_rejected(tmp_path, capsys):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("s = 1\nx = 0.3\ny = 0.4\nbogus = 7\n")
-    code, _, err = _run(capsys, ["verify2", "--config", str(cfg)])
-    assert code == 1
-    assert err == (
-        "error: unknown config key(s) for verify2: bogus; "
-        "the keys are s, x, y, tol, format, output\n"
-    )
-    # A key is the option's name with _ for -, as in degree_cap.
-    cfg.write_text("degree-cap = 5\n")
-    code, _, err = _run(capsys, ["visible", "--config", str(cfg)])
-    assert code == 1
-    assert err.endswith("the keys are dimension, degree_cap, format, output\n")
-    cfg.write_text("degree_cap = 5\n")
-    code, out, _ = _run(capsys, ["visible", "--config", str(cfg)])
-    assert code == 0
-    assert out == _run(capsys, ["visible", "--degree-cap", "5"])[1]
+def test_args_file_unknown_flag_or_missing_file_rejected(tmp_path, capsys):
+    args_file = tmp_path / "run.args"
+    args_file.write_text("--s=1\n--x=0.3\n--y=0.4\n--bogus=7\n")
+    code, out, err = _run(capsys, ["verify2", f"@{args_file}"])
+    assert (code, out, err) == (1, "", "error: unrecognized arguments: --bogus=7\n")
+    # options keep their flag spelling in a file: no degree_cap key
+    args_file.write_text("degree_cap = 5\n")
+    code, out, err = _run(capsys, ["visible", f"@{args_file}"])
+    assert (code, out) == (1, "")
+    assert err == "error: unrecognized arguments: degree_cap = 5\n"
+    missing = tmp_path / "missing.args"
+    code, out, err = _run(capsys, ["verify2", f"@{missing}"])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and str(missing) in err
 
 
 def test_output_file(tmp_path, capsys):
@@ -524,8 +527,9 @@ def _contract_argv(draw):
     return argv
 
 
-# Orders at which the polylog stopping-index guess, or the lattice
-# weights a^-s, leave the float range.
+# Orders at which the polylog stopping-index guess, the lattice weights
+# a^-s, a right-side magnitude estimate, the extended guard bits, a
+# phase Im(s) ln k or the negative-order floor leave the float range.
 _OVERFLOW_ARGV = [
     ["polylog", "--s=-1e308", "--z", "0.5"],
     ["polylog", "--s=-6.588739302961221e+307+976.0311053020514i", "--z=0.998"],
@@ -533,6 +537,11 @@ _OVERFLOW_ARGV = [
     ["verify2", "--s=-800.5", "--x=0", "--y=0.3"],
     ["verify2", "--s=1500.5", "--x=0.3", "--y=0"],
     ["verify3", "--s=-900.5", "--t=1", "--x=0", "--y=.3", "--z=.3"],
+    ["verify2", "--s=1e308+1i", "--x=.5", "--y=.5"],
+    ["polylog", "--s=1e308+1e308i", "--z=0.5", "--precision", "extended:20"],
+    ["scan", "--T", "5e307"],
+    ["polylog", "--s=0.5+9e307i", "--z=0.5"],
+    ["verify2", "--s=1.501e308", "--x=.5", "--y=0.06481051124429528-0.04254761711361023i"],
 ]
 
 
@@ -546,18 +555,32 @@ _OVERFLOW_ARGV = [
 @example(_OVERFLOW_ARGV[3])
 @example(_OVERFLOW_ARGV[4])
 @example(_OVERFLOW_ARGV[5])
+@example(_OVERFLOW_ARGV[6])
+@example(_OVERFLOW_ARGV[7])
+@example(_OVERFLOW_ARGV[8])
+@example(_OVERFLOW_ARGV[9])
+@example(_OVERFLOW_ARGV[10])
 def test_cli_exit_code_contract(argv):
     # Legitimate input gets a value (exit 0) or a typed refusal (exit 1 or
     # 2), never an internal error; a refusal prints nothing on stdout and
-    # exactly one error line on stderr.
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
-    assert code in (0, 1, 2), (code, err.getvalue())
+    # exactly one error line on stderr. The same arguments read from an
+    # @file give the same outcome.
+    def call(args):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(args)
+        return code, out.getvalue(), err.getvalue()
+
+    code, out, err = outcome = call(argv)
+    assert code in (0, 1, 2), (code, err)
     if code:
-        assert out.getvalue() == ""
-        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
-        assert err.getvalue().endswith("\n")
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err.endswith("\n")
+    with tempfile.TemporaryDirectory() as tmp:
+        args_file = Path(tmp, "case.args")
+        args_file.write_text("".join(f"{arg}\n" for arg in argv[1:]))
+        assert call([argv[0], f"@{args_file}"]) == outcome
 
 
 @pytest.mark.parametrize("argv", _OVERFLOW_ARGV)
@@ -677,10 +700,10 @@ def _invoke(capsys, argv, target):
 def test_reused_parser_matches_fresh_parser(tmp_path, capsys):
     # main() builds the parser once per process. Every call through the
     # reused parser must print what a freshly built one prints.
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("s = 1\nx = 0.3\ny = 0.4\n")
-    bad_cfg = tmp_path / "bad.cfg"
-    bad_cfg.write_text("s = 1\nbogus = 7\n")
+    args_file = tmp_path / "run.args"
+    args_file.write_text("--s=1\n--x=0.3\n--y=0.4\n")
+    bad_args_file = tmp_path / "bad.args"
+    bad_args_file.write_text("--s=1\n--bogus=7\n")
     target = tmp_path / "out.txt"
     verify = ["verify2", "--s", "1", "--x", "0.3", "--y", "0.4"]
     argvs = [
@@ -691,8 +714,8 @@ def test_reused_parser_matches_fresh_parser(tmp_path, capsys):
         ["frobnicate"],
         verify + ["--format", "json"],
         ["ez31", "--help"],
-        ["verify2", "--config", str(cfg), "--format", "csv"],
-        ["verify2", "--config", str(bad_cfg)],
+        ["verify2", f"@{args_file}", "--format", "csv"],
+        ["verify2", f"@{bad_args_file}"],
         ["ez31", "--tol", "1e-20"],
         verify + ["--format", "csv"],
         ["polylog", "--s", "2", "--z", "0.5", "--bogus", "1"],

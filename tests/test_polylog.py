@@ -300,6 +300,16 @@ def test_neg_order_poly_builds_high_orders_without_recursion():
     assert sum(coeffs) == math.factorial(600)
 
 
+def test_neg_order_poly_cache_is_bounded():
+    # Unbounded, a process visiting every order up to 1000 held about
+    # 0.3 GB of coefficients.
+    _neg_order_poly.cache_clear()
+    maxsize = _neg_order_poly.cache_info().maxsize
+    for n in range(2 * maxsize):
+        _neg_order_poly(n)
+    assert _neg_order_poly.cache_info().currsize <= maxsize
+
+
 def test_series_closed_form_agreement_grid():
     # |series - closed form| <= 10 * tol over a grid with |z| <= 0.9.
     # tol sits above the closed forms' own roundoff (values reach ~2e6
