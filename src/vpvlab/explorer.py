@@ -9,13 +9,13 @@ import cmath
 import math
 from collections import deque
 from dataclasses import dataclass
-from functools import cache
+from fractions import Fraction
+from functools import cache, partial
 from itertools import product as _iproduct
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import ComputationError, DomainError, NonConvergence, VpvError
 from .forms import _PRINTED_FORMS, _Term, _evaluate, _term_values
-from .numerics import arithmetic
 from .polylog import TERM_CAP, SeriesResult, polylog, zeta_real
 from .products import IdentityCase, IdentityReport, verify
 
@@ -181,7 +181,9 @@ def audit_special_values(tol: float = 1e-12, *, dps: Optional[int] = None) -> li
 
     Each Li_k(1/2) is computed from the defining series (at working
     precision dps when given) and compared with the printed formula at
-    tolerance tol. On disagreement, the sign/exponent variants of the
+    tolerance tol. With dps the forms are evaluated in Rounded
+    arithmetic at working_bits(dps) bits, from pi and ln 2 of the
+    fixed-point engine. On disagreement, the sign/exponent variants of the
     printed form are searched; a unique variant within CANDIDATE_TOL
     yields MATCHES_CORRECTED, otherwise UNRESOLVED. The audit only
     reports; no other module substitutes corrected forms.
@@ -193,7 +195,7 @@ def audit_special_values(tol: float = 1e-12, *, dps: Optional[int] = None) -> li
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
-    ctx = arithmetic(dps)
+    number, pi, ln2 = _working_numbers(dps)
     series_tol = 1e-15 if dps is None else max(10.0 ** (2 - dps), 1e-45)
     if series_tol > min(tol, CANDIDATE_TOL):
         precision = "double" if dps is None else f"extended:{dps}"
@@ -202,10 +204,23 @@ def audit_special_values(tol: float = 1e-12, *, dps: Optional[int] = None) -> li
             f"needs that floor <= min(tol, {CANDIDATE_TOL!r}), got tol={tol!r}"
         )
     # candidate evaluation and comparisons run at working precision
-    with ctx.workdps(dps):
-        z3 = zeta_real(3.0, series_tol, dps=dps).value
-        li = {k: polylog(k, 0.5, series_tol, dps=dps).value.real for k in (1, 2, 3, 4)}
-        return _build_audit_records(li, +ctx.pi, ctx.log(2), z3, _audit_ez31(), tol)
+    z3 = number(zeta_real(3.0, series_tol, dps=dps).value)
+    li = {k: number(polylog(k, 0.5, series_tol, dps=dps).value.real) for k in (1, 2, 3, 4)}
+    return _build_audit_records(li, pi, ln2, z3, _audit_ez31(), tol)
+
+
+def _working_numbers(dps: Optional[int]) -> tuple:
+    """(number, pi, ln 2) in the audit's arithmetic: float and math's
+    constants in double; with dps, Rounded at working_bits(dps) bits, with
+    pi and ln 2 from the fixed-point engine at 32 more bits, rounded."""
+    if dps is None:
+        return float, math.pi, math.log(2)
+    from . import extended
+
+    bits = extended.working_bits(dps)
+    number = partial(extended.Rounded, prec=bits)
+    constants = (extended.pi_fixed, extended.ln2_fixed)
+    return (number, *(number(Fraction(c(bits + 32), 1 << bits + 32)) for c in constants))
 
 
 def _matching_variants(terms, value_of, target) -> list:
@@ -301,10 +316,11 @@ def trivial_zero_probe(
     The second factor is Li_{-(order-1)}(y), a rational function whose
     closed form stays exact as y -> 1 even though its magnitude blows
     up. Rows record both sides, the error, and the growing exponent
-    magnitude; rows whose tolerance is unachievable (or whose y lands in
-    the excluded band near the unit circle) record the error message
-    instead of failing the whole table. Returns (rows, note) where the
-    note summarizes the observed boundary behavior.
+    magnitude; rows whose tolerance is unachievable, whose abs_err
+    exceeds 3 * tol, or whose y lands in the excluded band near the unit
+    circle record the error message instead of failing the whole table.
+    Returns (rows, note) where the note summarizes the observed boundary
+    behavior.
     """
     if order not in (2, 3, 4):
         raise DomainError(f"order must be 2, 3, or 4, got {order!r}")
@@ -317,7 +333,7 @@ def trivial_zero_probe(
         y = 1.0 - delta
         try:
             case = IdentityCase(2, order, x, y, label=f"probe-{order}-{delta}")
-            report = verify(case, tol)
+            report = verify(case, tol).require_passed()
             rows.append(ProbeRow(
                 delta=delta,
                 y=y,
@@ -378,9 +394,9 @@ def critical_line_scan(
     """Verify the 2D identity at s = 1/2 + iT for each T.
 
     Each row records the two polylog factors alongside the verified
-    logs, and the split-exponent self-check must hold at
-    EXPONENT_TOL * max(1, |T|) or the row raises ComputationError. Rows
-    come back in input order.
+    logs. The split-exponent self-check must hold at
+    EXPONENT_TOL * max(1, |T|), and abs_err must be at most 3 * tol, or
+    the row raises ComputationError. Rows come back in input order.
     """
 
     def one(t_value: float) -> ScanRow:
@@ -393,7 +409,7 @@ def critical_line_scan(
                 f"(tolerance {limit!r})"
             )
         case = IdentityCase(2, complex(0.5, t_value), x, y, label=f"critical-T={t_value}")
-        report = verify(case, tol)
+        report = verify(case, tol).require_passed()
         li_s_x, li_t_y = report.rhs_factors
         return ScanRow(
             t_value=t_value,

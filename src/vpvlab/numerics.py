@@ -1,7 +1,6 @@
-"""Shared numeric kernels: exact block summation, the arithmetic the
-series loops run in, the shared ln k table, the smallest-prime-factor
-sieve, accurate log(1-w),
-geometric-dominance tail bounds, and Euler-Maclaurin Dirichlet tails.
+"""Shared numeric kernels: exact block summation, the shared ln k table,
+the smallest-prime-factor sieve, accurate log(1-w), geometric-dominance
+tail bounds, and Euler-Maclaurin Dirichlet tails.
 
 Everything here is stated once and reused by the series and product
 evaluators, in every dimension.
@@ -9,14 +8,13 @@ evaluators, in every dimension.
 from __future__ import annotations
 
 import cmath
-import contextlib
 import math
 from array import array
 from fractions import Fraction
 from itertools import chain, count, islice
 from operator import attrgetter
 
-from .errors import ComputationError, DomainError
+from .errors import ComputationError
 
 # Smallest positive bound reported instead of 0.0 when an underflowed
 # tail is known to be far below representable magnitudes.
@@ -105,38 +103,6 @@ def exact_sum(terms) -> complex:
         re = math.fsum(chain((re,), map(_REAL, block)))
         im = math.fsum(chain((im,), map(_IMAG, block)))
     return complex(re, im)
-
-
-class _Double:
-    """Double precision under the names of mpmath's mp context that the
-    series loops use, so one loop serves both arithmetics."""
-
-    mpf = float
-    mpc = complex
-    log = math.log
-    pi = math.pi
-
-    @staticmethod
-    def workdps(dps):
-        return contextlib.nullcontext()
-
-    fsum = staticmethod(exact_sum)
-
-
-def arithmetic(dps):
-    """_Double for dps None, else mpmath's mp context, imported on first
-    use (callers enter ctx.workdps(dps) around the computation).
-
-    Raises DomainError for a dps that is not a positive int; a bool is
-    refused although it is an int.
-    """
-    if dps is None:
-        return _Double
-    if not isinstance(dps, int) or isinstance(dps, bool) or dps < 1:
-        raise DomainError(f"dps must be a positive integer, got {dps!r}")
-    from mpmath import mp
-
-    return mp
 
 
 def log1m(w: complex) -> complex:
@@ -283,10 +249,10 @@ def first_within(bound, tol: float, start: int, stop: int, guess: int):
 
 
 def _em_heads(s):
-    """B_2j/(2j)! (s)_(2j-1), j = 1, 2, ..., in the arithmetic of s: times
-    n^(-s-2j+1), the j-th Euler-Maclaurin correction of sum_{k >= n} k^-s.
-    In double precision they stop where (2j)! leaves the float range
-    (j = 86)."""
+    """B_2j/(2j)! (s)_(2j-1), j = 1, 2, ..., in the arithmetic of s (float,
+    or Fraction for exact ones): times n^(-s-2j+1), the j-th
+    Euler-Maclaurin correction of sum_{k >= n} k^-s. In double precision
+    they stop where (2j)! leaves the float range (j = 86)."""
     poch = s
     for j in count(1):
         b = _bernoulli(j)
@@ -298,32 +264,43 @@ def _em_heads(s):
         poch *= (s + 2 * j - 1) * (s + 2 * j)
 
 
-def dirichlet_tail(s, start: int, tol=math.inf):
+def dirichlet_tail(s: float, start: int, tol=math.inf):
     """(value, remainder_bound) for sum_{k >= start} k^-s with real s > 1,
-    computed in the arithmetic of s (float or mpf).
+    in double precision.
 
     Euler-Maclaurin: integral term, half term, then the Bernoulli
-    corrections through B_12, and one more for as long as the first
-    omitted correction exceeds tol and the next one is smaller and not 0
-    (an underflow, or the end of the corrections in double). The
-    remainder bound is the magnitude of the first omitted correction:
-    every even derivative of x^-s is positive, so the classical
-    alternating-remainder result holds at any number of corrections.
+    corrections added by em_sum. The remainder bound is the magnitude of
+    the first omitted correction: every even derivative of x^-s is
+    positive, so the classical alternating-remainder result holds at any
+    number of corrections.
     """
     if start < 1:
         raise ValueError("start must be >= 1")
     if not s > 1:
         raise ValueError("dirichlet_tail requires s > 1")
-    n = type(s)(start)
+    n = float(start)
     val = n ** (1 - s) / (s - 1) + 0.5 * n ** -s
+    # the j-th correction carries n^(-s-2j+1); from the seventh on its
+    # exponent is computed as -s - 2m - 1 with m = j - 1, which rounds
+    # differently, and the double values and bounds are pinned to that
+    # form. In double the corrections stop where (2j)! leaves the float
+    # range.
     heads = _em_heads(s)
-    for j, head in enumerate(islice(heads, 6), 1):
-        val += head * n ** (-s - 2 * j + 1)
-    m = 6  # with m corrections summed, the first omitted one carries n^(-s-2m-1)
-    omitted = next(heads) * n ** (-s - 2 * m - 1)
+    corrections = chain((head * n ** (-s - 2 * j + 1) for j, head in zip(range(1, 7), heads)),
+                        (head * n ** (-s - 2 * m - 1) for m, head in zip(count(6), heads)))
+    return em_sum(val, corrections, tol)
+
+
+def em_sum(val, corrections, tol):
+    """(val plus the leading corrections, |first omitted correction|): the
+    corrections through B_12, and one more for as long as the first
+    omitted one exceeds tol and the next one is smaller and not 0 (an
+    underflow, or the end of the corrections)."""
+    for correction in islice(corrections, 6):
+        val += correction
+    omitted = next(corrections)
     while not abs(omitted) <= tol:
-        m += 1  # try one more: the omitted correction is summed if the next is smaller
-        following = next(heads, 0) * n ** (-s - 2 * m - 1)
+        following = next(corrections, 0)
         if not 0 < abs(following) < abs(omitted):
             break
         val += omitted

@@ -18,7 +18,6 @@ from operator import mul
 from .errors import ComputationError, DomainError, NonConvergence
 from .numerics import (
     TERM_CAP,
-    arithmetic,
     dirichlet_tail,
     exact_sum,
     first_within,
@@ -26,7 +25,6 @@ from .numerics import (
     power_geometric_guess,
     power_geometric_tail,
     require_finite,
-    smallest_prime_factors,
 )
 
 # Arguments must stay this far inside the unit circle for the series.
@@ -47,8 +45,9 @@ class SeriesResult:
     """A certified series evaluation.
 
     value: the partial sum: in double a complex from polylog and a
-        float from zeta_real, in extended mode an mpmath mpc from
-        polylog and an mpf from zeta_real.
+        float from zeta_real; in extended mode (dps set) a DecimalComplex
+        from polylog and a Decimal from zeta_real, each the binary value
+        rounded to working_bits(dps) bits (see extended.DecimalComplex).
     terms_used: number of series terms summed.
     tail_bound: certified upper bound on |true value - value| from
         truncation alone. Rounding is not bounded yet, and it can be far
@@ -70,8 +69,11 @@ def polylog(s: complex, z: complex, tol: float = 1e-12, *, dps: int | None = Non
         tol: positive truncation target; summation stops once the
             certified tail bound falls below it.
         dps: when set, return the partial sum at the same stopping
-            index to this many significant digits, as an mpc
-            (extended-precision mode; see polylog_partial).
+            index to this many significant digits, as a DecimalComplex
+            (extended-precision mode; see polylog_partial). The order
+            and argument are taken exactly, mpmath numbers included
+            (see extended.exact_parts), and rounded to working_bits(dps)
+            bits.
 
     In double an integer order -n with 0 <= n <= _ROUTED_NEG_ORDER_MAX
     returns polylog_neg_int's exact closed form, with terms_used 0 and
@@ -84,34 +86,37 @@ def polylog(s: complex, z: complex, tol: float = 1e-12, *, dps: int | None = Non
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
-    ctx = arithmetic(dps)
-    with ctx.workdps(dps):
-        # an mpmath order keeps its digits in extended mode
-        s, zc = ctx.mpc(s), ctx.mpc(z)
-        r = float(abs(zc))
-        if r > 1.0 - EPS_DOMAIN:
-            raise DomainError(f"|z| = {r!r} exceeds 1 - eps_domain = {1.0 - EPS_DOMAIN!r}")
-        if zc == 0:
-            return SeriesResult(ctx.mpc(0), 1, 0.0)
-        n = -s.real
-        if dps is None and s.imag == 0 and n == round(n) and 0 <= n <= _ROUTED_NEG_ORDER_MAX:
-            # the series of Li_{-n} can cancel to nothing in double (ROADMAP
-            # item 7); the closed form is exact and needs no terms
-            return SeriesResult(polylog_neg_int(int(n), zc), 0, 0.0)
-        # |z^j j^-s| <= j^sigma r^j for j > k with sigma = max(0, -Re s): the
-        # bound is inf before the peak of k^sigma r^k and strictly decreasing
-        # after it, so first_within finds the first k that meets tol
-        sigma_minus = max(0.0, -float(s.real))
-        guess = power_geometric_guess(sigma_minus, r, tol)
-        found = first_within(lambda k: power_geometric_tail(k, sigma_minus, r), tol, 1, TERM_CAP, guess)
-        if found is None:
-            raise NonConvergence(f"polylog(s={complex(s)!r}, z={complex(z)!r}) did not reach "
-                                 f"tol={tol!r} within {TERM_CAP} terms")
-        n, bound = found
-        value = polylog_partial(s, zc, n, dps=dps)
-    if dps is None:  # an mpc has no float range to leave
-        value = require_finite(value, "polylog")
-    return SeriesResult(value, n, bound)
+    if dps is None:
+        s, z = complex(s), complex(z)
+    else:
+        from . import extended
+
+        bits = extended.working_bits(dps)
+        exact = extended.exact_parts(s, bits), extended.exact_parts(z, bits)
+        s, z = (complex(*map(float, parts)) for parts in exact)
+    r = abs(z)
+    if r > 1.0 - EPS_DOMAIN:
+        raise DomainError(f"|z| = {r!r} exceeds 1 - eps_domain = {1.0 - EPS_DOMAIN!r}")
+    if z == 0:
+        return SeriesResult(0j if dps is None else extended.partial_sum(*exact, 0, bits), 1, 0.0)
+    n = -s.real
+    if dps is None and s.imag == 0 and n == round(n) and 0 <= n <= _ROUTED_NEG_ORDER_MAX:
+        # the series of Li_{-n} can cancel to nothing in double (ROADMAP
+        # item 7); the closed form is exact and needs no terms
+        return SeriesResult(polylog_neg_int(int(n), z), 0, 0.0)
+    # |z^j j^-s| <= j^sigma r^j for j > k with sigma = max(0, -Re s): the
+    # bound is inf before the peak of k^sigma r^k and strictly decreasing
+    # after it, so first_within finds the first k that meets tol
+    sigma_minus = max(0.0, -s.real)
+    guess = power_geometric_guess(sigma_minus, r, tol)
+    found = first_within(lambda k: power_geometric_tail(k, sigma_minus, r), tol, 1, TERM_CAP, guess)
+    if found is None:
+        raise NonConvergence(f"polylog(s={s!r}, z={z!r}) did not reach "
+                             f"tol={tol!r} within {TERM_CAP} terms")
+    n, bound = found
+    if dps is None:
+        return SeriesResult(require_finite(polylog_partial(s, z, n), "polylog"), n, bound)
+    return SeriesResult(extended.partial_sum(*exact, n, bits), n, bound)
 
 
 def polylog_partial(s: complex, z: complex, n_terms: int, *, dps: int | None = None) -> complex:
@@ -122,8 +127,9 @@ def polylog_partial(s: complex, z: complex, n_terms: int, *, dps: int | None = N
     stopping index. In double the terms run through C-level iterators:
     z^k by repeated products, term 1 is z itself, and k^-s = exp(-s ln k)
     with ln k from the shared table; the sum is exact per part within
-    blocks (exact_sum). With dps, _extended_partial sums the same terms
-    in integer mantissas and rounds to dps digits once.
+    blocks (exact_sum). With dps, extended.partial_sum sums the same
+    terms in integer mantissas and rounds to dps digits once, and returns
+    a DecimalComplex.
 
     Raises:
         DomainError: dps not a positive int.
@@ -131,9 +137,11 @@ def polylog_partial(s: complex, z: complex, n_terms: int, *, dps: int | None = N
             or its phase Im s ln k passes the float range.
     """
     if dps is not None:
-        mp = arithmetic(dps)
-        with mp.workdps(dps):
-            return _extended_partial(mp.mpc(s), mp.mpc(z), n_terms)
+        from . import extended
+
+        bits = extended.working_bits(dps)
+        s, z = (extended.exact_parts(x, bits) for x in (s, z))
+        return extended.partial_sum(s, z, n_terms, bits)
     s, z = complex(s), complex(z)
     logs = islice(log_table(n_terms), 2, n_terms + 1)
     weights = map(cmath.exp, map((-s).__mul__, logs))
@@ -144,109 +152,6 @@ def polylog_partial(s: complex, z: complex, n_terms: int, *, dps: int | None = N
         raise ComputationError(
             f"Li_s(z) series term k^-s leaves the float range for some k <= {n_terms} at s = {s!r}"
         ) from None
-
-
-def _extended_partial(s, z, n: int):
-    """The partial sum over n terms for mpc s and z, rounded once to
-    mpmath's working precision.
-
-    A value is (e, re, im): integer mantissas times 2^e, truncated
-    after each product so that the larger has _width bits. A zero
-    imaginary mantissa stays exactly zero, so a real s and z give a
-    real sum. Each term z^k k^-s is truncated to a multiple of 2^scale,
-    fixed from the largest |z|^k k^-Re s over k <= n, and added to an
-    integer accumulator, so the sum is exact.
-    """
-    from mpmath import libmp, mp
-
-    prec = mp.prec
-    width = _width(s, n, prec)
-    z = _mantissas(z._mpc_, width)
-    if n < 1 or not any(z[1:]):
-        return mp.mpc(0)
-    # k log2|z| - Re s log2 k is concave in k when Re s < 0 and convex
-    # otherwise, so over [1, n] it peaks at an end or next to its
-    # stationary point
-    drop = max(width - 53, 0)
-    log2_r = math.log2(math.hypot(*(m >> drop for m in z[1:]))) + z[0] + drop
-    sigma, ks = -float(s.real), {1, n}
-    if sigma > 0 > log2_r:
-        peak = sigma / (-log2_r * math.log(2))
-        ks |= {min(n, max(1, k)) for k in (math.floor(peak), math.ceil(peak))}
-    scale = math.floor(max(k * log2_r + sigma * math.log2(k) for k in ks)) - width - 2
-    # each term is below 2^(scale + width + 3) and its product has at
-    # least 2 width - 3 bits, so every cut below is positive
-    re = im = 0
-    power = _fit(0, (1, 0), width)
-    for we, wr, wi in _weights(s, n, width):
-        e, c, d = power = _complex_product(power, z, width)
-        cut = scale - e - we
-        re += (c * wr - d * wi) >> cut
-        im += (c * wi + d * wr) >> cut
-    return mp.make_mpc(tuple(libmp.from_man_exp(m, scale, prec, libmp.round_nearest) for m in (re, im)))
-
-
-def _width(s, n: int, prec: int) -> int:
-    """Mantissa bits for a sum over n terms at order s that rounds to prec
-    bits. The guard covers the error of s ln p in exp(-s ln p), about
-    log2((1 + |s|) ln n) bits; the log2 n truncated products in k^-s and
-    the k - 1 in z^k, which log2 n bits cover; the n truncated terms,
-    log2 n more; and 8 bits leave their sum a small part of an ulp."""
-    try:
-        guard = math.ceil(math.log2((1 + float(abs(s))) * math.log(n + 2)))
-    except OverflowError:  # (1 + |s|) ln(n + 2) is inf
-        raise ComputationError(f"|s| ln n leaves the float range at |s| = {float(abs(s))!r}") from None
-    return prec + guard + 2 * n.bit_length() + 8
-
-
-def _fit(e: int, parts, width: int) -> tuple:
-    """The value (e, *parts) with its largest |mantissa| cut to width bits."""
-    cut = max(m.bit_length() for m in parts) - width
-    return (e + cut, *[m >> cut if cut >= 0 else m << -cut for m in parts])
-
-
-def _mantissas(mpfs, width: int) -> tuple:
-    """mpmath's raw (sign, man, exp, bc) parts as one _fit value; a zero
-    part does not set the exponent."""
-    e = min((exp for _, man, exp, _ in mpfs if man), default=0)
-    return _fit(e, [(-man if sign else man) << (exp - e) if man else 0 for sign, man, exp, _ in mpfs], width)
-
-
-def _complex_product(a: tuple, b: tuple, width: int) -> tuple:
-    (ae, ar, ai), (be, br, bi) = a, b
-    re, im = ar * br - ai * bi, ar * bi + ai * br
-    # the larger bit length of the two, without a call of max()
-    cut = (abs(re) | abs(im)).bit_length() - width
-    return ae + be + cut, re >> cut, im >> cut
-
-
-def _weights(s, n: int, width: int):
-    """k^-s for k = 1 .. n as _fit values, for an mpc s. At a prime p
-    this is exp(-s ln p) from mpmath.libmp at width + 10 bits, or p^-s by
-    exact integer division at an integer order while p^|s| has at most
-    4 width bits; at a composite k it is w(p) w(k/p), with p the smallest
-    prime factor of k. Only the weights of k <= n/2 are held, since the
-    factors of a composite k <= n are at most n/2."""
-    from mpmath import libmp
-
-    wp, minus_s = width + 10, (-s)._mpc_
-    exact = not s.imag and abs(s.real) * n.bit_length() <= 4 * width and s.real == int(s.real)
-    order = int(s.real) if exact else None
-    spf, held = smallest_prime_factors(n), [None] * (n // 2 + 1)
-    for k in range(1, n + 1):
-        p = spf[k]  # spf[1] = 1, so w(1) = 1^-s = 1
-        if p < k:
-            w = _complex_product(held[p], held[k // p], width)
-        elif order is not None:
-            q = k ** abs(order)
-            e, m = (0, q) if order <= 0 else (-width - q.bit_length(), (1 << width + q.bit_length()) // q)
-            w = _fit(e, (m, 0), width)
-        else:
-            ln_p = libmp.mpf_log(libmp.from_int(k), wp)
-            w = _mantissas(libmp.mpc_exp(libmp.mpc_mul_mpf(minus_s, ln_p, wp), wp), width)
-        if k < len(held):
-            held[k] = w
-        yield w
 
 
 @lru_cache(maxsize=16)
@@ -382,14 +287,17 @@ def polylog_neg_int(n: int, z: complex) -> complex:
 def zeta_real(s: float, tol: float = 1e-12, *, dps: int | None = None) -> SeriesResult:
     """zeta(s) for real s >= 1 + EPS_ZETA with a certified remainder.
 
-    The head sum_{k < N} k^-s is summed by ctx.fsum, as the polylog
-    series is, and the tail from N is evaluated by Euler-Maclaurin
-    corrections; the reported tail_bound is the classical
-    first-omitted-correction remainder bound. From N = 16 and six
-    corrections, dirichlet_tail adds corrections while they still
-    shrink, and N doubles only when they stop shrinking before the bound
-    meets tol. Direct summation alone cannot reach 1e-12 for s = 2
-    within any sane term budget, which is why the corrected tail is used.
+    The head sum_{k < N} k^-s is summed as the polylog series is
+    (exact_sum in double; in extended mode exactly in integers, as the
+    polylog sum at z = 1), and the tail from N is evaluated by
+    Euler-Maclaurin corrections; the reported tail_bound is the
+    classical first-omitted-correction remainder bound. From N = 16 and
+    six corrections, em_sum adds corrections while they still shrink,
+    and N doubles only when they stop shrinking before the bound meets
+    tol. Direct summation alone cannot reach 1e-12 for s = 2 within any
+    sane term budget, which is why the corrected tail is used. With dps
+    the value is a Decimal, the sum rounded once to working_bits(dps)
+    bits.
 
     Raises:
         DomainError: s too close to (or below) 1, or dps not a positive int.
@@ -402,17 +310,19 @@ def zeta_real(s: float, tol: float = 1e-12, *, dps: int | None = None) -> Series
     s = float(s)
     if s < 1.0 + EPS_ZETA:
         raise DomainError(f"zeta_real requires s >= 1 + {EPS_ZETA!r}, got {s!r}")
-    ctx = arithmetic(dps)
-    with ctx.workdps(dps):
-        sc = ctx.mpf(s)
-        n = 16
-        while True:
-            tail_val, rem = dirichlet_tail(sc, n, tol)
-            if rem <= tol:
-                break
-            n *= 2
-            if n > TERM_CAP:
-                raise NonConvergence(f"zeta_real(s={s!r}) cannot meet tol={tol!r}")
-        # in double ctx.fsum is exact_sum, whose value is complex
-        value = ctx.fsum(ctx.mpf(k) ** -sc for k in range(1, n)).real + tail_val
-    return SeriesResult(require_finite(value, "zeta_real"), n - 1, float(rem))
+    if dps is not None:
+        from . import extended
+
+        bits = extended.working_bits(dps)
+    n = 16
+    while True:
+        tail, rem = dirichlet_tail(s, n, tol) if dps is None else extended.em_bracket(s, n, tol)
+        if rem <= tol:
+            break
+        n *= 2
+        if n > TERM_CAP:
+            raise NonConvergence(f"zeta_real(s={s!r}) cannot meet tol={tol!r}")
+    if dps is None:
+        value = exact_sum(float(k) ** -s for k in range(1, n)).real + tail
+        return SeriesResult(require_finite(value, "zeta_real"), n - 1, rem)
+    return SeriesResult(extended.zeta_sum(s, n, tail, bits), n - 1, rem)

@@ -209,6 +209,16 @@ class IdentityReport:
         """The success criterion: abs_err <= 3 * tol."""
         return self.abs_err <= 3 * self.tol
 
+    def require_passed(self) -> IdentityReport:
+        """The report itself if it passed, else ComputationError, which
+        the CLI reports with exit 2."""
+        if not self.passed:
+            raise ComputationError(
+                f"abs_err {self.abs_err!r} exceeds 3*tol = {3 * self.tol!r} "
+                f"(tail_bound {self.tail_bound!r}); the identity is not verified"
+            )
+        return self
+
 
 # ---------------------------------------------------------------------------
 # tail bounds of the weighted region sum a_i mu_i <= level (see product_log_sum)

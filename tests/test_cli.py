@@ -302,6 +302,27 @@ def test_scan_csv_header_and_rows(capsys):
     assert len(lines) == 4
 
 
+def test_scan_row_past_three_tol_is_a_tolerance_error(capsys):
+    # At T = 1e20 the row's abs_err is 2.0e-6 against tol 1e-8; scan
+    # printed it with exit 0, where verify2 on the same case exits 2.
+    code, out, err = _run(capsys, ["scan", "--T", "1e20"])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: abs_err ") and err.count("\n") == 1
+    assert "exceeds 3*tol = 3.0000000000000004e-08" in err
+    _, _, verify_err = _run(capsys, ["verify2", "--s=0.5+1e20i", "--x=0.2", "--y=0.2"])
+    assert err == verify_err
+
+
+def test_probe_row_past_three_tol_is_an_error_row(capsys):
+    # abs_err 2.7e-7 against tol 1e-8 was a value row; it is an error row,
+    # as a refused tolerance is, and the table still exits 0.
+    code, out, err = _run(capsys, ["probe", "--order", "4", "--deltas", "0.012"])
+    assert (code, err) == (0, "")
+    row = out.split("\n")[0]
+    assert row.startswith("delta=0.012    error: ComputationError: abs_err ")
+    assert "exceeds 3*tol" in row
+
+
 def test_probe_csv_carries_note(capsys):
     code, out, _ = _run(capsys, ["probe", "--format", "csv"])
     assert code == 0

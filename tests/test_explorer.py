@@ -7,11 +7,10 @@ import pytest
 
 from vpvlab.explorer import (
     CANDIDATE_TOL, EXPONENT_TOL, _PRINTED_FORMS, _audit_ez31, _averaged_estimate,
-    _build_audit_records, _evaluate, _format, _matching_variants, _variants,
+    _build_audit_records, _evaluate, _format, _matching_variants, _variants, _working_numbers,
     exponent_pair_deviation,
 )
 from vpvlab.forms import _term_values
-from vpvlab.numerics import arithmetic
 from vpvlab import (
     TERM_CAP,
     DomainError,
@@ -260,23 +259,22 @@ def test_screened_variant_search_finds_the_full_search_hits(row, dps):
     # The double screen may only drop variants that working precision
     # would also reject: targets at and just inside or outside
     # CANDIDATE_TOL of the series value, and of the one matching variant.
-    ctx = arithmetic(dps)
+    number, pi, ln2 = _working_numbers(dps)
     series_tol = 1e-15 if dps is None else 10.0 ** (2 - dps)
-    with ctx.workdps(dps):
-        constants = {"pi": +ctx.pi, "zeta3": zeta_real(3.0, series_tol, dps=dps).value,
-                     "ez31": euler_zagier_31(1e-13).value}
-        terms = _PRINTED_FORMS[row][1]
-        value_of = _term_values(terms, constants, ctx.log(2))
-        li = polylog(row + 1, 0.5, series_tol, dps=dps).value.real
-        (_, match), = _matching_variants(terms, value_of, li)
-        targets = [li + f * CANDIDATE_TOL for f in (0, 0.999, -0.999, 1.001, -1.001)]
-        targets += [li + 1e-3, match + CANDIDATE_TOL, match - CANDIDATE_TOL]
-        found = []
-        for target in targets:
-            full = [(v, c) for v in _variants(terms)
-                    if abs((c := _evaluate(v, value_of)) - target) <= CANDIDATE_TOL]
-            assert _matching_variants(terms, value_of, target) == full
-            found.append(len(full))
+    constants = {"pi": pi, "zeta3": number(zeta_real(3.0, series_tol, dps=dps).value),
+                 "ez31": euler_zagier_31(1e-13).value}
+    terms = _PRINTED_FORMS[row][1]
+    value_of = _term_values(terms, constants, ln2)
+    li = number(polylog(row + 1, 0.5, series_tol, dps=dps).value.real)
+    (_, match), = _matching_variants(terms, value_of, li)
+    targets = [li + f * CANDIDATE_TOL for f in (0, 0.999, -0.999, 1.001, -1.001)]
+    targets += [li + 1e-3, match + CANDIDATE_TOL, match - CANDIDATE_TOL]
+    found = []
+    for target in targets:
+        full = [(v, c) for v in _variants(terms)
+                if abs((c := _evaluate(v, value_of)) - target) <= CANDIDATE_TOL]
+        assert _matching_variants(terms, value_of, target) == full
+        found.append(len(full))
     assert found[:6] == [1, 1, 1, 0, 0, 0]
 
 

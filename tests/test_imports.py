@@ -45,9 +45,9 @@ def test_every_exported_name_resolves():
 
 
 def test_mpmath_is_imported_only_on_demand():
-    # Extended precision imports mpmath when first asked for; importing
-    # the package and the CLI must not, since it adds about 4 MB of RSS
-    # to every double-precision run.
+    # Importing the package and the CLI does not import mpmath, which
+    # would add about 3 MB of RSS to every run; extended precision does
+    # not either (test_engine.py checks those paths in a fresh process).
     code = "import sys, vpvlab, vpvlab.cli; print('mpmath' in sys.modules)"
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,

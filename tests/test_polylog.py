@@ -11,6 +11,7 @@ import random
 import sys
 import time
 import tracemalloc
+from decimal import Decimal
 from fractions import Fraction
 from itertools import islice, product
 from operator import attrgetter
@@ -35,13 +36,12 @@ from vpvlab import (
     zeta_real,
 )
 from vpvlab import numerics
+from vpvlab.extended import _complex_product, _weights, _width, round_bits, working_bits
 from vpvlab.numerics import (
     LOG1M_SERIES_MAX, dirichlet_tail, exact_sum, first_within, log1m, power_geometric_guess,
     power_geometric_tail, smallest_prime_factors,
 )
-from vpvlab.polylog import (
-    _complex_product, _gaussian_power, _neg_order_log_floor, _neg_order_poly, _weights, _width, polylog_partial,
-)
+from vpvlab.polylog import _gaussian_power, _neg_order_log_floor, _neg_order_poly, polylog_partial
 
 # The module, for patching its TERM_CAP: the package's name "polylog" is
 # the function it re-exports, so the dotted string would resolve to that.
@@ -52,6 +52,14 @@ LI2_HALF = 0.5822405264650125
 LI3_HALF = 0.5372131936080402
 LI4_HALF = 0.5174790616738993
 ZETA3 = 1.2020569031595943
+
+
+def _mp(value):
+    """An extended value (a DecimalComplex or a Decimal) as an mpmath
+    number, read from its digits at the caller's working precision."""
+    if hasattr(value, "imag") and not isinstance(value, Decimal):
+        return mpmath.mpc(str(value.real), str(value.imag))
+    return mpmath.mpf(str(value))
 
 
 def test_zero_argument_is_exactly_zero():
@@ -549,7 +557,7 @@ def test_extended_polylog_is_within_one_unit_of_its_terms(sigma, height, modulus
         s_, z_ = mpmath.mpc(s), mpmath.mpc(z)
         terms = [z_ ** k * mpmath.mpf(k) ** -s_ for k in range(1, res.terms_used + 1)]
         unit = mpmath.mpf(10) ** -dps * mpmath.fsum(terms, absolute=True)
-        assert abs(res.value - mpmath.fsum(terms)) <= unit, (s, z, dps)
+        assert abs(_mp(res.value) - mpmath.fsum(terms)) <= unit, (s, z, dps)
 
 
 def test_extended_value_at_a_large_height_is_within_one_unit_of_its_terms():
@@ -562,7 +570,7 @@ def test_extended_value_at_a_large_height_is_within_one_unit_of_its_terms():
         s_, z_ = mpmath.mpc(s), mpmath.mpc(z)
         terms = [z_ ** k * mpmath.mpf(k) ** -s_ for k in range(1, res.terms_used + 1)]
         unit = mpmath.mpf(10) ** -dps * mpmath.fsum(terms, absolute=True)
-        assert abs(res.value - mpmath.fsum(terms)) <= unit
+        assert abs(_mp(res.value) - mpmath.fsum(terms)) <= unit
 
 
 def test_extended_polylog_at_low_precision_is_within_one_unit_of_its_terms():
@@ -575,8 +583,8 @@ def test_extended_polylog_at_low_precision_is_within_one_unit_of_its_terms():
                 s_, z_ = mpmath.mpc(s), mpmath.mpc(z)
                 terms = [z_ ** k * mpmath.mpf(k) ** -s_ for k in range(1, res.terms_used + 1)]
                 unit = mpmath.mpf(10) ** -dps * mpmath.fsum(terms, absolute=True)
-                assert abs(res.value - mpmath.fsum(terms)) <= unit, (s, z, dps)
-                assert abs(polylog_partial(s, z, 7, dps=dps) - mpmath.fsum(terms[:7])) <= unit, (s, z, dps)
+                assert abs(_mp(res.value) - mpmath.fsum(terms)) <= unit, (s, z, dps)
+                assert abs(_mp(polylog_partial(s, z, 7, dps=dps)) - mpmath.fsum(terms[:7])) <= unit, (s, z, dps)
 
 
 def test_extended_weights_at_a_huge_integer_order_stay_at_working_precision():
@@ -585,12 +593,12 @@ def test_extended_weights_at_a_huge_integer_order_stay_at_working_precision():
     start = time.perf_counter()
     for s in (1e9, 1e12):
         res = polylog(s, 0.5, 1e-12, dps=30)
-        assert abs(res.value - 0.5) <= 1e-30 * 0.5, s
+        assert abs(Fraction(res.value.real) - Fraction(1, 2)) <= 1e-30 * 0.5, s
     value = polylog_partial(-10 ** 6, 0.5, 50, dps=30)
     assert time.perf_counter() - start < 1.0
     with mpmath.workdps(60):
         terms = [mpmath.mpf(0.5) ** k * mpmath.mpf(k) ** 10 ** 6 for k in range(1, 51)]
-        assert abs(value - mpmath.fsum(terms)) <= mpmath.mpf(10) ** -30 * mpmath.fsum(terms)
+        assert abs(_mp(value) - mpmath.fsum(terms)) <= mpmath.mpf(10) ** -30 * mpmath.fsum(terms)
 
 
 def test_extended_real_series_has_an_exactly_zero_imaginary_part():
@@ -603,13 +611,16 @@ def test_extended_real_series_has_an_exactly_zero_imaginary_part():
 
 
 def test_extended_partial_sum_of_one_term_is_z():
-    # The first term is z itself, exact at every precision.
+    # The first term is z itself, exact at every precision of 53 bits or
+    # more: each Decimal part rounds back to it at the working precision.
     for dps in (15, 30, 50):
+        bits = working_bits(dps)
         for s in (2, -3.5, 0.5 + 14j, -200.5):
             for z in (0.5, -0.25 + 0.75j, 1e-300j, 0.999 * cmath.exp(1j)):
-                with mpmath.workdps(dps):
-                    want = mpmath.mpc(z)
-                assert polylog_partial(s, z, 1, dps=dps) == want, (dps, s, z)
+                z = complex(z)
+                value = polylog_partial(s, z, 1, dps=dps)
+                got = tuple(round_bits(Fraction(part), bits) for part in value)
+                assert got == (Fraction(z.real), Fraction(z.imag)), (dps, s, z)
 
 
 def test_prime_weights_match_direct_powers():
@@ -619,12 +630,13 @@ def test_prime_weights_match_direct_powers():
     # an imaginary mantissa of exactly zero.
     n = 1500
     with mpmath.workprec(53):
-        for s in (mpmath.mpc(0.5, 100), mpmath.mpc(-200.5, 0), mpmath.mpc(2, -30), mpmath.mpc(3, 0)):
-            weights = list(_weights(s, n, _width(s, n, 53)))
+        for s in (0.5 + 100j, -200.5 + 0j, 2 - 30j, 3 + 0j):
+            parts = Fraction(s.real), Fraction(s.imag)
+            weights = list(_weights(parts, n, _width(parts, n, 53)))
             assert len(weights) == n
             for k, (e, re, im) in enumerate(weights, 1):
                 w = mpmath.mpc(mpmath.mpf((re, e)), mpmath.mpf((im, e)))
-                ref = mpmath.mpf(k) ** -s
+                ref = mpmath.mpf(k) ** -mpmath.mpc(s)
                 assert abs(w - ref) <= 2.0 ** -51 * abs(ref), (s, k)
                 assert s.imag or im == 0, (s, k)
 
@@ -637,11 +649,10 @@ def test_extended_polylog_holds_at_most_half_its_weights():
     # same width, as the held composites are. The call is the one that
     # took 61 us per term, cut from 56,428 terms to 4,000.
     n, s, z = 4000, complex(-2, 100), 0.999 * cmath.exp(1j)
-    polylog_partial(s, z, n, dps=30)  # mpmath caches its tables per precision
-    with mpmath.workdps(30):
-        s_ = mpmath.mpc(s)
-        width = _width(s_, n, mpmath.mp.prec)
-        factors = list(islice(_weights(s_, 1001, width), 1, 1001))
+    polylog_partial(s, z, n, dps=30)  # pi and ln 2 are cached per width
+    s_ = Fraction(s.real), Fraction(s.imag)
+    width = _width(s_, n, working_bits(30))
+    factors = list(islice(_weights(s_, 1001, width), 1, 1001))
     tracemalloc.start()
     try:
         products = [_complex_product(factors[0], w, width) for w in factors]
@@ -747,7 +758,7 @@ def test_zeta_adds_corrections_before_doubling_the_head():
     res = zeta_real(3.0, 1e-98, dps=100)
     assert time.perf_counter() - t0 < 1.0
     with mpmath.workdps(110):
-        assert abs(res.value - mpmath.zeta(3)) <= res.tail_bound <= 1e-98
+        assert abs(_mp(res.value) - mpmath.zeta(3)) <= res.tail_bound <= 1e-98
     # dirichlet_tail's bound against the exact tail from 16 at 60 digits
     with mpmath.workdps(60):
         s = mpmath.mpf(3)
@@ -773,7 +784,7 @@ def test_extended_polylog_keeps_an_mpmath_order():
         ref = mpmath.polylog(s, 0.5)
     res = polylog(s, 0.5, 1e-38, dps=40)
     with mpmath.workdps(40):
-        assert abs(res.value - ref) <= mpmath.mpf("1e-36")
+        assert abs(_mp(res.value) - ref) <= mpmath.mpf("1e-36")
 
 
 @pytest.mark.parametrize("dps", [0, -3, 2.5, 30.0, True, False, "30"])
@@ -798,11 +809,11 @@ def test_extended_precision_paths():
         # 34-digit reference for Li_3(1/2), cross-checked against an
         # independent arbitrary-precision evaluation.
         ref = mpmath.mpf("0.5372131936080402009406232255949658")
-        assert abs(res.value.real - ref) <= mpmath.mpf("1e-25")
+        assert abs(_mp(res.value.real) - ref) <= mpmath.mpf("1e-25")
     zres = zeta_real(3.0, 1e-25, dps=35)
     with mpmath.workdps(35):
         ref3 = mpmath.mpf("1.20205690315959428539973816151")
-        assert abs(zres.value - ref3) <= mpmath.mpf("1e-25")
+        assert abs(_mp(zres.value) - ref3) <= mpmath.mpf("1e-25")
 
 
 def test_log1m_accuracy_small_and_moderate():
