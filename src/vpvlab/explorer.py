@@ -10,7 +10,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, partial
+from functools import cache
 from itertools import product as _iproduct
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -181,12 +181,13 @@ def audit_special_values(tol: float = 1e-12, *, dps: Optional[int] = None) -> li
 
     Each Li_k(1/2) is computed from the defining series (at working
     precision dps when given) and compared with the printed formula at
-    tolerance tol. With dps the forms are evaluated in Rounded
-    arithmetic at working_bits(dps) bits, from pi and ln 2 of the
-    fixed-point engine. On disagreement, the sign/exponent variants of the
-    printed form are searched; a unique variant within CANDIDATE_TOL
-    yields MATCHES_CORRECTED, otherwise UNRESOLVED. The audit only
-    reports; no other module substitutes corrected forms.
+    tolerance tol. With dps the forms are evaluated exactly in
+    Fractions, from the series values and pi and ln 2 of the fixed-point
+    engine, so no rounding enters past theirs. On disagreement, the
+    sign/exponent variants of the printed form are searched; a unique
+    variant within CANDIDATE_TOL yields MATCHES_CORRECTED, otherwise
+    UNRESOLVED. The audit only reports; no other module substitutes
+    corrected forms.
 
     Raises DomainError when dps is not a positive int, or when the
     working precision cannot certify the series values to min(tol,
@@ -206,21 +207,19 @@ def audit_special_values(tol: float = 1e-12, *, dps: Optional[int] = None) -> li
     # candidate evaluation and comparisons run at working precision
     z3 = number(zeta_real(3.0, series_tol, dps=dps).value)
     li = {k: number(polylog(k, 0.5, series_tol, dps=dps).value.real) for k in (1, 2, 3, 4)}
-    return _build_audit_records(li, pi, ln2, z3, _audit_ez31(), tol)
+    return _build_audit_records(li, pi, ln2, z3, number(_audit_ez31()), tol)
 
 
 def _working_numbers(dps: Optional[int]) -> tuple:
     """(number, pi, ln 2) in the audit's arithmetic: float and math's
-    constants in double; with dps, Rounded at working_bits(dps) bits, with
-    pi and ln 2 from the fixed-point engine at 32 more bits, rounded."""
+    constants in double; with dps, exact Fractions, with pi and ln 2 the
+    fixed-point engine's values at working_bits(dps) + 32 bits."""
     if dps is None:
         return float, math.pi, math.log(2)
     from . import extended
 
-    bits = extended.working_bits(dps)
-    number = partial(extended.Rounded, prec=bits)
-    constants = (extended.pi_fixed, extended.ln2_fixed)
-    return (number, *(number(Fraction(c(bits + 32), 1 << bits + 32)) for c in constants))
+    w = extended.working_bits(dps) + 32
+    return Fraction, Fraction(extended.pi_fixed(w), 1 << w), Fraction(extended.ln2_fixed(w), 1 << w)
 
 
 def _matching_variants(terms, value_of, target) -> list:
@@ -277,17 +276,16 @@ def _build_audit_records(li, pi, ln2, z3, ez, tol) -> list[SpecialValueRecord]:
 def catalog() -> list[IdentityCase]:
     """The named identity instances at default arguments.
 
-    Two half-argument entries take their leading constant from the
-    series-backed registry ids because the printed closed forms fail the
-    audit; the identities themselves are unaffected.
+    The half-argument entries at orders 1 and 2 take their leading
+    constant from the printed forms the audit confirms; those at orders
+    3 and 4 take the series, because the printed forms fail the audit.
     """
     cases: list[IdentityCase] = []
     for s in (1, 2, 3, 4, 5):
         cases.append(IdentityCase(2, s, 0.3, 0.3, label=f"vpv2-s{s}"))
     for s in (2, 3, 4, 5):
         cases.append(IdentityCase(2, s, 1.0, 0.3, label=f"zeta-s{s}"))
-    for s, cf in ((1, "ln2"), (2, "dilog-half"),
-                  (3, "trilog-half-series"), (4, "quadlog-half-series")):
+    for s, cf in ((1, "ln2"), (2, "dilog-half"), (3, None), (4, None)):
         cases.append(IdentityCase(2, s, 0.5, 0.3, closed_form_id=cf, label=f"half-s{s}"))
     cases.append(IdentityCase(
         2, complex(0.5, DEFAULT_T_VALUES[0]), 0.3, 0.3, label="critical-line",

@@ -2,10 +2,9 @@
 extended polylog and zeta sums built on it.
 
 A fixed-point number at width w is an int m standing for m / 2^w. The
-engine gives pi, ln 2, ln k, exp and cis at any width; Rounded is binary
-floating point at a given precision, for the audit's closed forms. The
-library imports this module on the first extended-precision call, and
-nothing here imports mpmath, which stays the tests' independent oracle.
+engine gives pi, ln 2, ln k, exp and cis at any width. The library
+imports this module on the first extended-precision call, and nothing
+here imports mpmath, which stays the tests' independent oracle.
 """
 from __future__ import annotations
 
@@ -37,11 +36,11 @@ def working_bits(dps) -> int:
     return round((dps + 1) * 3.3219280948873626)
 
 
-def nearest(n: int, d: int, prec: int) -> tuple[int, int]:
-    """n/d, for ints n and d > 0, rounded to prec significant bits, ties
-    to even, as (m, e) with value m 2^e."""
+def round_bits(x: Fraction, prec: int) -> Fraction:
+    """x rounded to prec significant bits, ties to even."""
+    n, d = x.numerator, x.denominator
     if not n:
-        return 0, 0
+        return Fraction(0)
     a = abs(n)
     e = a.bit_length() - d.bit_length() - prec  # a / (d 2^e) has prec or prec + 1 bits
     for e in (e, e + 1):
@@ -50,83 +49,8 @@ def nearest(n: int, d: int, prec: int) -> tuple[int, int]:
             break
     half = 2 * r - (d << max(e, 0))
     q += half > 0 or half == 0 and q & 1
-    return (-q if n < 0 else q), e
-
-
-def round_bits(x: Fraction, prec: int) -> Fraction:
-    """x rounded to prec significant bits, ties to even."""
-    m, e = nearest(x.numerator, x.denominator, prec)
-    return Fraction(m << e) if e >= 0 else Fraction(m, 1 << -e)
-
-
-class Rounded:
-    """A real number m 2^e rounded to prec significant bits, ties to even,
-    after every operation, as binary floating point at that precision
-    rounds (mpmath's at the same bits): the arithmetic in which the
-    extended audit evaluates its closed forms. It is built from any
-    number with as_integer_ratio (a Decimal, a Fraction, a float) or an
-    int; ints and floats mix into its operations exactly, and ** takes
-    an int >= 0."""
-
-    __slots__ = ("m", "e", "prec")
-
-    def __init__(self, value, prec: int, e: int = 0):
-        # value m 2^e for an int value, else any number with as_integer_ratio
-        n, d = (value, 1) if isinstance(value, int) else value.as_integer_ratio()
-        m, shift = nearest(n, d, prec)
-        self.m, self.e, self.prec = m, shift + e, prec
-
-    @staticmethod
-    def _dyadic(x) -> tuple[int, int]:
-        if isinstance(x, Rounded):
-            return x.m, x.e
-        n, d = (x, 1) if isinstance(x, int) else x.as_integer_ratio()
-        return n, 1 - d.bit_length()  # d is a power of two
-
-    def _aligned(self, other) -> tuple[int, int, int]:
-        (a, ea), (b, eb) = (self.m, self.e), self._dyadic(other)
-        e = min(ea, eb)
-        return a << ea - e, b << eb - e, e
-
-    def __add__(self, other):
-        a, b, e = self._aligned(other)
-        return Rounded(a + b, self.prec, e)
-
-    def __sub__(self, other):
-        a, b, e = self._aligned(other)
-        return Rounded(a - b, self.prec, e)
-
-    def __rsub__(self, other):
-        a, b, e = self._aligned(other)
-        return Rounded(b - a, self.prec, e)
-
-    def __mul__(self, other):
-        b, eb = self._dyadic(other)
-        return Rounded(self.m * b, self.prec, self.e + eb)
-
-    def __truediv__(self, other):
-        b, eb = self._dyadic(other)
-        m, e = nearest(self.m if b > 0 else -self.m, abs(b), self.prec)
-        return Rounded(m, self.prec, e + self.e - eb)
-
-    def __pow__(self, n: int):
-        return Rounded(self.m ** n, self.prec, self.e * n)
-
-    __radd__, __rmul__ = __add__, __mul__
-
-    def __abs__(self):
-        return Rounded(abs(self.m), self.prec, self.e)
-
-    def __eq__(self, other):
-        a, b, _ = self._aligned(other)
-        return a == b
-
-    def __le__(self, other):
-        a, b, _ = self._aligned(other)
-        return a <= b
-
-    def __float__(self) -> float:
-        return float(self.m << self.e) if self.e >= 0 else self.m / (1 << -self.e)
+    q = -q if n < 0 else q
+    return Fraction(q << e) if e >= 0 else Fraction(q, 1 << -e)
 
 
 def _arc_inverse(q: int, w: int, sign: int) -> int:
@@ -272,17 +196,15 @@ class DecimalComplex(NamedTuple):
 
 
 def exact_parts(x, bits: int) -> tuple[Fraction, Fraction]:
-    """The real and imaginary parts of x, each rounded to bits significant
-    bits, ties to even. x is a Python number, a Decimal, a Fraction or a
-    DecimalComplex; an mpmath mpf or mpc is read exactly from its raw
-    (sign, mantissa, exponent, bit count) parts, without importing
-    mpmath, so an mpmath order keeps its digits."""
+    """The real and imaginary parts of a finite x, each rounded to bits
+    significant bits, ties to even. x is a Python number, a Decimal, a
+    Fraction or a DecimalComplex; an mpmath mpf or mpc is read exactly
+    from its raw (sign, mantissa, exponent, bit count) parts, without
+    importing mpmath, so an mpmath order keeps its digits."""
     raw = getattr(x, "_mpc_", None) or ((x._mpf_, (0, 0, 0, 0)) if hasattr(x, "_mpf_") else None)
     if raw is None:
         parts = Fraction(x.real), Fraction(x.imag)
     else:
-        if any(not man and exp for _, man, exp, _ in raw):
-            raise DomainError(f"an extended-precision input must be finite, got {x!r}")
         parts = [Fraction(-man if sign else man) * Fraction(2) ** exp for sign, man, exp, _ in raw]
     return round_bits(parts[0], bits), round_bits(parts[1], bits)
 

@@ -38,6 +38,17 @@ EPS_ZETA = 1e-3
 _ROUTED_NEG_ORDER_MAX = 1000
 # A complex modulus past exp(710.5) > sqrt(2) * max float has a part that overflows.
 _LOG_PAST_FLOAT_RANGE = 710.5
+_INFINITIES = (math.inf, -math.inf)
+
+
+def _require_finite_input(name: str, x) -> None:
+    """DomainError unless both parts of x are finite. The parts are
+    compared, not converted, so a Decimal or an mpmath number is checked
+    as it is given (a NaN is the one value unequal to itself). A string,
+    which has no parts, is left to complex() or float() to parse."""
+    re, im = getattr(x, "real", 0), getattr(x, "imag", 0)
+    if re != re or im != im or re in _INFINITIES or im in _INFINITIES:
+        raise DomainError(f"{name} = {x!r} is not finite")
 
 
 @dataclass(frozen=True)
@@ -70,8 +81,8 @@ def polylog(s: complex, z: complex, tol: float = 1e-12, *, dps: int | None = Non
             certified tail bound falls below it.
         dps: when set, return the partial sum at the same stopping
             index to this many significant digits, as a DecimalComplex
-            (extended-precision mode; see polylog_partial). The order
-            and argument are taken exactly, mpmath numbers included
+            (extended-precision mode; see extended.partial_sum). The
+            order and argument are taken exactly, mpmath numbers included
             (see extended.exact_parts), and rounded to working_bits(dps)
             bits.
 
@@ -80,12 +91,15 @@ def polylog(s: complex, z: complex, tol: float = 1e-12, *, dps: int | None = Non
     tail_bound 0.0.
 
     Raises:
-        DomainError: |z| too large, or dps not a positive int.
+        DomainError: |z| too large, s or z not finite, or dps not a
+            positive int.
         NonConvergence: tolerance unreachable within TERM_CAP terms.
         ComputationError: the value leaves the float range.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
+    _require_finite_input("s", s)
+    _require_finite_input("z", z)
     if dps is None:
         s, z = complex(s), complex(z)
     else:
@@ -119,29 +133,21 @@ def polylog(s: complex, z: complex, tol: float = 1e-12, *, dps: int | None = Non
     return SeriesResult(extended.partial_sum(*exact, n, bits), n, bound)
 
 
-def polylog_partial(s: complex, z: complex, n_terms: int, *, dps: int | None = None) -> complex:
+def polylog_partial(s: complex, z: complex, n_terms: int) -> complex:
     """Plain partial sum of the Li_s(z) series over exactly n_terms terms,
-    in double precision or, with dps, to dps digits.
+    in double precision.
 
     No domain or tolerance logic; polylog returns this sum at its
-    stopping index. In double the terms run through C-level iterators:
-    z^k by repeated products, term 1 is z itself, and k^-s = exp(-s ln k)
-    with ln k from the shared table; the sum is exact per part within
-    blocks (exact_sum). With dps, extended.partial_sum sums the same
-    terms in integer mantissas and rounds to dps digits once, and returns
-    a DecimalComplex.
+    stopping index. The terms run through C-level iterators: z^k by
+    repeated products, term 1 is z itself, and k^-s = exp(-s ln k) with
+    ln k from the shared table; the sum is exact per part within blocks
+    (exact_sum). Extended precision sums the same terms in
+    extended.partial_sum.
 
     Raises:
-        DomainError: dps not a positive int.
-        ComputationError: a double term k^-s overflows (-Re s ln k past ~709),
+        ComputationError: a term k^-s overflows (-Re s ln k past ~709),
             or its phase Im s ln k passes the float range.
     """
-    if dps is not None:
-        from . import extended
-
-        bits = extended.working_bits(dps)
-        s, z = (extended.exact_parts(x, bits) for x in (s, z))
-        return extended.partial_sum(s, z, n_terms, bits)
     s, z = complex(s), complex(z)
     logs = islice(log_table(n_terms), 2, n_terms + 1)
     weights = map(cmath.exp, map((-s).__mul__, logs))
@@ -249,15 +255,15 @@ def polylog_neg_int(n: int, z: complex) -> complex:
     if z == 1:
         raise DomainError("z = 1 is the pole of Li_{-n}")
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise ComputationError(f"non-finite argument in Li_{{-{n}}}({z!r})")
+        raise ComputationError(f"non-finite argument in Li_{{-{n:g}}}({z!r})")
     if z == 0:
         return 0j
     floor = _neg_order_log_floor(n, z)
     if floor > _LOG_PAST_FLOAT_RANGE:
-        raise ComputationError(f"Li_{{-{n}}}(z) leaves the float range at z = {z!r}")
+        raise ComputationError(f"Li_{{-{n:g}}}(z) leaves the float range at z = {z!r}")
     if floor == -math.inf and n > _ROUTED_NEG_ORDER_MAX:
         raise ComputationError(
-            f"Li_{{-{n}}}(z) at z = {z!r} has no magnitude floor, and building P_n "
+            f"Li_{{-{n:g}}}(z) at z = {z!r} has no magnitude floor, and building P_n "
             f"past n = {_ROUTED_NEG_ORDER_MAX} costs about n^3 work"
         )
     (a, a_den), (b, b_den) = z.real.as_integer_ratio(), z.imag.as_integer_ratio()
@@ -280,7 +286,7 @@ def polylog_neg_int(n: int, z: complex) -> complex:
         return complex((num_re * w_re + num_im * w_im) / den, (num_im * w_re - num_re * w_im) / den)
     except OverflowError:
         raise ComputationError(
-            f"Li_{{-{n}}}(z) leaves the float range at z = {z!r}"
+            f"Li_{{-{n:g}}}(z) leaves the float range at z = {z!r}"
         ) from None
 
 
@@ -300,13 +306,15 @@ def zeta_real(s: float, tol: float = 1e-12, *, dps: int | None = None) -> Series
     bits.
 
     Raises:
-        DomainError: s too close to (or below) 1, or dps not a positive int.
+        DomainError: s not finite, too close to (or below) 1, or dps not
+            a positive int.
         NonConvergence: no admissible N within TERM_CAP meets tol.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
     if isinstance(s, complex):
         raise DomainError("zeta_real takes a real order")
+    _require_finite_input("s", s)
     s = float(s)
     if s < 1.0 + EPS_ZETA:
         raise DomainError(f"zeta_real requires s >= 1 + {EPS_ZETA!r}, got {s!r}")

@@ -62,15 +62,13 @@ def _printed_half_value(row: int) -> complex:
 
 # Named constants usable as the leading right-side factor: the
 # (order, argument) of the Li_s(x) each stands for, and its value at a
-# tolerance. The first two evaluate the printed forms of the audit's
-# table; the two series-backed entries exist because the printed
-# closed forms they replace fail the special-value audit; see the
-# explorer module.
+# tolerance. Both evaluate printed forms of the audit's table that the
+# audit confirms; Li_3(1/2) and Li_4(1/2) have none, as their printed
+# forms fail the audit (see the explorer module), so a case at those
+# orders takes the series.
 _CLOSED_FORM_CONSTANTS: dict[str, tuple[int, float, Callable[[float], complex]]] = {
     "ln2": (1, 0.5, lambda tol: _printed_half_value(0)),
     "dilog-half": (2, 0.5, lambda tol: _printed_half_value(1)),
-    "trilog-half-series": (3, 0.5, lambda tol: complex(polylog(3, 0.5, tol).value)),
-    "quadlog-half-series": (4, 0.5, lambda tol: complex(polylog(4, 0.5, tol).value)),
 }
 
 

@@ -231,11 +231,13 @@ def test_huge_negative_order_is_refused_at_once(capsys, s):
     ["verify2", "--s=-1e15", "--x=0.3", "--y=0.3"],
     ["verify2", "--s=-1e300", "--x=0.3", "--y=0.3"],
     ["verify2", "--s=-1e15", "--x=-0.3", "--y=0.3"],
+    ["verify2", "--s=1e308", "--x=0.3", "--y=0.3"],
 ])
 def test_negative_order_with_no_magnitude_floor_is_refused_at_once(capsys, argv):
     # The floor's rounding allowance outgrows |Li_{-n}| from n near 1e13, also
     # at x = -0.3, where the two nearest poles have equal moduli. Building
-    # P_n there never returned.
+    # P_n there never returned. The one error line writes n as a float: as
+    # an int, n = 1e308 took 309 digits and the line 418 bytes.
     t0 = time.perf_counter()
     code, out, err = _run(capsys, argv)
     assert time.perf_counter() - t0 < 0.2
@@ -243,6 +245,7 @@ def test_negative_order_with_no_magnitude_floor_is_refused_at_once(capsys, argv)
     assert out == ""
     assert err.startswith("error:") and "no magnitude floor" in err
     assert len(err.strip().splitlines()) == 1
+    assert len(err.encode()) < 200
 
 
 @pytest.mark.parametrize("argv", [

@@ -262,13 +262,14 @@ def test_screened_variant_search_finds_the_full_search_hits(row, dps):
     number, pi, ln2 = _working_numbers(dps)
     series_tol = 1e-15 if dps is None else 10.0 ** (2 - dps)
     constants = {"pi": pi, "zeta3": number(zeta_real(3.0, series_tol, dps=dps).value),
-                 "ez31": euler_zagier_31(1e-13).value}
+                 "ez31": number(euler_zagier_31(1e-13).value)}
     terms = _PRINTED_FORMS[row][1]
     value_of = _term_values(terms, constants, ln2)
     li = number(polylog(row + 1, 0.5, series_tol, dps=dps).value.real)
     (_, match), = _matching_variants(terms, value_of, li)
-    targets = [li + f * CANDIDATE_TOL for f in (0, 0.999, -0.999, 1.001, -1.001)]
-    targets += [li + 1e-3, match + CANDIDATE_TOL, match - CANDIDATE_TOL]
+    # number() keeps the targets exact with dps: a Fraction less a float is a float
+    targets = [li + number(f * CANDIDATE_TOL) for f in (0, 0.999, -0.999, 1.001, -1.001)]
+    targets += [li + number(1e-3), match + number(CANDIDATE_TOL), match - number(CANDIDATE_TOL)]
     found = []
     for target in targets:
         full = [(v, c) for v in _variants(terms)

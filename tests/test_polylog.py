@@ -36,7 +36,9 @@ from vpvlab import (
     zeta_real,
 )
 from vpvlab import numerics
-from vpvlab.extended import _complex_product, _weights, _width, round_bits, working_bits
+from vpvlab.extended import (
+    _complex_product, _weights, _width, exact_parts, partial_sum, round_bits, working_bits,
+)
 from vpvlab.numerics import (
     LOG1M_SERIES_MAX, dirichlet_tail, exact_sum, first_within, log1m, power_geometric_guess,
     power_geometric_tail, smallest_prime_factors,
@@ -52,6 +54,13 @@ LI2_HALF = 0.5822405264650125
 LI3_HALF = 0.5372131936080402
 LI4_HALF = 0.5174790616738993
 ZETA3 = 1.2020569031595943
+
+
+def _extended_partial(s, z, n, dps):
+    """The extended partial sum over n terms at dps digits, as polylog
+    sums it at its stopping index."""
+    bits = working_bits(dps)
+    return partial_sum(exact_parts(s, bits), exact_parts(z, bits), n, bits)
 
 
 def _mp(value):
@@ -584,7 +593,7 @@ def test_extended_polylog_at_low_precision_is_within_one_unit_of_its_terms():
                 terms = [z_ ** k * mpmath.mpf(k) ** -s_ for k in range(1, res.terms_used + 1)]
                 unit = mpmath.mpf(10) ** -dps * mpmath.fsum(terms, absolute=True)
                 assert abs(_mp(res.value) - mpmath.fsum(terms)) <= unit, (s, z, dps)
-                assert abs(_mp(polylog_partial(s, z, 7, dps=dps)) - mpmath.fsum(terms[:7])) <= unit, (s, z, dps)
+                assert abs(_mp(_extended_partial(s, z, 7, dps)) - mpmath.fsum(terms[:7])) <= unit, (s, z, dps)
 
 
 def test_extended_weights_at_a_huge_integer_order_stay_at_working_precision():
@@ -594,7 +603,7 @@ def test_extended_weights_at_a_huge_integer_order_stay_at_working_precision():
     for s in (1e9, 1e12):
         res = polylog(s, 0.5, 1e-12, dps=30)
         assert abs(Fraction(res.value.real) - Fraction(1, 2)) <= 1e-30 * 0.5, s
-    value = polylog_partial(-10 ** 6, 0.5, 50, dps=30)
+    value = _extended_partial(-10 ** 6, 0.5, 50, 30)
     assert time.perf_counter() - start < 1.0
     with mpmath.workdps(60):
         terms = [mpmath.mpf(0.5) ** k * mpmath.mpf(k) ** 10 ** 6 for k in range(1, 51)]
@@ -618,7 +627,7 @@ def test_extended_partial_sum_of_one_term_is_z():
         for s in (2, -3.5, 0.5 + 14j, -200.5):
             for z in (0.5, -0.25 + 0.75j, 1e-300j, 0.999 * cmath.exp(1j)):
                 z = complex(z)
-                value = polylog_partial(s, z, 1, dps=dps)
+                value = _extended_partial(s, z, 1, dps)
                 got = tuple(round_bits(Fraction(part), bits) for part in value)
                 assert got == (Fraction(z.real), Fraction(z.imag)), (dps, s, z)
 
@@ -649,7 +658,7 @@ def test_extended_polylog_holds_at_most_half_its_weights():
     # same width, as the held composites are. The call is the one that
     # took 61 us per term, cut from 56,428 terms to 4,000.
     n, s, z = 4000, complex(-2, 100), 0.999 * cmath.exp(1j)
-    polylog_partial(s, z, n, dps=30)  # pi and ln 2 are cached per width
+    _extended_partial(s, z, n, 30)  # pi and ln 2 are cached per width
     s_ = Fraction(s.real), Fraction(s.imag)
     width = _width(s_, n, working_bits(30))
     factors = list(islice(_weights(s_, 1001, width), 1, 1001))
@@ -659,7 +668,7 @@ def test_extended_polylog_holds_at_most_half_its_weights():
         weight = tracemalloc.get_traced_memory()[0] / len(products)
         del products
         tracemalloc.reset_peak()
-        polylog_partial(s, z, n, dps=30)
+        _extended_partial(s, z, n, 30)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -790,14 +799,30 @@ def test_extended_polylog_keeps_an_mpmath_order():
 @pytest.mark.parametrize("dps", [0, -3, 2.5, 30.0, True, False, "30"])
 @pytest.mark.parametrize("call", [
     lambda dps: polylog(2, 0.5, dps=dps),
-    lambda dps: polylog_partial(2, 0.5, 10, dps=dps),
     lambda dps: zeta_real(3.0, dps=dps),
     lambda dps: audit_special_values(dps=dps),
-], ids=["polylog", "polylog_partial", "zeta_real", "audit_special_values"])
+], ids=["polylog", "zeta_real", "audit_special_values"])
 def test_dps_must_be_a_positive_int(call, dps):
     # unchecked, dps=0 gives Li_2(1/2) = 0.625 and zeta(3) = 1.25
     with pytest.raises(DomainError, match="dps must be a positive integer"):
         call(dps)
+
+
+@pytest.mark.parametrize("dps", [None, 30], ids=["double", "dps30"])
+@pytest.mark.parametrize("where", ["order", "argument"])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+def test_non_finite_input_is_a_domain_error(value, where, dps):
+    # Refused before any conversion, in either part, an mpmath order too.
+    # Unchecked, polylog(inf, .5) raised OverflowError, polylog(2, nan)
+    # searched to TERM_CAP, and with dps Fraction raised ValueError or
+    # OverflowError.
+    calls = ([lambda: polylog(value, 0.5, dps=dps), lambda: polylog(complex(2, value), 0.5, dps=dps),
+              lambda: polylog(mpmath.mpf(value), 0.5, dps=dps), lambda: zeta_real(value, dps=dps)]
+             if where == "order" else
+             [lambda: polylog(2, value, dps=dps), lambda: polylog(2, complex(0.25, value), dps=dps)])
+    for call in calls:
+        with pytest.raises(DomainError, match="is not finite"):
+            call()
 
 
 def test_extended_precision_paths():

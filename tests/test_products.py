@@ -103,10 +103,10 @@ def test_closed_form_id_must_match_its_case():
         IdentityCase(2, 2.0, 0.3, 0.4, closed_form_id="ln2")
     with pytest.raises(DomainError, match="stands for Li_2"):
         IdentityCase(2, 2.0, 0.3, 0.4, closed_form_id="dilog-half")
-    with pytest.raises(DomainError, match="stands for Li_3"):
-        IdentityCase(2, 4.0, 0.5, 0.4, closed_form_id="trilog-half-series")
+    with pytest.raises(DomainError, match="stands for Li_2"):
+        IdentityCase(2, 3.0, 0.5, 0.4, closed_form_id="dilog-half")
     with pytest.raises(DomainError, match="zeta mode"):
-        IdentityCase(2, 3.0, 1.0, 0.3, closed_form_id="trilog-half-series")
+        IdentityCase(2, 2.0, 1.0, 0.3, closed_form_id="dilog-half")
 
 
 def test_order_constraint_holds_by_construction():
@@ -522,8 +522,10 @@ def test_weighted_level_cuts_the_terms_near_the_trivial_zeros():
 
 
 def test_series_constant_is_evaluated_once(monkeypatch):
-    # The magnitude estimate of a series-backed constant needs no series:
-    # |Li_k(1/2)| <= ln 2 < 1, under the estimate floor of 1.0.
+    # A named constant needs no series, for its value or its magnitude
+    # estimate (|Li_k(1/2)| <= ln 2 < 1, under the estimate floor of 1.0).
+    # A series factor's estimate needs none either, so Li_3(1/2) is summed
+    # once.
     from vpvlab import products
 
     calls = []
@@ -533,7 +535,9 @@ def test_series_constant_is_evaluated_once(monkeypatch):
         return polylog(*args)
 
     monkeypatch.setattr(products, "polylog", counted)
-    verify(IdentityCase(2, 3.0, 0.5, 0.3, closed_form_id="trilog-half-series"), 1e-8)
+    verify(IdentityCase(2, 2.0, 0.5, 0.3, closed_form_id="dilog-half"), 1e-8)
+    assert calls == []
+    verify(IdentityCase(2, 3.0, 0.5, 0.3), 1e-8)
     # its share of tol/2 is scaled only by the cofactor |Li_-2(0.3)|
     assert calls == [(3, 0.5, 0.5e-8 / (4 * abs(polylog_neg_int(2, 0.3))))]
 
