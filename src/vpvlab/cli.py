@@ -15,8 +15,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass, fields
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .errors import ComputationError, DomainError, NonConvergence, TailBoundExceedsTol
 from .explorer import (
@@ -117,8 +116,7 @@ def _parse_format(text: str) -> str:
 # option schema: one row per flag; argparse parses and defaults each one
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _Opt:
+class _Opt(NamedTuple):
     name: str  # dest, e.g. "degree_cap" for --degree-cap
     parse: Callable[[str], object]  # flag text -> value
     default: object = None
@@ -126,8 +124,7 @@ class _Opt:
     help: str = ""
 
 
-@dataclass(frozen=True)
-class _Command:
+class _Command(NamedTuple):
     help: str  # the subcommand's one-line help and description
     run: Callable[[dict], str]  # resolved options -> output text
     opts: tuple[_Opt, ...]
@@ -286,12 +283,12 @@ def _render(fmt: str, records, line: Optional[str] = None) -> str:
 
 
 def _fields_record(row, skip=(), **names):
-    """A result dataclass as a record: one column per field not in `skip`,
-    in field order, renamed by `names`. A field is complex when its
-    annotation names complex, so a None value still gets its two csv
-    columns."""
-    return [(names.get(f.name, f.name), getattr(row, f.name), "complex" in str(f.type))
-            for f in fields(row) if f.name not in skip]
+    """A result NamedTuple as a record: one column per field not in
+    `skip`, in field order, renamed by `names`. A field is complex when
+    its annotation names complex (a ForwardRef, whose str holds the
+    annotation's text), so a None value still gets its two csv columns."""
+    return [(names.get(name, name), value, "complex" in str(type(row).__annotations__[name]))
+            for name, value in zip(row._fields, row) if name not in skip]
 
 
 def _report_record(report: IdentityReport):

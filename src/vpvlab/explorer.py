@@ -8,11 +8,10 @@ from __future__ import annotations
 import cmath
 import math
 from collections import deque
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import product as _iproduct
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import ComputationError, DomainError, NonConvergence, VpvError
 from .forms import _PRINTED_FORMS, _Term, _evaluate, _term_values
@@ -37,8 +36,7 @@ MATCHES_CORRECTED = "MATCHES_CORRECTED"
 UNRESOLVED = "UNRESOLVED"
 
 
-@dataclass(frozen=True)
-class SpecialValueRecord:
+class SpecialValueRecord(NamedTuple):
     """Outcome of auditing one printed closed form against the series.
 
     verdict is MATCHES_PRINTED when the printed form agrees with the
@@ -57,8 +55,7 @@ class SpecialValueRecord:
     note: str = ""
 
 
-@dataclass(frozen=True)
-class ProbeRow:
+class ProbeRow(NamedTuple):
     """One y = 1 - delta verification row of the near-boundary probe."""
 
     delta: float
@@ -73,8 +70,7 @@ class ProbeRow:
     error: Optional[str] = None
 
 
-@dataclass(frozen=True)
-class ScanRow:
+class ScanRow(NamedTuple):
     """One verified critical-line row at s = 1/2 + iT."""
 
     t_value: float

@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, chain, islice, repeat
 from operator import mul
+from typing import NamedTuple
 
 from .errors import ComputationError, DomainError, NonConvergence
 from .numerics import (
@@ -47,12 +47,15 @@ def _require_finite_input(name: str, x) -> None:
     as it is given (a NaN is the one value unequal to itself). A string,
     which has no parts, is left to complex() or float() to parse."""
     re, im = getattr(x, "real", 0), getattr(x, "imag", 0)
-    if re != re or im != im or re in _INFINITIES or im in _INFINITIES:
+    try:
+        finite = re == re and im == im and re not in _INFINITIES and im not in _INFINITIES
+    except ArithmeticError:  # decimal.InvalidOperation: a Decimal sNaN signals
+        finite = False
+    if not finite:
         raise DomainError(f"{name} = {x!r} is not finite")
 
 
-@dataclass(frozen=True)
-class SeriesResult:
+class SeriesResult(NamedTuple):
     """A certified series evaluation.
 
     value: the partial sum: in double a complex from polylog and a
@@ -242,20 +245,20 @@ def polylog_neg_int(n: int, z: complex) -> complex:
     correctly rounded real or imaginary part of Li_{-n}(z).
 
     Raises:
-        DomainError: n negative or non-integer, or z = 1 (the pole).
-        ComputationError: z is not finite, or the value leaves the float
-            range (from n = 160 at z = 1/2). Where _neg_order_log_floor
-            shows that already, before P_n is built. Past
+        DomainError: n negative or non-integer, complex(z) not finite,
+            or z = 1 (the pole).
+        ComputationError: the value leaves the float range (from n = 160
+            at z = 1/2). Where _neg_order_log_floor shows that already,
+            before P_n is built. Past
             n = _ROUTED_NEG_ORDER_MAX also wherever that floor finds no
             bound, rather than build P_n.
     """
     if not isinstance(n, int) or isinstance(n, bool) or n < 0:
         raise DomainError(f"polylog_neg_int expects an integer n >= 0, got {n!r}")
     z = complex(z)
+    _require_finite_input("z", z)
     if z == 1:
         raise DomainError("z = 1 is the pole of Li_{-n}")
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise ComputationError(f"non-finite argument in Li_{{-{n:g}}}({z!r})")
     if z == 0:
         return 0j
     floor = _neg_order_log_floor(n, z)

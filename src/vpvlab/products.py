@@ -18,10 +18,9 @@ import cmath
 import itertools
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, replace
 from functools import partial
 from operator import add, mul, neg, sub
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .errors import ComputationError, DomainError, TailBoundExceedsTol
 from .forms import _PRINTED_FORMS, _evaluate, _term_values
@@ -72,8 +71,18 @@ _CLOSED_FORM_CONSTANTS: dict[str, tuple[int, float, Callable[[float], complex]]]
 }
 
 
-@dataclass(frozen=True)
-class IdentityCase:
+class _CaseFields(NamedTuple):
+    dimension: int
+    s: complex
+    x: complex
+    y: complex
+    t: Optional[complex]
+    z: Optional[complex]
+    closed_form_id: Optional[str]
+    label: str
+
+
+class IdentityCase(_CaseFields):
     """One verifiable product identity instance.
 
     Operations read the orders and arguments as the `orders` and `args`
@@ -84,39 +93,31 @@ class IdentityCase:
     closed_form_id names a _CLOSED_FORM_CONSTANTS entry that replaces
     the leading factor Li_s(x); it must stand for that same s and x.
     The 2D/3D constructor stays because bench/run.py builds cases with
-    it; ROADMAP item 1 frees it.
+    it; ROADMAP item 1 frees it. _replace and _make skip __new__'s checks.
     """
 
-    dimension: int
-    s: complex
-    x: complex
-    y: complex
-    t: Optional[complex] = None
-    z: Optional[complex] = None
-    closed_form_id: Optional[str] = None
-    label: str = ""
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, dimension, s, x, y, t=None, z=None, closed_form_id=None, label=""):
         # a bool is an int, but neither True nor False is 2 or 3
-        if not isinstance(self.dimension, int) or self.dimension not in (2, 3):
-            raise DomainError(f"dimension must be 2 or 3, got {self.dimension!r}")
-        object.__setattr__(self, "s", complex(self.s))
-        object.__setattr__(self, "x", complex(self.x))
-        object.__setattr__(self, "y", complex(self.y))
-        if self.dimension == 2:
-            if self.t is not None or self.z is not None:
+        if not isinstance(dimension, int) or dimension not in (2, 3):
+            raise DomainError(f"dimension must be 2 or 3, got {dimension!r}")
+        s, x, y = complex(s), complex(x), complex(y)
+        if dimension == 2:
+            if t is not None or z is not None:
                 raise DomainError("2D cases derive t = 1 - s and take no z")
         else:
-            if self.t is None or self.z is None:
+            if t is None or z is None:
                 raise DomainError("3D cases need explicit t and z")
-            object.__setattr__(self, "t", complex(self.t))
-            object.__setattr__(self, "z", complex(self.z))
-        for name, value in zip("stxyz", (self.s, self.t, self.x, self.y, self.z)):
+            t, z = complex(t), complex(z)
+        for name, value in zip("stxyz", (s, t, x, y, z)):
             if value is not None and not cmath.isfinite(value):
                 raise DomainError(f"{name} = {value!r} is not finite")
-        if self.closed_form_id is not None:
+        self = super().__new__(cls, dimension, s, x, y, t, z, closed_form_id, label)
+        if closed_form_id is not None:
             self._check_closed_form()
         self._check_args()
+        return self
 
     def _check_args(self) -> None:
         if self.x == 1:
@@ -160,27 +161,30 @@ class IdentityCase:
         return self.dimension == 2 and self.x == 1
 
 
-@dataclass(frozen=True)
-class TruncationSpec:
-    """The argument and result of lhs_log_product, and nothing else: the
-    level and tolerance to sum at, and the certified tail_bound that
-    lhs_log_product fills in."""
-
+class _TruncationFields(NamedTuple):
     degree_cap: int
     tol: float
-    tail_bound: Optional[float] = None
+    tail_bound: Optional[float]
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.degree_cap, int) or self.degree_cap < 1:
-            raise DomainError(f"degree_cap must be a positive integer, got {self.degree_cap!r}")
-        if not self.tol > 0:
+
+class TruncationSpec(_TruncationFields):
+    """The argument and result of lhs_log_product, and nothing else: the
+    level and tolerance to sum at, and the certified tail_bound that
+    lhs_log_product fills in. As in IdentityCase, __new__ checks them."""
+
+    __slots__ = ()
+
+    def __new__(cls, degree_cap, tol, tail_bound=None):
+        if not isinstance(degree_cap, int) or degree_cap < 1:
+            raise DomainError(f"degree_cap must be a positive integer, got {degree_cap!r}")
+        if not tol > 0:
             raise DomainError("tol must be positive")
-        if self.tail_bound is not None and self.tail_bound < 0:
+        if tail_bound is not None and tail_bound < 0:
             raise DomainError("tail_bound cannot be negative")
+        return super().__new__(cls, degree_cap, tol, tail_bound)
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(NamedTuple):
     """The outcome of verify(case, tol).
 
     degree_cap is the level the left side was summed to (the smallest
@@ -568,7 +572,7 @@ def _eval_lhs(case: IdentityCase, degree_cap: int) -> tuple[complex, float, int]
 def lhs_log_product(case: IdentityCase, trunc: TruncationSpec) -> tuple[complex, TruncationSpec]:
     """Left-side log at the given truncation, with the certified bound filled in."""
     value, bound, _ = _eval_lhs(case, trunc.degree_cap)
-    return value, replace(trunc, tail_bound=bound)
+    return value, TruncationSpec(trunc.degree_cap, trunc.tol, bound)
 
 
 # bench/run.py calls the left side by these names; ROADMAP item 1 frees them.

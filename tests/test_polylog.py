@@ -825,6 +825,25 @@ def test_non_finite_input_is_a_domain_error(value, where, dps):
             call()
 
 
+@pytest.mark.parametrize("z", [math.nan, math.inf, complex(0, math.inf), complex(math.nan, 0),
+                               "nan", Decimal("-Infinity")])
+def test_neg_int_non_finite_argument_is_a_domain_error(z):
+    # As polylog(-n, z) refuses it; it was a ComputationError. The check
+    # is on complex(z), so a string is refused too.
+    with pytest.raises(DomainError, match="is not finite"):
+        polylog_neg_int(2, z)
+
+
+@pytest.mark.parametrize("call", [
+    lambda v: polylog(v, 0.5), lambda v: polylog(2, v), lambda v: zeta_real(v),
+    lambda v: polylog(v, 0.5, dps=30),
+], ids=["polylog-order", "polylog-argument", "zeta_real", "polylog-order-dps30"])
+def test_decimal_signalling_nan_is_a_domain_error(call):
+    # Comparing an sNaN raises decimal.InvalidOperation; it escaped the check.
+    with pytest.raises(DomainError, match=r"= Decimal\('sNaN'\) is not finite"):
+        call(Decimal("sNaN"))
+
+
 def test_extended_precision_paths():
     import mpmath
 
