@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import decimal
 import functools
 import io
 import json
@@ -191,8 +192,6 @@ def _fmt_digits(x, digits: int) -> str:
     exponent lies strictly between min(-(digits // 3), -5) and digits,
     else d.ddde+N. For a value of working_bits(digits) bits this is what
     mpmath.nstr prints."""
-    import decimal  # extended mode only, so double runs do not load it
-
     if not x:
         return "0.0"
     context = decimal.Context(prec=digits, rounding=decimal.ROUND_HALF_UP,

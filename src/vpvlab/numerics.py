@@ -95,14 +95,19 @@ def exact_sum(terms) -> complex:
     The library sums every series this way in double: the polylog and
     zeta heads, the lattice kernel and zeta mode. In extended precision
     the polylog series is summed exactly in integers instead
-    (polylog._extended_partial).
+    (extended.partial_sum).
     """
-    re = im = 0.0
+    total = 0j
     terms = iter(terms)
-    while block := list(islice(terms, _BLOCK)):
-        re = math.fsum(chain((re,), map(_REAL, block)))
-        im = math.fsum(chain((im,), map(_IMAG, block)))
-    return complex(re, im)
+    while True:
+        # the running total leads its block, as fsum's intermediate-overflow
+        # error depends on the order it meets the values in; the last block
+        # is dropped before the next one fills, so one block is held at once
+        block = [total]
+        block += islice(terms, _BLOCK)
+        if len(block) == 1:
+            return total
+        total = complex(math.fsum(map(_REAL, block)), math.fsum(map(_IMAG, block)))
 
 
 def log1m(w: complex) -> complex:

@@ -153,7 +153,7 @@ def polylog_partial(s: complex, z: complex, n_terms: int) -> complex:
     """
     s, z = complex(s), complex(z)
     logs = islice(log_table(n_terms), 2, n_terms + 1)
-    weights = map(cmath.exp, map((-s).__mul__, logs))
+    weights = map(cmath.exp, map(mul, repeat(-s), logs))
     powers = accumulate(repeat(z, n_terms), mul)
     try:
         return exact_sum(chain(islice(powers, 1), map(mul, powers, weights)))
@@ -245,8 +245,8 @@ def polylog_neg_int(n: int, z: complex) -> complex:
     correctly rounded real or imaginary part of Li_{-n}(z).
 
     Raises:
-        DomainError: n negative or non-integer, complex(z) not finite,
-            or z = 1 (the pole).
+        DomainError: n negative or non-integer, z or complex(z) not
+            finite, or z = 1 (the pole).
         ComputationError: the value leaves the float range (from n = 160
             at z = 1/2). Where _neg_order_log_floor shows that already,
             before P_n is built. Past
@@ -255,6 +255,9 @@ def polylog_neg_int(n: int, z: complex) -> complex:
     """
     if not isinstance(n, int) or isinstance(n, bool) or n < 0:
         raise DomainError(f"polylog_neg_int expects an integer n >= 0, got {n!r}")
+    # checked as given, so a Decimal sNaN is refused before complex()
+    # signals on it, and again as converted, so a string 'nan' is too
+    _require_finite_input("z", z)
     z = complex(z)
     _require_finite_input("z", z)
     if z == 1:
@@ -334,6 +337,6 @@ def zeta_real(s: float, tol: float = 1e-12, *, dps: int | None = None) -> Series
         if n > TERM_CAP:
             raise NonConvergence(f"zeta_real(s={s!r}) cannot meet tol={tol!r}")
     if dps is None:
-        value = exact_sum(float(k) ** -s for k in range(1, n)).real + tail
+        value = exact_sum(map(pow, map(float, range(1, n)), repeat(-s))).real + tail
         return SeriesResult(require_finite(value, "zeta_real"), n - 1, rem)
     return SeriesResult(extended.zeta_sum(s, n, tail, bits), n - 1, rem)

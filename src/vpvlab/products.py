@@ -288,7 +288,7 @@ def _zeta_mode_b_tail(s: complex, t: complex, y: complex, b_cap: int) -> float:
 # ---------------------------------------------------------------------------
 
 def _pow_table(base: complex, cap: int) -> list[complex]:
-    return [base ** k for k in range(cap + 1)]
+    return list(map(pow, itertools.repeat(base), range(cap + 1)))
 
 
 def _squarefree_divisors(top: int) -> list[list[tuple[int, int]]]:
@@ -384,7 +384,7 @@ def product_log_sum(
     tops = [max(0, int(degree_cap / m)) + 1 for m in mu]
     ln = log_table(tops[-1])
     try:
-        weights = [list(map(cmath.exp, map((-complex(orders[i])).__mul__, ln[:top + 1])))
+        weights = [list(map(cmath.exp, map(mul, itertools.repeat(-complex(orders[i])), ln[:top + 1])))
                    for i, top in zip(axes, tops)]
     except OverflowError:
         raise ComputationError(

@@ -13,8 +13,8 @@ import time
 import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
-from itertools import islice, product
-from operator import attrgetter
+from itertools import accumulate, islice, product, repeat
+from operator import attrgetter, mul
 
 import mpmath
 import pytest
@@ -547,6 +547,20 @@ def test_polylog_partial_holds_one_block_of_terms(monkeypatch):
         assert peak <= 3 * block * (32 + 8), block
 
 
+def test_exact_sum_drops_each_block_before_the_next_fills():
+    # One block of terms (a complex object and its list slot) at the
+    # peak, not two: the last block is freed before the next is read.
+    block = numerics._BLOCK
+    terms = accumulate(repeat(0.99999 + 0.001j, 25 * block), mul)
+    tracemalloc.start()
+    try:
+        exact_sum(terms)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * block * (32 + 8)
+
+
 @settings(derandomize=True, database=None, max_examples=20, deadline=None)
 @given(
     st.floats(-210, 3),
@@ -690,6 +704,25 @@ def test_exact_sum_rounds_each_part_once_per_block(monkeypatch):
             re = math.fsum([re] + [z.real for z in terms[i:i + 16]])
             im = math.fsum([im] + [z.imag for z in terms[i:i + 16]])
         assert exact_sum(iter(terms)) == complex(re, im), n
+    # The running total leads its block: the second block's real parts
+    # reach fsum as -1e308, 1e308, 1e308 and sum to 1e308; with the total
+    # last, 1e308 + 1e308 would come first and raise "intermediate overflow".
+    monkeypatch.setattr(numerics, "_BLOCK", 2)
+    assert exact_sum([-1e308, 0.0, 1e308, 1e308]) == 1e308 + 0j
+
+
+def test_zeta_real_head_matches_the_per_term_sum(monkeypatch):
+    # The head streams k^-s as float(k) ** -s, over blocks of 4 here so
+    # every draw spans several; the value is the same bits as exact_sum
+    # over the per-term generator plus the tail at the same N.
+    monkeypatch.setattr(numerics, "_BLOCK", 4)
+    rng = random.Random(4417)
+    for _ in range(200):
+        s, tol = rng.uniform(1.001, 12), 10 ** rng.uniform(-60, -4)
+        res = zeta_real(s, tol)
+        n = res.terms_used + 1
+        head = exact_sum(float(k) ** -s for k in range(1, n)).real
+        assert res.value == head + dirichlet_tail(s, n, tol)[0], (s, tol)
 
 
 def test_gaussian_power_matches_the_repeated_product():
@@ -837,7 +870,9 @@ def test_neg_int_non_finite_argument_is_a_domain_error(z):
 @pytest.mark.parametrize("call", [
     lambda v: polylog(v, 0.5), lambda v: polylog(2, v), lambda v: zeta_real(v),
     lambda v: polylog(v, 0.5, dps=30),
-], ids=["polylog-order", "polylog-argument", "zeta_real", "polylog-order-dps30"])
+    lambda v: polylog_neg_int(2, v),
+], ids=["polylog-order", "polylog-argument", "zeta_real", "polylog-order-dps30",
+        "polylog_neg_int-argument"])
 def test_decimal_signalling_nan_is_a_domain_error(call):
     # Comparing an sNaN raises decimal.InvalidOperation; it escaped the check.
     with pytest.raises(DomainError, match=r"= Decimal\('sNaN'\) is not finite"):

@@ -32,8 +32,8 @@ from vpvlab import (
 )
 from vpvlab.numerics import log1m, log_table
 from vpvlab.products import (
-    _CLOSED_FORM_CONSTANTS, _coprime_factors, _decay_ratios, _eval_lhs, _level_limit, _rhs_product,
-    _shell_tail, _squarefree_divisors, choose_degree_cap,
+    _CLOSED_FORM_CONSTANTS, _coprime_factors, _decay_ratios, _eval_lhs, _level_limit, _pow_table,
+    _rhs_product, _shell_tail, _squarefree_divisors, choose_degree_cap,
 )
 
 
@@ -668,6 +668,16 @@ def test_product_log_sum_matches_the_per_term_weight_kernel():
         ref, ref_count, magnitude = _product_log_sum_reference(orders, args, level)
         assert count == ref_count, (orders, args, level)
         assert abs(value - ref) <= 8 * u * magnitude, (orders, args, level)
+
+
+def test_pow_table_matches_the_per_power_list():
+    # map(pow, repeat(b), ...) runs the same b ** k for each k, so every
+    # entry keeps its bits, past the exponent (100) where complex ** int
+    # stops multiplying out and takes exp/log.
+    rng = random.Random(2290)
+    for _ in range(60):
+        base, cap = _rand_disk(rng, 0.999), rng.randrange(0, 300)
+        assert _pow_table(base, cap) == [base ** k for k in range(cap + 1)], (base, cap)
 
 
 def _assert_matches_reference(orders, args, level):
