@@ -3,8 +3,8 @@ audits, and lattice enumeration, with JSON/CSV/human output.
 
 Exit codes: 0 success; 1 usage, domain, or validation error; 2
 tolerance unachievable (tail bound, non-convergence, an overflowing or
-non-finite evaluation, or a verify2/verify3 error above 3*tol); 3
-internal error.
+non-finite evaluation, or a verify2/verify3 error above 3*tol) or a
+`visible` degree cap past the work budget; 3 internal error.
 """
 from __future__ import annotations
 
@@ -16,7 +16,8 @@ import io
 import json
 import math
 import sys
-from typing import Callable, NamedTuple, Optional, Sequence
+from itertools import starmap
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .errors import ComputationError, DomainError, NonConvergence, TailBoundExceedsTol
 from .explorer import (
@@ -30,7 +31,7 @@ from .explorer import (
 from .lattice import visible_points_2d, visible_points_3d
 from .numerics import require_finite
 from .polylog import polylog
-from .products import IdentityCase, IdentityReport, verify
+from .products import _WORK_BUDGET, IdentityCase, IdentityReport, _budget_level, verify
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -219,7 +220,7 @@ def _json_record(record) -> dict:
             for name, v, cx in record}
 
 
-def _csv_text(header: Sequence[str], rows: Sequence[Sequence[object]],
+def _csv_text(header: Sequence[str], rows: Iterable[Sequence[object]],
               comments: Sequence[str] = ()) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -281,13 +282,23 @@ def _render(fmt: str, records, line: Optional[str] = None) -> str:
     return text
 
 
+@functools.cache
+def _complex_flags(record_type) -> tuple[bool, ...]:
+    """For each field of a result NamedTuple type, in field order, whether
+    its annotation names complex (a ForwardRef, whose str holds the
+    annotation's text)."""
+    return tuple("complex" in str(record_type.__annotations__[name])
+                 for name in record_type._fields)
+
+
 def _fields_record(row, skip=(), **names):
     """A result NamedTuple as a record: one column per field not in
-    `skip`, in field order, renamed by `names`. A field is complex when
-    its annotation names complex (a ForwardRef, whose str holds the
-    annotation's text), so a None value still gets its two csv columns."""
-    return [(names.get(name, name), value, "complex" in str(type(row).__annotations__[name]))
-            for name, value in zip(row._fields, row) if name not in skip]
+    `skip`, in field order, renamed by `names`. A field is complex by its
+    annotation (_complex_flags), so a None value still gets its two csv
+    columns."""
+    return [(names.get(name, name), value, cx)
+            for name, value, cx in zip(row._fields, row, _complex_flags(type(row)))
+            if name not in skip]
 
 
 def _report_record(report: IdentityReport):
@@ -376,14 +387,31 @@ def _cmd_visible(res: dict) -> str:
     enumerate_points = {2: visible_points_2d, 3: visible_points_3d}.get(dimension)
     if enumerate_points is None:
         raise DomainError(f"dimension must be 2 or 3, got {dimension!r}")
-    points = list(enumerate_points(cap))
-    header = ("a", "b", "c")[:dimension]
+    # The output text is held whole, so a cap is refused before listing
+    # past the kernel's level limit at equal moduli.
+    limit = _budget_level(dimension)
+    if cap > limit:
+        raise ComputationError(
+            f"degree cap {cap} is past {limit}, the largest whose {dimension}D region fits "
+            f"the work budget of {_WORK_BUDGET:.0e} lattice points"
+        )
+    points = enumerate_points(cap)
     if res["format"] == "json":
-        return _json_text({"dimension": dimension, "degree_cap": cap,
-                           "points": [list(p) for p in points]})
+        return _visible_json(dimension, cap, points)
     if res["format"] == "csv":
-        return _csv_text(header, points)
-    return "\n".join(" ".join(str(c) for c in p) for p in points) + "\n"
+        return _csv_text(("a", "b", "c")[:dimension], points)
+    line = " ".join(["{}"] * dimension) + "\n"
+    return "".join(starmap(line.format, points)) or "\n"
+
+
+def _visible_json(dimension: int, cap: int, points) -> str:
+    """_json_text of {"dimension", "degree_cap", "points": [[a, b, ...], ...]},
+    built directly: json.dumps with an indent runs the pure-Python encoder,
+    at about three times the cost."""
+    point = "    [\n" + ",\n".join(["      {}"] * dimension) + "\n    ]"
+    body = ",\n".join(starmap(point.format, points))
+    body = f"[\n{body}\n  ]" if body else "[]"
+    return f'{{\n  "dimension": {dimension},\n  "degree_cap": {cap},\n  "points": {body}\n}}\n'
 
 
 def _cmd_polylog(res: dict) -> str:

@@ -9,11 +9,20 @@ kernel's point set only at equal moduli (the kernel truncates on
 decay-weighted coordinates; see products.product_log_sum). Its order is
 deterministic: ascending coordinate sum, then ascending earlier
 coordinates.
+
+The enumerator walks the heads a_1, ..., a_(n-2) in Python and produces
+the last two coordinates of each head's row with C-level iterators: for a
+head with gcd g and remaining sum r, the row is the pairs (a, r - a) for
+a = 1, ..., r - 1, and the point is visible exactly when
+gcd(gcd(g, r), a) = 1, since gcd(a, r - a) = gcd(a, r). A row with
+gcd(g, r) = 1 keeps every pair; any other is filtered by one compress.
 """
 from __future__ import annotations
 
 import math
 from functools import partial
+from itertools import chain, compress, repeat
+from operator import eq
 from typing import Iterator
 
 from .errors import DomainError
@@ -31,18 +40,23 @@ def visible_points(n: int, degree_cap: int) -> Iterator[tuple[int, ...]]:
         raise DomainError("degree_cap must be an integer")
     gcd = math.gcd
 
-    def points(k, g, r, head):
-        # head holds the leading coordinates and g their gcd; k coordinates
-        # are left to place, summing to r, each at least 1
-        if k == 1:
-            if gcd(g, r) == 1:
-                yield head + (r,)
+    def rows(k, g, r, head):
+        # head holds the leading coordinates and g their gcd; k >= 2
+        # coordinates are left to place, summing to r, each at least 1
+        if k == 2:
+            yield gcd(g, r), r, head
             return
         for a in range(1, r - k + 2):
-            yield from points(k - 1, gcd(g, a), r - a, head + (a,))
+            yield from rows(k - 1, gcd(g, a), r - a, head + (a,))
 
-    for d in range(n, degree_cap + 1):
-        yield from points(n, 0, d, ())
+    def row(h, r, head):
+        pairs = zip(range(1, r), range(r - 1, 0, -1))
+        if h != 1:
+            pairs = compress(pairs, map(eq, map(gcd, repeat(h), range(1, r)), repeat(1)))
+        return map(head.__add__, pairs) if head else pairs
+
+    return chain.from_iterable(row(h, r, head) for d in range(n, degree_cap + 1)
+                               for h, r, head in rows(n, 0, d, ()))
 
 
 # bench/run.py enumerates and counts points through these two names;

@@ -669,13 +669,18 @@ def rhs_log(case: IdentityCase, tol: float = 1e-12) -> complex:
 
 def _level_limit(case: IdentityCase) -> int:
     """The largest level choose_degree_cap considers: _ZETA_MODE_LEVEL_MAX
-    in zeta mode, else the largest L whose simplex volume L^n / (n! prod
-    mu_i), the point count of the region sum a_i mu_i <= L, fits
-    _WORK_BUDGET. A faster axis so buys a higher level."""
+    in zeta mode, else _budget_level at the case's decay ratios. A faster
+    axis so buys a higher level."""
     if case.is_zeta_mode:
         return _ZETA_MODE_LEVEL_MAX
-    n = case.dimension
-    return int((_WORK_BUDGET * math.factorial(n) * math.prod(_decay_ratios(case.args))) ** (1 / n))
+    return _budget_level(case.dimension, math.prod(_decay_ratios(case.args)))
+
+
+def _budget_level(n: int, mu_product: float = 1.0) -> int:
+    """The largest L whose simplex volume L^n / (n! prod mu_i), the point
+    count of the region sum a_i mu_i <= L, fits _WORK_BUDGET; prod mu_i is
+    1.0 for the diagonal region a_1 + ... + a_n <= L."""
+    return int((_WORK_BUDGET * math.factorial(n) * mu_product) ** (1 / n))
 
 
 def _cap_guess(case: IdentityCase, tol: float) -> int:

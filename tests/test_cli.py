@@ -15,8 +15,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from vpvlab import catalog
-from vpvlab.cli import _build_parser, main
+from vpvlab import (
+    IdentityReport, ProbeRow, ScanRow, SeriesResult, SpecialValueRecord, catalog, visible_points,
+)
+from vpvlab.cli import _build_parser, _complex_flags, main
 
 
 def _run(capsys, argv):
@@ -388,6 +390,48 @@ def test_visible_csv(capsys):
         "3,2",
         "4,1",
     ]
+
+
+@pytest.mark.parametrize("dimension, cap", [(2, 0), (2, 1), (2, 2), (2, 5), (2, 60),
+                                            (3, 0), (3, 3), (3, 18)])
+def test_visible_output_matches_the_library_encoders(capsys, dimension, cap):
+    # the reference renderings: json.dumps with an indent, the csv module,
+    # and one space-joined line per point
+    points = list(visible_points(dimension, cap))
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(("a", "b", "c")[:dimension])
+    writer.writerows(points)
+    want = {
+        "json": json.dumps({"dimension": dimension, "degree_cap": cap,
+                            "points": [list(p) for p in points]}, indent=2) + "\n",
+        "csv": buf.getvalue(),
+        "human": "\n".join(" ".join(str(c) for c in p) for p in points) + "\n",
+    }
+    for fmt, text in want.items():
+        argv = ["visible", "--dimension", str(dimension), "--degree-cap", str(cap), "--format", fmt]
+        assert _run(capsys, argv) == (0, text, ""), fmt
+
+
+@pytest.mark.parametrize("dimension, cap, limit", [(2, 6325, 6324), (2, 100000, 6324),
+                                                   (3, 494, 493), (3, 10**9, 493)])
+def test_visible_past_the_work_budget_is_refused_at_once(capsys, dimension, cap, limit):
+    t0 = time.perf_counter()
+    code, out, err = _run(capsys, ["visible", "--dimension", str(dimension),
+                                   "--degree-cap", str(cap), "--format", "json"])
+    assert time.perf_counter() - t0 < 1.0
+    assert (code, out) == (2, "")
+    assert err == (f"error: degree cap {cap} is past {limit}, the largest whose {dimension}D "
+                   "region fits the work budget of 2e+07 lattice points\n")
+
+
+@pytest.mark.parametrize("record_type", [IdentityReport, ScanRow, ProbeRow,
+                                         SpecialValueRecord, SeriesResult])
+def test_complex_flags_match_the_per_field_check(record_type):
+    want = tuple("complex" in str(record_type.__annotations__[name])
+                 for name in record_type._fields)
+    assert _complex_flags(record_type) == want
+    assert _complex_flags(record_type) is _complex_flags(record_type)
 
 
 def test_polylog_at_a_negative_integer_order_prints_the_closed_form(capsys):

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import time
 
 import pytest
 
@@ -56,6 +57,22 @@ def test_count_matches_brute_force_filter():
     quads = itertools.product(range(1, cap), repeat=4)
     want = sum(1 for p in quads if sum(p) <= cap and math.gcd(*p) == 1)
     assert sum(1 for _ in visible_points(4, cap)) == want
+
+
+@pytest.mark.parametrize("n, top", [(2, 14), (3, 14), (4, 14), (5, 10)])
+def test_matches_the_sorted_brute_force_filter(n, top):
+    for cap in range(-1, top + 1):
+        box = itertools.product(range(1, max(cap, 1)), repeat=n)
+        want = sorted((p for p in box if sum(p) <= cap and math.gcd(*p) == 1),
+                      key=lambda p: (sum(p), p))
+        assert list(visible_points(n, cap)) == want, (n, cap)
+
+
+def test_streams_without_walking_the_region():
+    t0 = time.perf_counter()
+    assert next(visible_points(2, 10**9)) == (1, 1)
+    assert next(visible_points(3, 10**9)) == (1, 1, 1)
+    assert time.perf_counter() - t0 < 0.5
 
 
 def test_never_yields_hidden_points():
