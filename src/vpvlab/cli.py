@@ -16,8 +16,8 @@ import io
 import json
 import math
 import sys
-from itertools import starmap
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence
+from itertools import islice, starmap
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import ComputationError, DomainError, NonConvergence, TailBoundExceedsTol
 from .explorer import (
@@ -39,6 +39,7 @@ EXIT_TOLERANCE = 2
 EXIT_INTERNAL = 3
 
 _DEFAULT_DELTAS = (0.5, 0.4, 0.3, 0.2)
+_CHUNK_POINTS = 1024  # visible points per chunk of written output
 
 
 class _UsageError(Exception):
@@ -128,7 +129,7 @@ class _Opt(NamedTuple):
 
 class _Command(NamedTuple):
     help: str  # the subcommand's one-line help and description
-    run: Callable[[dict], str]  # resolved options -> output text
+    run: Callable[[dict], str]  # resolved options -> output text (visible: its chunks)
     opts: tuple[_Opt, ...]
 
 
@@ -142,7 +143,10 @@ _COMMON = (
 @functools.cache
 def _build_parser() -> _Parser:
     """The argument parser, built on the first call and reused by every
-    later main() in the process: parsing does not change it."""
+    later main() in the process: parsing does not change it. Its
+    `commands` maps each subcommand's name to the subcommand's own
+    parser, which expands @PATH arguments too, so that _run can hand an
+    argv that starts with a command straight to it."""
     parser = _Parser(
         prog="vpvlab",
         description=(
@@ -157,8 +161,10 @@ def _build_parser() -> _Parser:
         fromfile_prefix_chars="@",
     )
     sub = parser.add_subparsers(dest="command", metavar="command")
+    parser.commands = {}
     for name, command in _COMMANDS.items():
-        p = sub.add_parser(name, help=command.help, description=command.help)
+        p = parser.commands[name] = sub.add_parser(
+            name, help=command.help, description=command.help, fromfile_prefix_chars="@")
         for opt in command.opts + _COMMON:
             p.add_argument("--" + opt.name.replace("_", "-"), dest=opt.name, type=opt.parse,
                            default=opt.default, help=opt.help, metavar="V")
@@ -379,7 +385,7 @@ def _cmd_ez31(res: dict) -> str:
     return _render(res["format"], [_series_record(result.value, result)])
 
 
-def _cmd_visible(res: dict) -> str:
+def _cmd_visible(res: dict) -> Iterator[str]:
     dimension = res["dimension"]
     cap = res["degree_cap"]
     # Looked up in the module globals at each call: bench/run.py counts
@@ -387,31 +393,42 @@ def _cmd_visible(res: dict) -> str:
     enumerate_points = {2: visible_points_2d, 3: visible_points_3d}.get(dimension)
     if enumerate_points is None:
         raise DomainError(f"dimension must be 2 or 3, got {dimension!r}")
-    # The output text is held whole, so a cap is refused before listing
-    # past the kernel's level limit at equal moduli.
+    # Checked here, before anything is written, not as the chunks are made:
+    # a cap past the kernel's level limit at equal moduli lists for minutes.
     limit = _budget_level(dimension)
     if cap > limit:
         raise ComputationError(
             f"degree cap {cap} is past {limit}, the largest whose {dimension}D region fits "
             f"the work budget of {_WORK_BUDGET:.0e} lattice points"
         )
-    points = enumerate_points(cap)
+    points = iter(enumerate_points(cap))
     if res["format"] == "json":
-        return _visible_json(dimension, cap, points)
+        # json.dumps(payload, indent=2) + "\n", built directly: json.dumps
+        # with an indent runs the pure-Python encoder, at about three
+        # times the cost
+        head = f'{{\n  "dimension": {dimension},\n  "degree_cap": {cap},\n  "points": '
+        point = "    [\n" + ",\n".join(["      {}"] * dimension) + "\n    ]"
+        return _listing(points, point, ",\n", head + "[\n", "\n  ]\n}\n", head + "[]\n}\n")
     if res["format"] == "csv":
-        return _csv_text(("a", "b", "c")[:dimension], points)
-    line = " ".join(["{}"] * dimension) + "\n"
-    return "".join(starmap(line.format, points)) or "\n"
+        # what the csv module writes: an int is never quoted
+        header = ",".join("abc"[:dimension]) + "\n"
+        return _listing(points, ",".join(["{}"] * dimension) + "\n", "", header, "", header)
+    return _listing(points, " ".join(["{}"] * dimension) + "\n", "", "", "", "\n")
 
 
-def _visible_json(dimension: int, cap: int, points) -> str:
-    """_json_text of {"dimension", "degree_cap", "points": [[a, b, ...], ...]},
-    built directly: json.dumps with an indent runs the pure-Python encoder,
-    at about three times the cost."""
-    point = "    [\n" + ",\n".join(["      {}"] * dimension) + "\n    ]"
-    body = ",\n".join(starmap(point.format, points))
-    body = f"[\n{body}\n  ]" if body else "[]"
-    return f'{{\n  "dimension": {dimension},\n  "degree_cap": {cap},\n  "points": {body}\n}}\n'
+def _listing(points: Iterator[tuple], point: str, sep: str, head: str, tail: str,
+             empty: str) -> Iterator[str]:
+    """head, each point formatted by `point` and joined by `sep`, then
+    tail, in chunks of _CHUNK_POINTS points; `empty` alone when there is
+    no point. Only one chunk's text is held at a time."""
+    chunk = sep.join(starmap(point.format, islice(points, _CHUNK_POINTS)))
+    if not chunk:
+        yield empty
+        return
+    yield head + chunk
+    while chunk := sep.join(starmap(point.format, islice(points, _CHUNK_POINTS))):
+        yield sep + chunk
+    yield tail
 
 
 def _cmd_polylog(res: dict) -> str:
@@ -478,8 +495,22 @@ _COMMANDS: dict[str, _Command] = {
 
 
 def _run(argv: Optional[Sequence[str]]) -> int:
+    """Parse argv, run its subcommand and write what it returns: one
+    string, or (from `visible`) chunks written as they are produced.
+
+    An argv that starts with a subcommand's name goes straight to that
+    subcommand's parser. The top-level pass would only match the name and
+    hand every later argument on to the same parser, so the result, help
+    and error text are the same. Any other argv (empty, -h, an @PATH
+    first argument, an unknown command) goes through the top-level
+    parser."""
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is None:
+        args = parser.parse_args(argv)
+    else:
+        args = command.parse_args(argv[1:], argparse.Namespace(command=argv[0]))
     if args.command is None:
         parser.print_help(sys.stderr)
         return EXIT_USAGE
@@ -491,14 +522,15 @@ def _run(argv: Optional[Sequence[str]]) -> int:
             raise _UsageError(f"--{opt.name.replace('_', '-')} is required")
     _validate_common(res)
     text = _COMMANDS[args.command].run(res)
+    chunks = (text,) if isinstance(text, str) else text
     if res["output"]:
         try:
             with open(res["output"], "w", encoding="utf-8") as fh:
-                fh.write(text)
+                fh.writelines(chunks)
         except OSError as exc:
             raise _UsageError(f"cannot write output file {res['output']!r}: {exc}")
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     return EXIT_OK
 
 

@@ -6,8 +6,10 @@ import csv
 import io
 import json
 import math
+import runpy
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 import mpmath
@@ -392,25 +394,54 @@ def test_visible_csv(capsys):
     ]
 
 
-@pytest.mark.parametrize("dimension, cap", [(2, 0), (2, 1), (2, 2), (2, 5), (2, 60),
-                                            (3, 0), (3, 3), (3, 18)])
-def test_visible_output_matches_the_library_encoders(capsys, dimension, cap):
-    # the reference renderings: json.dumps with an indent, the csv module,
-    # and one space-joined line per point
+def _visible_reference(dimension, cap):
+    """visible's output in each format by the reference renderings:
+    json.dumps with an indent, the csv module, and one space-joined line
+    per point."""
     points = list(visible_points(dimension, cap))
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(("a", "b", "c")[:dimension])
     writer.writerows(points)
-    want = {
+    return {
         "json": json.dumps({"dimension": dimension, "degree_cap": cap,
                             "points": [list(p) for p in points]}, indent=2) + "\n",
         "csv": buf.getvalue(),
         "human": "\n".join(" ".join(str(c) for c in p) for p in points) + "\n",
     }
-    for fmt, text in want.items():
-        argv = ["visible", "--dimension", str(dimension), "--degree-cap", str(cap), "--format", fmt]
-        assert _run(capsys, argv) == (0, text, ""), fmt
+
+
+@pytest.mark.parametrize("dimension, cap", [(2, 0), (2, 1), (2, 2), (2, 5), (2, 60),
+                                            (3, 0), (3, 3), (3, 18)])
+def test_visible_output_matches_the_library_encoders(capsys, monkeypatch, dimension, cap):
+    # chunks of 3 points: a listing of one point, of exactly three chunks
+    # (2D cap 5 has nine points), and of many with a partial last one
+    want = _visible_reference(dimension, cap)
+    for chunk in (1024, 3):
+        monkeypatch.setattr("vpvlab.cli._CHUNK_POINTS", chunk)
+        for fmt, text in want.items():
+            argv = ["visible", "--dimension", str(dimension), "--degree-cap", str(cap),
+                    "--format", fmt]
+            assert _run(capsys, argv) == (0, text, ""), (fmt, chunk)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "human"])
+def test_visible_output_is_written_as_it_is_listed(tmp_path, fmt):
+    # the listing goes to the file a chunk at a time, so the peak stays
+    # far below the text it writes (the whole text is 0.8 to 3.6 MB here)
+    target = tmp_path / f"visible.{fmt}"
+    argv = ["visible", "--degree-cap", "600", "--format", fmt, "--output", str(target)]
+    _build_parser()  # built before tracing, so the peak counts the listing alone
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    text = target.read_text(encoding="utf-8")
+    assert code == 0
+    assert text == _visible_reference(2, 600)[fmt]
+    assert peak < len(text) / 4, (peak, len(text))
 
 
 @pytest.mark.parametrize("dimension, cap, limit", [(2, 6325, 6324), (2, 100000, 6324),
@@ -808,3 +839,56 @@ def test_reused_parser_matches_fresh_parser(tmp_path, capsys):
     assert codes.count(0) == 9 and codes.count(1) == 8
     assert codes.count(("SystemExit", 0)) == 2
     assert reused[12][3] is not None  # --output wrote the file
+
+
+_WORKLOADS = runpy.run_path(str(Path(__file__).resolve().parents[1] / "bench" / "workloads.py"))
+
+
+def _dispatch_argvs(tmp_path):
+    """Every argv of the cli benchmark batch at seeds 1-3 and its pinned
+    defects, then argv at the edges of the direct dispatch."""
+    command_file = tmp_path / "command.args"
+    command_file.write_text("verify2\n--s=2\n# the case\n\n--x=0.5\n--y=0.3\n")
+    flags_file = tmp_path / "flags.args"
+    flags_file.write_text("--s=2\n--x=0.5\n--y=0.3\n")
+    verify = ["verify2", "--s=2", "--x=0.5", "--y=0.3"]
+    ops = [op for seed in (1, 2, 3) for op in _WORKLOADS["cli_ops"](seed)]
+    return [list(op.argv) for op in ops + _WORKLOADS["pinned_defects"]()] + [
+        [], ["-h"], ["verify2", "-h"], ["nosuch"], ["nosuch", "--s=2"],
+        [f"@{command_file}"], [f"@{command_file}", "--format", "json"],
+        ["verify2", f"@{flags_file}"], ["visible", "--deg=5"], verify + ["--to=1e-9"],
+        ["verify2", "--s", "2", "--x", "0.5", "--y", "0.3"],
+        ["verify2", "--s=2", "--x=0.5", "--", "--y=0.3"],
+        verify + ["--bogus=1"], ["verify2", "--x=0.5", "--y=0.3"],
+    ]
+
+
+def test_direct_dispatch_matches_the_top_level_parser(tmp_path, capsys, monkeypatch):
+    argvs = _dispatch_argvs(tmp_path)
+    target = tmp_path / "out.txt"
+    direct = [_invoke(capsys, argv, target) for argv in argvs]
+    # with no subcommand parser to go to, every argv takes the top-level pass
+    monkeypatch.setattr(_build_parser(), "commands", {})
+    full = [_invoke(capsys, argv, target) for argv in argvs]
+    for argv, want, got in zip(argvs, full, direct):
+        assert got == want, argv
+    assert {r[0] for r in direct} >= {0, 1, 2, ("SystemExit", 0)}
+
+
+def test_a_command_argv_skips_the_top_level_parser(capsys, monkeypatch):
+    parser = _build_parser()
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return parse_known_args(*args, **kwargs)
+
+    parse_known_args = parser.parse_known_args
+    monkeypatch.setattr(parser, "parse_known_args", spy)
+    assert _run(capsys, ["visible", "--degree-cap", "3"]) == (0, "1 1\n1 2\n2 1\n", "")
+    assert _run(capsys, ["verify2", "--s=2"])[0] == 1
+    assert calls == []
+    with pytest.raises(SystemExit):
+        main(["-h"])
+    assert capsys.readouterr().out.startswith("usage: vpvlab [-h] command ...")
+    assert len(calls) == 1
