@@ -16,7 +16,7 @@ from itertools import count
 from typing import NamedTuple
 
 from .errors import ComputationError, DomainError
-from .numerics import _em_heads, em_sum, smallest_prime_factors
+from .numerics import smallest_prime_factors
 
 
 # ---------------------------------------------------------------------------
@@ -331,8 +331,8 @@ def _weights(s, n: int, width: int):
 
 
 def zeta_sum(s: float, n: int, bracket: Fraction, bits: int) -> Decimal:
-    """zeta(s) from the head k < n and the tail n^-s bracket (em_bracket),
-    rounded once to bits bits. The head is the polylog sum at z = 1; n^-s
+    """zeta(s) from the head k < n and the tail n^-s bracket (em_bracket at
+    Fraction(s)), rounded once to bits bits. The head is the polylog sum at z = 1; n^-s
     is exp(-s log2(n) ln 2), as n is 16 times a power of two, and the
     tail is left out where it is far below the head's truncation."""
     sf = Fraction(s)
@@ -344,16 +344,3 @@ def zeta_sum(s: float, n: int, bracket: Fraction, bits: int) -> Decimal:
         head += m * bracket * Fraction(2) ** e
     return _decimal(round_bits(head, bits), bits)
 
-
-def em_bracket(s: float, n: int, tol: float) -> tuple[Fraction, float]:
-    """(B, bound) with sum_{k >= n} k^-s = n^-s B within bound: the
-    Euler-Maclaurin tail of dirichlet_tail over its common factor n^-s,
-    B = n/(s - 1) + 1/2 + sum_j B_2j/(2j)! (s)_(2j-1) n^(1-2j), exact in
-    rationals. em_sum picks the corrections by comparing them with tol
-    in units of n^-s, and the bound is the first omitted one times n^-s,
-    in double."""
-    sf, unit = Fraction(s), float(n) ** -s
-    corrections = (head / n ** (2 * j - 1) for j, head in enumerate(_em_heads(sf), 1))
-    tol_in_units = tol / unit if unit else math.inf
-    bracket, omitted = em_sum(n / (sf - 1) + Fraction(1, 2), corrections, tol_in_units)
-    return bracket, float(omitted * Fraction(unit))

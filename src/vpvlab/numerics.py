@@ -1,6 +1,6 @@
 """Shared numeric kernels: exact block summation, the shared ln k table,
 the smallest-prime-factor sieve, accurate log(1-w), geometric-dominance
-tail bounds, and Euler-Maclaurin Dirichlet tails.
+tail bounds, and the Euler-Maclaurin tail of zeta in any arithmetic.
 
 Everything here is stated once and reused by the series and product
 evaluators, in every dimension.
@@ -254,10 +254,9 @@ def first_within(bound, tol: float, start: int, stop: int, guess: int):
 
 
 def _em_heads(s):
-    """B_2j/(2j)! (s)_(2j-1), j = 1, 2, ..., in the arithmetic of s (float,
-    or Fraction for exact ones): times n^(-s-2j+1), the j-th
-    Euler-Maclaurin correction of sum_{k >= n} k^-s. In double precision
-    they stop where (2j)! leaves the float range (j = 86)."""
+    """B_2j/(2j)! (s)_(2j-1), j = 1, 2, ..., in the arithmetic of s: times
+    n^(1-2j), the j-th Euler-Maclaurin correction of em_bracket. In double
+    precision they stop where (2j)! leaves the float range (j = 86)."""
     poch = s
     for j in count(1):
         b = _bernoulli(j)
@@ -269,48 +268,34 @@ def _em_heads(s):
         poch *= (s + 2 * j - 1) * (s + 2 * j)
 
 
-def dirichlet_tail(s: float, start: int, tol=math.inf):
-    """(value, remainder_bound) for sum_{k >= start} k^-s with real s > 1,
-    in double precision.
+def em_bracket(s, n: int, tol):
+    """(B, bound) with sum_{k >= n} k^-s = n^-s B within bound for real
+    s > 1: the Euler-Maclaurin bracket n/(s - 1) + 1/2 + sum_j B_2j/(2j)!
+    (s)_(2j-1) n^(1-2j), in the arithmetic of s (a float, a Fraction for an
+    exact B, or an mpmath mpf).
 
-    Euler-Maclaurin: integral term, half term, then the Bernoulli
-    corrections added by em_sum. The remainder bound is the magnitude of
-    the first omitted correction: every even derivative of x^-s is
-    positive, so the classical alternating-remainder result holds at any
-    number of corrections.
+    It takes the corrections through B_12, and one more for as long as
+    the first omitted one exceeds tol in units of n^-s and the next one is
+    smaller and not 0 (an underflow, or the end of the corrections). The
+    bound is the first omitted one times n^-s, rounded once to a float:
+    every even derivative of x^-s is positive, so the classical remainder
+    result holds at any number of corrections.
     """
-    if start < 1:
-        raise ValueError("start must be >= 1")
-    if not s > 1:
-        raise ValueError("dirichlet_tail requires s > 1")
-    n = float(start)
-    val = n ** (1 - s) / (s - 1) + 0.5 * n ** -s
-    # the j-th correction carries n^(-s-2j+1); from the seventh on its
-    # exponent is computed as -s - 2m - 1 with m = j - 1, which rounds
-    # differently, and the double values and bounds are pinned to that
-    # form. In double the corrections stop where (2j)! leaves the float
-    # range.
-    heads = _em_heads(s)
-    corrections = chain((head * n ** (-s - 2 * j + 1) for j, head in zip(range(1, 7), heads)),
-                        (head * n ** (-s - 2 * m - 1) for m, head in zip(count(6), heads)))
-    return em_sum(val, corrections, tol)
-
-
-def em_sum(val, corrections, tol):
-    """(val plus the leading corrections, |first omitted correction|): the
-    corrections through B_12, and one more for as long as the first
-    omitted one exceeds tol and the next one is smaller and not 0 (an
-    underflow, or the end of the corrections)."""
+    unit, x = float(n) ** -s, type(s)(n)
+    # x ** (1 - 2j): near TERM_CAP the int n ** (2j - 1) is past the float range
+    corrections = (head * x ** (1 - 2 * j) for j, head in enumerate(_em_heads(s), 1))
+    tol = tol / unit if unit else math.inf
+    bracket = x / (s - 1) + type(s)(1) / 2
     for correction in islice(corrections, 6):
-        val += correction
+        bracket += correction
     omitted = next(corrections)
     while not abs(omitted) <= tol:
         following = next(corrections, 0)
         if not 0 < abs(following) < abs(omitted):
             break
-        val += omitted
+        bracket += omitted
         omitted = following
-    return val, abs(omitted)
+    return bracket, float(abs(omitted) * type(s)(unit))
 
 
 def require_finite(value: complex, where: str) -> complex:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, chain, islice, repeat
 from operator import mul
@@ -18,7 +19,7 @@ from typing import NamedTuple
 from .errors import ComputationError, DomainError, NonConvergence
 from .numerics import (
     TERM_CAP,
-    dirichlet_tail,
+    em_bracket,
     exact_sum,
     first_within,
     log_table,
@@ -29,7 +30,7 @@ from .numerics import (
 
 # Arguments must stay this far inside the unit circle for the series.
 EPS_DOMAIN = 1e-3
-# Real zeta orders must exceed 1 by this margin.
+# Real zeta orders must be at least 1 + EPS_ZETA (in_zeta_domain).
 EPS_ZETA = 1e-3
 # Double polylog takes Li_{-n} from polylog_neg_int up to this n. Past it
 # the series refuses at once (3^n leaves the float range from n = 647),
@@ -115,7 +116,7 @@ def polylog(s: complex, z: complex, tol: float = 1e-12, *, dps: int | None = Non
     if r > 1.0 - EPS_DOMAIN:
         raise DomainError(f"|z| = {r!r} exceeds 1 - eps_domain = {1.0 - EPS_DOMAIN!r}")
     if z == 0:
-        return SeriesResult(0j if dps is None else extended.partial_sum(*exact, 0, bits), 1, 0.0)
+        return SeriesResult(0j if dps is None else extended.partial_sum(*exact, 0, bits), 0, 0.0)
     n = -s.real
     if dps is None and s.imag == 0 and n == round(n) and 0 <= n <= _ROUTED_NEG_ORDER_MAX:
         # the series of Li_{-n} can cancel to nothing in double (ROADMAP
@@ -296,20 +297,31 @@ def polylog_neg_int(n: int, z: complex) -> complex:
         ) from None
 
 
+def in_zeta_domain(s: float) -> bool:
+    """Whether zeta_real and zeta mode take the finite real order s."""
+    return s >= 1.0 + EPS_ZETA
+
+
+def zeta_bound(s: float) -> float:
+    """1 + 1/(s - 1) >= zeta(s) for real s > 1 (the integral test), so it
+    bounds every |sum_k c_k k^-s'| with |c_k| <= 1 at Re s' = s."""
+    return 1.0 + 1.0 / (s - 1.0)
+
+
 def zeta_real(s: float, tol: float = 1e-12, *, dps: int | None = None) -> SeriesResult:
     """zeta(s) for real s >= 1 + EPS_ZETA with a certified remainder.
 
     The head sum_{k < N} k^-s is summed as the polylog series is
     (exact_sum in double; in extended mode exactly in integers, as the
-    polylog sum at z = 1), and the tail from N is evaluated by
-    Euler-Maclaurin corrections; the reported tail_bound is the
-    classical first-omitted-correction remainder bound. From N = 16 and
-    six corrections, em_sum adds corrections while they still shrink,
-    and N doubles only when they stop shrinking before the bound meets
-    tol. Direct summation alone cannot reach 1e-12 for s = 2 within any
-    sane term budget, which is why the corrected tail is used. With dps
-    the value is a Decimal, the sum rounded once to working_bits(dps)
-    bits.
+    polylog sum at z = 1), and the tail from N is N^-s times em_bracket's
+    Euler-Maclaurin bracket, a float in double and exact in extended mode;
+    the reported tail_bound is the classical first-omitted-correction
+    remainder bound. From N = 16 and six corrections, em_bracket adds
+    corrections while they still shrink, and N doubles only when they stop
+    shrinking before the bound meets tol. Direct summation alone cannot
+    reach 1e-12 for s = 2 within any sane term budget, which is why the
+    corrected tail is used. With dps the value is a Decimal, the sum
+    rounded once to working_bits(dps) bits.
 
     Raises:
         DomainError: s not finite, too close to (or below) 1, or dps not
@@ -322,21 +334,22 @@ def zeta_real(s: float, tol: float = 1e-12, *, dps: int | None = None) -> Series
         raise DomainError("zeta_real takes a real order")
     _require_finite_input("s", s)
     s = float(s)
-    if s < 1.0 + EPS_ZETA:
+    if not in_zeta_domain(s):
         raise DomainError(f"zeta_real requires s >= 1 + {EPS_ZETA!r}, got {s!r}")
+    order = s
     if dps is not None:
         from . import extended
 
-        bits = extended.working_bits(dps)
+        bits, order = extended.working_bits(dps), Fraction(s)
     n = 16
     while True:
-        tail, rem = dirichlet_tail(s, n, tol) if dps is None else extended.em_bracket(s, n, tol)
+        bracket, rem = em_bracket(order, n, tol)
         if rem <= tol:
             break
         n *= 2
         if n > TERM_CAP:
             raise NonConvergence(f"zeta_real(s={s!r}) cannot meet tol={tol!r}")
     if dps is None:
-        value = exact_sum(map(pow, map(float, range(1, n)), repeat(-s))).real + tail
+        value = exact_sum(map(pow, map(float, range(1, n)), repeat(-s))).real + n ** -s * bracket
         return SeriesResult(require_finite(value, "zeta_real"), n - 1, rem)
-    return SeriesResult(extended.zeta_sum(s, n, tail, bits), n - 1, rem)
+    return SeriesResult(extended.zeta_sum(s, n, bracket, bits), n - 1, rem)

@@ -37,7 +37,8 @@ from .numerics import (
     require_finite,
     smallest_prime_factors,
 )
-from .polylog import EPS_DOMAIN, EPS_ZETA, polylog, polylog_neg_int, zeta_real
+from .polylog import (EPS_DOMAIN, EPS_ZETA, in_zeta_domain, polylog, polylog_neg_int,
+                      zeta_bound, zeta_real)
 
 # The most lattice points a case's level may enclose (_level_limit). At
 # equal moduli that is level 6324 in 2D and 493 in 3D.
@@ -87,7 +88,7 @@ class IdentityCase(_CaseFields):
 
     Operations read the orders and arguments as the `orders` and `args`
     tuples. 2D: orders (s, 1 - s) pair with arguments (x, y); x = 1
-    switches the first factor to zeta (requires real s > 1 + EPS_ZETA).
+    switches the first factor to zeta (requires real s >= 1 + EPS_ZETA).
     3D: orders (s, t, 1 - s - t) with arguments (x, y, z). Every order
     and argument must be finite.
     closed_form_id names a _CLOSED_FORM_CONSTANTS entry that replaces
@@ -123,9 +124,9 @@ class IdentityCase(_CaseFields):
         if self.x == 1:
             if self.dimension != 2:
                 raise DomainError("x = 1 is only supported in the 2D zeta mode")
-            if self.s.imag != 0.0 or self.s.real <= 1.0 + EPS_ZETA:
+            if self.s.imag != 0.0 or not in_zeta_domain(self.s.real):
                 raise DomainError(
-                    f"x = 1 needs real s > 1 + {EPS_ZETA!r} so the first factor is zeta(s)"
+                    f"x = 1 needs real s >= 1 + {EPS_ZETA!r} so the first factor is zeta(s)"
                 )
         for name, arg in zip("xyz", self.args):
             if abs(arg) > 1.0 - EPS_DOMAIN and not (name == "x" and self.is_zeta_mode):
@@ -273,14 +274,13 @@ tail_bound_2d = tail_bound_3d = _shell_tail
 
 
 def _zeta_mode_b_tail(s: complex, t: complex, y: complex, b_cap: int) -> float:
-    # dropped b > b_cap: |S_b| <= 1 + 1/(Re s - 1), per-b factor b^max(0,-Re t) r^b
+    # dropped b > b_cap: |S_b| <= zeta_bound(Re s), per-b factor b^max(0,-Re t) r^b
     r = abs(y)
     if r == 0.0:
         return 0.0
-    z_bound = 1.0 + 1.0 / (complex(s).real - 1.0)
     sigma_t = max(0.0, -complex(t).real)
     crowd = 1.0 / (1.0 - r ** (b_cap + 1))
-    return z_bound * crowd * power_geometric_tail(b_cap, sigma_t, r)
+    return zeta_bound(complex(s).real) * crowd * power_geometric_tail(b_cap, sigma_t, r)
 
 
 # ---------------------------------------------------------------------------
@@ -614,7 +614,7 @@ def _factor(
     """
     if leading and case.is_zeta_mode:
         sr = case.s.real
-        return 1.0 + 1.0 / (sr - 1.0), lambda tol: complex(zeta_real(sr, tol).value)
+        return zeta_bound(sr), lambda tol: complex(zeta_real(sr, tol).value)
     if leading and case.closed_form_id is not None:
         # Each constant stands for a Li_k(x) with k >= 1, so its magnitude
         # is at most Li_1(|x|) = -ln(1 - |x|); no evaluation is needed.
@@ -689,7 +689,7 @@ def _cap_guess(case: IdentityCase, tol: float) -> int:
     constants the bound divides it by (all but 1 - r^(cap+1), near 1)."""
     if case.is_zeta_mode:
         sigma_t = max(0.0, -case.orders[1].real)
-        return power_geometric_guess(sigma_t, abs(case.y), tol / (1.0 + 1.0 / (case.s.real - 1.0)))
+        return power_geometric_guess(sigma_t, abs(case.y), tol / zeta_bound(case.s.real))
     n = case.dimension
     r = max(map(abs, case.args))
     power = n - 1 + sum(max(0.0, -o.real) for o in case.orders)

@@ -90,7 +90,7 @@ def test_start_up_imports_neither_dataclasses_nor_inspect():
     (lambda: IdentityCase(2, .5, .9999, .3), "|x| = 0.9999 too close to the unit circle"),
     (lambda: IdentityCase(3, .5, 1, .3, t=.2, z=.3), "x = 1 is only supported in the 2D zeta mode"),
     (lambda: IdentityCase(2, 1.0005, 1, .3),
-     "x = 1 needs real s > 1 + 0.001 so the first factor is zeta(s)"),
+     "x = 1 needs real s >= 1 + 0.001 so the first factor is zeta(s)"),
     (lambda: TruncationSpec(0, 1e-8), "degree_cap must be a positive integer, got 0"),
     (lambda: TruncationSpec(5.0, 1e-8), "degree_cap must be a positive integer, got 5.0"),
     (lambda: TruncationSpec(5, 0), "tol must be positive"),

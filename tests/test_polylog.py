@@ -40,7 +40,7 @@ from vpvlab.extended import (
     _complex_product, _weights, _width, exact_parts, partial_sum, round_bits, working_bits,
 )
 from vpvlab.numerics import (
-    LOG1M_SERIES_MAX, dirichlet_tail, exact_sum, first_within, log1m, power_geometric_guess,
+    LOG1M_SERIES_MAX, em_bracket, exact_sum, first_within, log1m, power_geometric_guess,
     power_geometric_tail, smallest_prime_factors,
 )
 from vpvlab.polylog import _gaussian_power, _neg_order_log_floor, _neg_order_poly, polylog_partial
@@ -72,10 +72,12 @@ def _mp(value):
 
 
 def test_zero_argument_is_exactly_zero():
+    # no term is summed, in either precision
     for s in (1, 2, -3, 0.5 + 14.1j, -2.5 - 30j):
-        res = polylog(s, 0.0, 1e-12)
-        assert res.value == 0
-        assert res.tail_bound == 0.0
+        for dps in (None, 30):
+            res = polylog(s, 0.0, 1e-12, dps=dps)
+            assert complex(res.value) == 0
+            assert (res.terms_used, res.tail_bound) == (0, 0.0), (s, dps)
 
 
 def test_log_two_at_order_one():
@@ -714,7 +716,7 @@ def test_exact_sum_rounds_each_part_once_per_block(monkeypatch):
 def test_zeta_real_head_matches_the_per_term_sum(monkeypatch):
     # The head streams k^-s as float(k) ** -s, over blocks of 4 here so
     # every draw spans several; the value is the same bits as exact_sum
-    # over the per-term generator plus the tail at the same N.
+    # over the per-term generator plus n^-s times the bracket at the same N.
     monkeypatch.setattr(numerics, "_BLOCK", 4)
     rng = random.Random(4417)
     for _ in range(200):
@@ -722,7 +724,7 @@ def test_zeta_real_head_matches_the_per_term_sum(monkeypatch):
         res = zeta_real(s, tol)
         n = res.terms_used + 1
         head = exact_sum(float(k) ** -s for k in range(1, n)).real
-        assert res.value == head + dirichlet_tail(s, n, tol)[0], (s, tol)
+        assert res.value == head + n ** -s * em_bracket(s, n, tol)[0], (s, tol)
 
 
 def test_gaussian_power_matches_the_repeated_product():
@@ -773,11 +775,11 @@ def test_double_zeta_keeps_six_corrections_where_they_meet_tol():
     rng = random.Random(5521)
     for _ in range(100):
         s, tol = rng.uniform(1.01, 12), 10 ** rng.uniform(-15, -6)
-        tail, rem = dirichlet_tail(s, 16)
+        bracket, rem = em_bracket(s, 16, math.inf)
         assert rem <= tol
         head = math.fsum(float(k) ** -s for k in range(1, 16))
         res = zeta_real(s, tol)
-        assert (res.value, res.terms_used, res.tail_bound) == (head + tail, 15, rem), (s, tol)
+        assert (res.value, res.terms_used, res.tail_bound) == (head + 16 ** -s * bracket, 15, rem), (s, tol)
 
 
 def test_zeta_adds_corrections_before_doubling_the_head():
@@ -789,10 +791,14 @@ def test_zeta_adds_corrections_before_doubling_the_head():
         res = zeta_real(2.0, tol)
         assert res.terms_used == 15 and res.tail_bound <= tol
         assert abs(res.value - math.pi ** 2 / 6) <= res.tail_bound + 4 * _U * res.value
-    # In double the corrections end where (2j)! leaves the float range
-    # (j = 86), and no correction certifies 1e-300 before that.
+    # In units of N^-s the corrections stay in the float range (in absolute
+    # terms they underflowed, and 1e-300 was refused): 1e-300 is certified
+    # at N = 2^20. A tol below the normal float range is still refused.
+    res = zeta_real(2.0, 1e-300)
+    assert res.terms_used == 1_048_575 and res.tail_bound <= 1e-300
+    assert abs(res.value - math.pi ** 2 / 6) <= res.tail_bound + 4 * _U * res.value
     with pytest.raises(NonConvergence):
-        zeta_real(2.0, 1e-300)
+        zeta_real(2.0, 1e-310)
     # The extended audit's setting: 15 head terms where six corrections
     # took 127. At dps = 100 six corrections took 2,097,151 terms (41 s).
     assert zeta_real(3.0, 1e-28, dps=30).terms_used == 15
@@ -801,12 +807,82 @@ def test_zeta_adds_corrections_before_doubling_the_head():
     assert time.perf_counter() - t0 < 1.0
     with mpmath.workdps(110):
         assert abs(_mp(res.value) - mpmath.zeta(3)) <= res.tail_bound <= 1e-98
-    # dirichlet_tail's bound against the exact tail from 16 at 60 digits
+    # em_bracket's bound against the exact tail from 16 at 60 digits
     with mpmath.workdps(60):
         s = mpmath.mpf(3)
-        tail, rem = dirichlet_tail(s, 16, mpmath.mpf("1e-40"))
+        bracket, rem = em_bracket(s, 16, mpmath.mpf("1e-40"))
         exact = mpmath.zeta(s) - mpmath.fsum(mpmath.mpf(k) ** -s for k in range(1, 16))
-        assert abs(tail - exact) <= rem <= mpmath.mpf("1e-40")
+        assert abs(16 ** -s * bracket - exact) <= rem <= mpmath.mpf("1e-40")
+
+
+# zeta_real(s, tol, dps=dps) as (str(value), terms_used, tail_bound),
+# recorded when extended precision had an Euler-Maclaurin bracket of its
+# own; the bracket moved to numerics.em_bracket with every bit kept.
+_EXTENDED_ZETA = {
+    (3.0, 1e-28, 30): (
+        "1.20205690315959428539973816148667165084867514547114702381505266237660123",
+        15, 2.7402253104776426e-29),
+    (3.0, 1e-68, 70): (
+        "1.202056903159594285399738161511449990764986292340498881792271555341845907661882141574525902784411989250223264583",
+        31, 9.115821663657293e-69),
+    (3.0, 1e-98, 100): (
+        "1.202056903159594285399738161511449990764986292340498881792271555341838205786313090186455873609335258814685277621112823116398543829092007911523",
+        63, 7.075913493361796e-100),
+    (2.5, 1e-18, 20): (
+        "1.3414872572509171790436160402043563877327869704458862543106079",
+        15, 7.309337861972214e-19),
+    (7.25, 1e-40, 40): (
+        "1.00697220902574669939937371325853571595791492037893531674754523495768430703738702",
+        15, 8.999017168098884e-41),
+}
+
+
+def test_extended_zeta_keeps_its_digits():
+    for (s, tol, dps), want in _EXTENDED_ZETA.items():
+        res = zeta_real(s, tol, dps=dps)
+        assert (str(res.value), res.terms_used, res.tail_bound) == want, (s, tol, dps)
+
+
+# log2((N + 1) / 16) for the head of N terms that double zeta_real takes at
+# each draw of test_double_zeta_heads_are_pinned, recorded when double
+# precision had an Euler-Maclaurin tail of its own, in absolute terms.
+_DOUBLE_ZETA_HEADS = (
+    "01022021100001101100110000111110101111112111201200021001111210100111110021102111"
+    "10201001200011121112120000121100120120111111202002021110110000012112120011001201"
+    "10011210021110102021212111001100020101101110111200110120020202110111111010011110"
+    "11010111100000102222011111220110111111011210002101021010210201122102011101000101"
+    "12000100010100121012010201211201102001110121122011200012100010001010020001001100"
+    "00021010111111000011021110201100110102022121012100000010001110212000201121010011"
+    "01000111022010211001210111010001011000011111021102010020011111011101111210110101"
+    "01110101021011010201102111110111100022010011101112101000210100112111112121111111"
+    "12111012001100120202001110020002110101021001211011021011210110200111111112110101"
+    "00210021110001122001011101110121011111210001110000001000000201120101210001101011"
+    "11021011212000101110121221001000101100001011000201000021000011100000010111011121"
+    "01211001011000001101012101002111210200102101101011111200101221201010100022201011"
+    "11120000100011011000221010022101211112101101201001211201001211100101101011210001"
+    "12010100010120012101020101010111020222121001011001211101100010000111221210111021"
+    "12111112001211111001001200021000111000211011010202011112011120201110001100100102"
+    "22001102101011122010110101012011000210200111011101000111002012111012111122120100"
+    "11010021200000110112100220110100122101201100001011201200100212111201112110120211"
+    "00120101100120110012100010122000011002021110021101111012010101011100120100201112"
+    "01211121112010021210101011000210001100010101010001011012110010111121212002020001"
+    "02100120112111122122110021110111010111121101011010121000000100211221110001000202"
+    "10110100200022011011110200121200101011021000110012010121110121112000110111120000"
+    "00001210000010011011210100010111012020201112022202020111111020002112201121000102"
+    "10010000100101012010101012111100200120021011121002111001001222021121000101210101"
+    "11012000011011010210112110101111120002111000021111000221110102100200201110220221"
+    "01110001000010100210121011100000001001121101100122102201201002011221012100112101"
+)
+
+
+def test_double_zeta_heads_are_pinned():
+    rng = random.Random(2025)
+    heads = []
+    for _ in range(2000):
+        s, tol = rng.uniform(1.001, 12), 10 ** rng.uniform(-100, -4)
+        heads.append(str((zeta_real(s, tol).terms_used + 1).bit_length() - 5))
+    moved = [i for i, (a, b) in enumerate(zip(heads, "".join(_DOUBLE_ZETA_HEADS))) if a != b]
+    assert len(heads) == len("".join(_DOUBLE_ZETA_HEADS)) and not moved, moved[:10]
 
 
 def test_zeta_domain_checks():
@@ -1019,9 +1095,10 @@ def test_power_geometric_guess_is_an_int_up_to_the_float_range(p):
         assert isinstance(power_geometric_guess(p, r, target), int), (r, target)
 
 
-def test_dirichlet_tail_bound():
+def test_em_bracket_bound():
     # Tail sum of k^{-3} from 50 against the exact difference.
-    val, rem = dirichlet_tail(3.0, 50)
+    bracket, rem = em_bracket(3.0, 50, math.inf)
+    val = 50 ** -3.0 * bracket
     direct = ZETA3 - sum(k**-3.0 for k in range(1, 50))
     assert abs(val - direct) <= rem + 1e-15
     assert rem <= 1e-12

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vpvlab import (
+    EPS_ZETA,
     ComputationError,
     DomainError,
     IdentityCase,
@@ -126,6 +127,19 @@ def test_zeta_mode_gating():
         IdentityCase(2, 3 + 1j, 1.0, 0.5)  # zeta mode is real-order only
     with pytest.raises(DomainError):
         IdentityCase(3, 3.0, 1.0, 0.5, t=-1.0, z=0.2)  # 2D only
+
+
+def test_zeta_domain_is_one_inclusive_rule():
+    # s = 1 + EPS_ZETA is in zeta_real's domain and zeta mode's (zeta mode
+    # once refused it), and the double just below it is in neither
+    s = 1.0 + EPS_ZETA
+    assert zeta_real(s).terms_used == 15
+    assert verify(IdentityCase(2, s, 1.0, 0.3), 1e-8).passed
+    below = math.nextafter(s, 0.0)
+    with pytest.raises(DomainError):
+        zeta_real(below)
+    with pytest.raises(DomainError):
+        IdentityCase(2, below, 1.0, 0.3)
 
 
 def test_zero_argument_gives_zero_logs():
