@@ -17,7 +17,7 @@ import json
 import math
 import sys
 from itertools import islice, starmap
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import ComputationError, DomainError, NonConvergence, TailBoundExceedsTol
 from .explorer import (
@@ -171,11 +171,6 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _validate_common(res: dict) -> None:
-    if "tol" in res and not res["tol"] > 0:
-        raise DomainError(f"tol must be positive, got {res['tol']!r}")
-
-
 # ---------------------------------------------------------------------------
 # rendering: a record is one output row, ordered (column, value,
 # is_complex) triples; json and csv flatten every record the same way
@@ -226,15 +221,6 @@ def _json_record(record) -> dict:
             for name, v, cx in record}
 
 
-def _csv_text(header: Sequence[str], rows: Iterable[Sequence[object]],
-              comments: Sequence[str] = ()) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue() + "".join(f"# {comment}\n" for comment in comments)
-
-
 # csv stems of the audit's complex columns
 _CSV_STEMS = {
     "printed_form_value": "printed",
@@ -259,7 +245,11 @@ def _csv_records(records, comments: Sequence[str] = ()) -> str:
             else:
                 row += [None, None] if v is None else [v.real, v.imag]
         rows.append(row)
-    return _csv_text(header, rows, comments)
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue() + "".join(f"# {comment}\n" for comment in comments)
 
 
 def _human_line(line: str, record) -> str:
@@ -520,7 +510,8 @@ def _run(argv: Optional[Sequence[str]]) -> int:
     for opt in _COMMANDS[args.command].opts:
         if opt.required and res[opt.name] is None:
             raise _UsageError(f"--{opt.name.replace('_', '-')} is required")
-    _validate_common(res)
+    if "tol" in res and not res["tol"] > 0:
+        raise DomainError(f"tol must be positive, got {res['tol']!r}")
     text = _COMMANDS[args.command].run(res)
     chunks = (text,) if isinstance(text, str) else text
     if res["output"]:

@@ -3,12 +3,14 @@ the smallest-prime-factor sieve, accurate log(1-w), geometric-dominance
 tail bounds, and the Euler-Maclaurin tail of zeta in any arithmetic.
 
 Everything here is stated once and reused by the series and product
-evaluators, in every dimension.
+evaluators, in every dimension: certified_tail is the one rule for the
+float a certified tail reports.
 """
 from __future__ import annotations
 
 import cmath
 import math
+import sys
 from array import array
 from fractions import Fraction
 from itertools import chain, count, islice
@@ -16,9 +18,6 @@ from operator import attrgetter
 
 from .errors import ComputationError
 
-# Smallest positive bound reported instead of 0.0 when an underflowed
-# tail is known to be far below representable magnitudes.
-TINY_BOUND = 1e-300
 # Hard ceiling on summed terms per series; the ln k table grows no further.
 TERM_CAP = 10_000_000
 # Terms that exact_sum holds at once; each block's sum is rounded once.
@@ -129,6 +128,18 @@ def log1m(w: complex) -> complex:
     return cmath.log(1 - w)
 
 
+def certified_tail(bound) -> float:
+    """bound, a float, Fraction or mpf at least the exact remainder, as a
+    float at least the remainder: below the normal range, where rounding
+    is absolute, raised by the least positive float math.ulp(0.0), so it
+    is never 0.0 for a positive remainder; past the range, inf."""
+    try:
+        bound = float(bound)
+    except OverflowError:  # a Fraction past the float range
+        return math.inf
+    return bound if bound >= sys.float_info.min else bound + math.ulp(0.0)
+
+
 def power_geometric_tail(cap: int, p: float, r: float) -> float:
     """Upper bound on sum_{d > cap} d^p * r^d for 0 <= r < 1, p >= 0.
 
@@ -137,6 +148,7 @@ def power_geometric_tail(cap: int, p: float, r: float) -> float:
     geometric series t0 * (1 + q + q^2 + ...) with t0 the first dropped
     term. Returns inf when q >= 1 (cap not yet past the peak) or when
     the bound is past the float range; the caller then increases cap.
+    It is 0.0 at r = 0 and, by certified_tail, positive at every other r.
     """
     if r < 0 or r >= 1:
         raise ValueError("r must lie in [0, 1)")
@@ -150,15 +162,16 @@ def power_geometric_tail(cap: int, p: float, r: float) -> float:
         return math.inf
     # Log-space first term avoids overflow of (cap+1)^p at large p.
     log_t0 = p * math.log(cap + 1) + (cap + 1) * math.log(r)
-    if log_t0 < -740.0:
-        return TINY_BOUND
-    # exp(log(...)) can land an ulp under the exact tail; inflate so the
-    # result stays a true upper bound (|log_t0| <= 740 keeps the
-    # round-trip relative error well under 1e-12).
     try:
-        return math.exp(log_t0) / (1.0 - q) * (1.0 + 1e-12) + TINY_BOUND
+        t0 = math.exp(log_t0)
     except OverflowError:
         return math.inf
+    # exp(log(...)) can land an ulp under the exact tail; inflate so the
+    # result stays a true upper bound. A t0 below the normal range has
+    # lost its relative accuracy, so there 1 - q divides in log space.
+    if t0 >= sys.float_info.min:  # then so is the quotient
+        return t0 / (1.0 - q) * (1.0 + 1e-12)
+    return certified_tail(math.exp(log_t0 - math.log1p(-q)) * (1.0 + 1e-12))
 
 
 def power_geometric_guess(p: float, r: float, target: float) -> int:
@@ -175,8 +188,7 @@ def power_geometric_guess(p: float, r: float, target: float) -> int:
     bound's root lies further out, and two chord steps on its log, with
     the same slope, reach it. On 20,000 random draws with p <= 500, r in
     [0.01, 0.999] and target in [1e-30, 0.1] the guess was the first cap
-    every time; it can miss by a few near the peak, and where target
-    nears the TINY_BOUND that the bound adds.
+    every time; it can miss by a few near the peak.
     """
     if not (0.0 < r < 1.0 and target > 0.0):
         return 0
@@ -277,14 +289,19 @@ def em_bracket(s, n: int, tol):
     It takes the corrections through B_12, and one more for as long as
     the first omitted one exceeds tol in units of n^-s and the next one is
     smaller and not 0 (an underflow, or the end of the corrections). The
-    bound is the first omitted one times n^-s, rounded once to a float:
-    every even derivative of x^-s is positive, so the classical remainder
-    result holds at any number of corrections.
+    bound is the first omitted one times n^-s: every even derivative of
+    x^-s is positive, so the classical remainder result holds at any
+    number of corrections. Once the float n^-s underflows, B is 0 and the
+    bound is the integral test's n^-s (1 + n/(s - 1)); by certified_tail
+    neither is ever 0.0 or nan.
     """
-    unit, x = float(n) ** -s, type(s)(n)
+    unit = float(n) ** -s
+    if unit < sys.float_info.min:
+        return type(s)(0), certified_tail(math.exp(math.log1p(n / (s - 1)) - s * math.log(n)))
+    x = type(s)(n)
     # x ** (1 - 2j): near TERM_CAP the int n ** (2j - 1) is past the float range
     corrections = (head * x ** (1 - 2 * j) for j, head in enumerate(_em_heads(s), 1))
-    tol = tol / unit if unit else math.inf
+    tol = tol / unit
     bracket = x / (s - 1) + type(s)(1) / 2
     for correction in islice(corrections, 6):
         bracket += correction
@@ -295,7 +312,7 @@ def em_bracket(s, n: int, tol):
             break
         bracket += omitted
         omitted = following
-    return bracket, float(abs(omitted) * type(s)(unit))
+    return bracket, certified_tail(abs(omitted) * type(s)(unit))
 
 
 def require_finite(value: complex, where: str) -> complex:

@@ -56,6 +56,19 @@ def _require_finite_input(name: str, x) -> None:
         raise DomainError(f"{name} = {x!r} is not finite")
 
 
+def finite_complex(name: str, x) -> complex:
+    """complex(x), or DomainError where x is not finite: checked as
+    converted, or as given where complex() refuses it (a Decimal sNaN)."""
+    try:
+        value = complex(x)
+    except ValueError:
+        _require_finite_input(name, x)
+        raise
+    if not cmath.isfinite(value):
+        raise DomainError(f"{name} = {value!r} is not finite")
+    return value
+
+
 class SeriesResult(NamedTuple):
     """A certified series evaluation.
 
@@ -105,7 +118,7 @@ def polylog(s: complex, z: complex, tol: float = 1e-12, *, dps: int | None = Non
     _require_finite_input("s", s)
     _require_finite_input("z", z)
     if dps is None:
-        s, z = complex(s), complex(z)
+        s, z = finite_complex("s", s), finite_complex("z", z)
     else:
         from . import extended
 
@@ -256,11 +269,7 @@ def polylog_neg_int(n: int, z: complex) -> complex:
     """
     if not isinstance(n, int) or isinstance(n, bool) or n < 0:
         raise DomainError(f"polylog_neg_int expects an integer n >= 0, got {n!r}")
-    # checked as given, so a Decimal sNaN is refused before complex()
-    # signals on it, and again as converted, so a string 'nan' is too
-    _require_finite_input("z", z)
-    z = complex(z)
-    _require_finite_input("z", z)
+    z = finite_complex("z", z)
     if z == 1:
         raise DomainError("z = 1 is the pole of Li_{-n}")
     if z == 0:
@@ -316,7 +325,8 @@ def zeta_real(s: float, tol: float = 1e-12, *, dps: int | None = None) -> Series
     polylog sum at z = 1), and the tail from N is N^-s times em_bracket's
     Euler-Maclaurin bracket, a float in double and exact in extended mode;
     the reported tail_bound is the classical first-omitted-correction
-    remainder bound. From N = 16 and six corrections, em_bracket adds
+    remainder bound, or the integral test's once N^-s underflows, and
+    never 0.0 or nan (numerics.certified_tail). From N = 16 and six corrections, em_bracket adds
     corrections while they still shrink, and N doubles only when they stop
     shrinking before the bound meets tol. Direct summation alone cannot
     reach 1e-12 for s = 2 within any sane term budget, which is why the

@@ -24,21 +24,11 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 from .errors import ComputationError, DomainError, TailBoundExceedsTol
 from .forms import _PRINTED_FORMS, _evaluate, _term_values
-from .numerics import (
-    _BLOCK,
-    LOG1M_SERIES_MAX,
-    TERM_CAP,
-    exact_sum,
-    first_within,
-    log1m,
-    log_table,
-    power_geometric_guess,
-    power_geometric_tail,
-    require_finite,
-    smallest_prime_factors,
-)
-from .polylog import (EPS_DOMAIN, EPS_ZETA, in_zeta_domain, polylog, polylog_neg_int,
-                      zeta_bound, zeta_real)
+from .numerics import (_BLOCK, LOG1M_SERIES_MAX, TERM_CAP, certified_tail, exact_sum, first_within,
+                       log1m, log_table, power_geometric_guess, power_geometric_tail,
+                       require_finite, smallest_prime_factors)
+from .polylog import (EPS_DOMAIN, EPS_ZETA, finite_complex, in_zeta_domain, polylog,
+                      polylog_neg_int, zeta_bound, zeta_real)
 
 # The most lattice points a case's level may enclose (_level_limit). At
 # equal moduli that is level 6324 in 2D and 493 in 3D.
@@ -103,47 +93,36 @@ class IdentityCase(_CaseFields):
         # a bool is an int, but neither True nor False is 2 or 3
         if not isinstance(dimension, int) or dimension not in (2, 3):
             raise DomainError(f"dimension must be 2 or 3, got {dimension!r}")
-        s, x, y = complex(s), complex(x), complex(y)
-        if dimension == 2:
-            if t is not None or z is not None:
-                raise DomainError("2D cases derive t = 1 - s and take no z")
-        else:
-            if t is None or z is None:
-                raise DomainError("3D cases need explicit t and z")
-            t, z = complex(t), complex(z)
-        for name, value in zip("stxyz", (s, t, x, y, z)):
-            if value is not None and not cmath.isfinite(value):
-                raise DomainError(f"{name} = {value!r} is not finite")
+        if dimension == 2 and (t is not None or z is not None):
+            raise DomainError("2D cases derive t = 1 - s and take no z")
+        if dimension == 3 and (t is None or z is None):
+            raise DomainError("3D cases need explicit t and z")
+        given = zip("stxyz", (s, t, x, y, z))
+        s, t, x, y, z = [None if v is None else finite_complex(name, v) for name, v in given]
         self = super().__new__(cls, dimension, s, x, y, t, z, closed_form_id, label)
-        if closed_form_id is not None:
-            self._check_closed_form()
-        self._check_args()
-        return self
-
-    def _check_args(self) -> None:
-        if self.x == 1:
-            if self.dimension != 2:
+        cid = closed_form_id
+        if cid is not None:
+            if cid not in _CLOSED_FORM_CONSTANTS:
+                raise DomainError(f"unknown closed_form_id {cid!r}")
+            if self.is_zeta_mode:
+                raise DomainError(f"closed_form_id {cid!r} does not apply in zeta mode (x = 1)")
+            order, arg, _ = _CLOSED_FORM_CONSTANTS[cid]
+            if (s, x) != (order, arg):
+                raise DomainError(
+                    f"closed_form_id {cid!r} stands for Li_{order}({arg}), "
+                    f"not Li_s(x) at s={s!r}, x={x!r}"
+                )
+        if x == 1:
+            if dimension != 2:
                 raise DomainError("x = 1 is only supported in the 2D zeta mode")
-            if self.s.imag != 0.0 or not in_zeta_domain(self.s.real):
+            if s.imag != 0.0 or not in_zeta_domain(s.real):
                 raise DomainError(
                     f"x = 1 needs real s >= 1 + {EPS_ZETA!r} so the first factor is zeta(s)"
                 )
         for name, arg in zip("xyz", self.args):
             if abs(arg) > 1.0 - EPS_DOMAIN and not (name == "x" and self.is_zeta_mode):
                 raise DomainError(f"|{name}| = {abs(arg)!r} too close to the unit circle")
-
-    def _check_closed_form(self) -> None:
-        cid = self.closed_form_id
-        if cid not in _CLOSED_FORM_CONSTANTS:
-            raise DomainError(f"unknown closed_form_id {cid!r}")
-        if self.is_zeta_mode:
-            raise DomainError(f"closed_form_id {cid!r} does not apply in zeta mode (x = 1)")
-        order, arg, _ = _CLOSED_FORM_CONSTANTS[cid]
-        if (self.s, self.x) != (order, arg):
-            raise DomainError(
-                f"closed_form_id {cid!r} stands for Li_{order}({arg}), "
-                f"not Li_s(x) at s={self.s!r}, x={self.x!r}"
-            )
+        return self
 
     @property
     def orders(self) -> tuple[complex, ...]:
@@ -256,7 +235,8 @@ def _shell_tail(orders: Sequence[complex], args: Sequence[complex], level: int) 
     level, whose dropped points all lie past the weighted level too. The
     float mu_i are within a few ulp of the exact ratios, which moves r^m
     by under 1e-12 relative wherever r^m is above the float range's
-    floor; the point count overshoots by far more.
+    floor; the point count overshoots by far more. The quotient leaves
+    by certified_tail, so below the float range it is never 0.0.
     """
     # Every term carries prod x_i^a_i with all a_i >= 1, so a zero
     # argument kills the whole sum and the zero bound is exact.
@@ -265,8 +245,8 @@ def _shell_tail(orders: Sequence[complex], args: Sequence[complex], level: int) 
     n = len(args)
     r = max(abs(complex(x)) for x in args)
     power = n - 1 + sum(max(0.0, -complex(o).real) for o in orders)
-    tail = power_geometric_tail(level, power, r)
-    return tail / (r * (1.0 - r ** level) * math.factorial(n - 1) * math.prod(_decay_ratios(args)))
+    scale = r * (1.0 - r ** level) * math.factorial(n - 1) * math.prod(_decay_ratios(args))
+    return certified_tail(power_geometric_tail(level, power, r) / scale)
 
 
 # the names _tail_bound calls _shell_tail by, for the bench (ROADMAP item 1)
@@ -276,8 +256,6 @@ tail_bound_2d = tail_bound_3d = _shell_tail
 def _zeta_mode_b_tail(s: complex, t: complex, y: complex, b_cap: int) -> float:
     # dropped b > b_cap: |S_b| <= zeta_bound(Re s), per-b factor b^max(0,-Re t) r^b
     r = abs(y)
-    if r == 0.0:
-        return 0.0
     sigma_t = max(0.0, -complex(t).real)
     crowd = 1.0 / (1.0 - r ** (b_cap + 1))
     return zeta_bound(complex(s).real) * crowd * power_geometric_tail(b_cap, sigma_t, r)
@@ -581,8 +559,6 @@ lhs_log_product_2d = lhs_log_product_3d = lhs_log_product
 
 def _series_magnitude_bound(order: complex, arg: complex) -> float:
     r = abs(arg)
-    if r == 0.0:
-        return 0.0
     sigma_minus = max(0.0, -complex(order).real)
     bound = power_geometric_tail(0, sigma_minus, r)
     if bound == math.inf:
@@ -640,7 +616,8 @@ def rhs_factors(case: IdentityCase, tol: float = 1e-12) -> tuple[complex, ...]:
 
     Raises ComputationError before any factor is evaluated when one
     factor's magnitude estimate is past the float range, which would
-    leave its cofactors no tolerance.
+    leave its cofactors no tolerance, and when a factor's share of tol
+    underflows to 0.0.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
@@ -648,14 +625,17 @@ def rhs_factors(case: IdentityCase, tol: float = 1e-12) -> tuple[complex, ...]:
     if math.inf in [est for est, _ in factors]:
         raise ComputationError("a right-side factor's magnitude estimate is past the float range")
     ests = [max(1.0, est) for est, _ in factors]
-    values = []
-    for i, (_, evaluate) in enumerate(factors):
-        cofactor = 1.0
-        for j, e in enumerate(ests):
-            if j != i:
-                cofactor *= e
-        values.append(evaluate(tol / (2 * len(factors) * max(1.0, cofactor))))
-    return tuple(values)
+    # each cofactor, a product of estimates >= 1, is at least 1
+    return tuple(evaluate(_tol_share(tol, 2 * len(factors) * math.prod(ests[:i] + ests[i + 1:])))
+                 for i, (_, evaluate) in enumerate(factors))
+
+
+def _tol_share(tol: float, parts: float) -> float:
+    """tol / parts; ComputationError (exit 2) where a positive tol's share underflows to 0.0."""
+    share = tol / parts
+    if share == 0.0 < tol:
+        raise ComputationError(f"the tolerance share {tol!r}/{parts!r} underflows to 0.0")
+    return share
 
 
 def _rhs_product(factors: Sequence[complex]) -> complex:
@@ -732,11 +712,10 @@ def verify(case: IdentityCase, tol: float) -> IdentityReport:
     abs_err <= 3 * tol, is the report's `passed`; the report comes back
     either way, so callers must check it.
     """
-    if not tol > 0:
-        raise ValueError("tol must be positive")
-    factors = rhs_factors(case, tol / 2)
+    half = _tol_share(tol, 2)
+    factors = rhs_factors(case, half)
     rhs = _rhs_product(factors)
-    cap = choose_degree_cap(case, tol / 2)
+    cap = choose_degree_cap(case, half)
     lhs, bound, terms = _eval_lhs(case, cap)
     abs_err = abs(lhs - rhs)
     rel_err = abs_err / max(abs(rhs), REL_ERR_FLOOR)

@@ -659,6 +659,8 @@ _OVERFLOW_ARGV = [
 @example(_OVERFLOW_ARGV[8])
 @example(_OVERFLOW_ARGV[9])
 @example(_OVERFLOW_ARGV[10])
+# tol/2 underflows to 0.0: a typed refusal naming the share, not exit 1
+@example(["verify2", "--s=2", "--x=0.5", "--y=0.3", "--tol=5e-324"])
 def test_cli_exit_code_contract(argv):
     # Legitimate input gets a value (exit 0) or a typed refusal (exit 1 or
     # 2), never an internal error; a refusal prints nothing on stdout and
@@ -689,6 +691,21 @@ def test_overflow_at_extreme_orders_is_a_tolerance_error(capsys, argv):
     code, out, err = _run(capsys, argv)
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify2", "--s=2", "--x=0.5", "--y=0.3", "--tol=5e-324"],  # tol/2 is 0.0
+    ["verify2", "--s=2", "--x=0.5", "--y=0.3", "--tol=1e-323"],  # a factor's share is 0.0
+    ["verify2", "--s=2", "--x=1", "--y=0.3", "--tol=1e-323"],
+])
+def test_an_underflowing_tolerance_share_is_a_tolerance_error(capsys, argv):
+    # verify halves tol and rhs_factors divides each half among the
+    # factors; a share that rounds to 0.0 cannot be met, and was refused
+    # with exit 1 as if tol were not positive.
+    code, out, err = _run(capsys, argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: the tolerance share ") and err.count("error:") == 1
+    assert err.endswith(" underflows to 0.0\n")
 
 
 def test_tolerance_validation(capsys):

@@ -934,6 +934,15 @@ def test_non_finite_input_is_a_domain_error(value, where, dps):
             call()
 
 
+@pytest.mark.parametrize("text", ["nan", "inf", "-inf", "nan+1j"])
+def test_a_non_finite_string_is_a_domain_error_in_double(text):
+    # Checked as complex() parses it. Unchecked, 'nan' as the order raised
+    # a bare ValueError, and as the argument searched to TERM_CAP.
+    for call in (lambda: polylog(text, 0.5), lambda: polylog(2, text)):
+        with pytest.raises(DomainError, match="is not finite"):
+            call()
+
+
 @pytest.mark.parametrize("z", [math.nan, math.inf, complex(0, math.inf), complex(math.nan, 0),
                                "nan", Decimal("-Infinity")])
 def test_neg_int_non_finite_argument_is_a_domain_error(z):
@@ -1093,6 +1102,27 @@ def test_power_geometric_guess_is_an_int_up_to_the_float_range(p):
     # give a start, not take ceil(nan) or the log of a negative iterate.
     for r, target in product([1e-19, 0.18, 0.5, 0.998], [1e-300, 1e-12, 1e90]):
         assert isinstance(power_geometric_guess(p, r, target), int), (r, target)
+
+
+def test_tolerances_down_to_the_least_positive_float_certify():
+    # No floor is added to a tail bound, so a tol below 1e-300 is met
+    # where the tail is: Li_2(1/2) at 1e-301 after about 1,000 terms, as at
+    # 1e-299 after 994, and at the least positive float after 1,075.
+    for tol, terms in ((1e-299, 994), (1e-301, 1000), (5e-324, 1075)):
+        res = polylog(2, 0.5, tol)
+        assert res.terms_used == terms and 0 < res.tail_bound <= tol, (tol, res)
+        assert res.value == polylog(2, 0.5, 1e-299).value
+    # Where n^-s underflows zeta(s) is 1.0 to double precision, and the
+    # bound is the integral test's, rounded up to the least positive float:
+    # never 0.0 (from an underflowed n^-s) or nan (from an overflowed
+    # Pochhammer factor times it), so large orders certify.
+    for s in (800.0, 1e24, 1e300):
+        for tol in (1e-12, 5e-324):
+            res = zeta_real(s, tol)
+            assert (res.value, res.terms_used, res.tail_bound) == (1.0, 15, 5e-324), (s, tol)
+    res = zeta_real(800.0, dps=30)
+    assert res.value == 1 and 0 < res.tail_bound <= 1e-12
+    assert em_bracket(Fraction(800), 16, 1e-12) == (0, 5e-324)
 
 
 def test_em_bracket_bound():

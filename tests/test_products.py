@@ -7,6 +7,7 @@ import math
 import random
 import time
 import tracemalloc
+from decimal import Decimal
 from fractions import Fraction
 
 import mpmath
@@ -70,19 +71,23 @@ _NAN, _INF = float("nan"), float("inf")
 
 
 @pytest.mark.parametrize("name, build", [
-    ("s", lambda: IdentityCase(2, _NAN, 0.3, 0.3)),
-    ("t", lambda: IdentityCase(3, 1.0, 0.2, 0.2, t=_NAN, z=0.2)),
-    ("s", lambda: IdentityCase(2, _INF, 0.3, 0.3)),
-    ("s", lambda: IdentityCase(2, -_INF, 0.3, 0.3)),
-    ("x", lambda: IdentityCase(2, 2.0, _NAN, 0.3)),
-    ("y", lambda: IdentityCase(2, 2.0, 0.3, _NAN)),
-    ("s", lambda: IdentityCase(2, complex(2.0, _INF), 0.3, 0.3)),
+    ("s", lambda v=_NAN: IdentityCase(2, v, 0.3, 0.3)),
+    ("t", lambda v=_NAN: IdentityCase(3, 1.0, 0.2, 0.2, t=v, z=0.2)),
+    ("s", lambda v=_INF: IdentityCase(2, v, 0.3, 0.3)),
+    ("s", lambda v=-_INF: IdentityCase(2, v, 0.3, 0.3)),
+    ("x", lambda v=_NAN: IdentityCase(2, 2.0, v, 0.3)),
+    ("y", lambda v=_NAN: IdentityCase(2, 2.0, 0.3, v)),
+    ("s", lambda v=complex(2.0, _INF): IdentityCase(2, v, 0.3, 0.3)),
+    ("z", lambda v=_NAN: IdentityCase(3, 1.0, 0.2, 0.2, t=1.0, z=v)),
 ])
 def test_non_finite_order_or_argument_is_a_domain_error(name, build):
     # Refused at construction, so verify never meets them deep inside (as a
     # bare ValueError or OverflowError, or a ComputationError naming no input).
-    with pytest.raises(DomainError, match=f"^{name} = .* is not finite$"):
-        build()
+    # A Decimal NaN or sNaN in the same place is refused alike: complex()
+    # raised a bare ValueError on the sNaN.
+    for value in ((), (Decimal("NaN"),), (Decimal("sNaN"),)):
+        with pytest.raises(DomainError, match=f"^{name} = .* is not finite$"):
+            build(*value)
 
 
 def test_printed_closed_form_constants_keep_their_values():
