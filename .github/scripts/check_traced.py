@@ -56,8 +56,8 @@ if workload == "cli":
         sys.exit("cli --trace 1: cli.exit_code.0/1/2/3 " + str(codes) + ", expected (108, 12, 0, 0) at seed 1")
     # Any change to what the CLI prints on the batch argv moves the byte count.
     out_bytes = report["metrics"]["cli.out_bytes"]["value"]
-    if out_bytes != 123522:
-        sys.exit("cli --trace 1: cli.out_bytes " + str(out_bytes) + ", expected 123522 at seed 1")
+    if out_bytes != 123511:
+        sys.exit("cli --trace 1: cli.out_bytes " + str(out_bytes) + ", expected 123511 at seed 1")
 # One pinned defect (the polylog phase case) is open; lower this as defects close.
 open_defects = report["metrics"]["cli.pinned_defects_open"]["value"]
 if open_defects > 1:

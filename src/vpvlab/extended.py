@@ -198,9 +198,11 @@ class DecimalComplex(NamedTuple):
 def exact_parts(x, bits: int) -> tuple[Fraction, Fraction]:
     """The real and imaginary parts of a finite x, each rounded to bits
     significant bits, ties to even. x is a Python number, a Decimal, a
-    Fraction or a DecimalComplex; an mpmath mpf or mpc is read exactly
-    from its raw (sign, mantissa, exponent, bit count) parts, without
-    importing mpmath, so an mpmath order keeps its digits."""
+    Fraction, a DecimalComplex or a string, which is read as complex()
+    parses it; an mpmath mpf or mpc is read exactly from its raw (sign,
+    mantissa, exponent, bit count) parts, without importing mpmath, so an
+    mpmath order keeps its digits."""
+    x = complex(x) if isinstance(x, str) else x
     raw = getattr(x, "_mpc_", None) or ((x._mpf_, (0, 0, 0, 0)) if hasattr(x, "_mpf_") else None)
     if raw is None:
         parts = Fraction(x.real), Fraction(x.imag)

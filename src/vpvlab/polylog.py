@@ -46,7 +46,7 @@ def _require_finite_input(name: str, x) -> None:
     """DomainError unless both parts of x are finite. The parts are
     compared, not converted, so a Decimal or an mpmath number is checked
     as it is given (a NaN is the one value unequal to itself). A string,
-    which has no parts, is left to complex() or float() to parse."""
+    which has no parts, is left to complex() to parse."""
     re, im = getattr(x, "real", 0), getattr(x, "imag", 0)
     try:
         finite = re == re and im == im and re not in _INFINITIES and im not in _INFINITIES
@@ -108,22 +108,20 @@ def polylog(s: complex, z: complex, tol: float = 1e-12, *, dps: int | None = Non
     tail_bound 0.0.
 
     Raises:
-        DomainError: |z| too large, s or z not finite, or dps not a
+        DomainError: |z| too large, s or z not a finite double, or dps not a
             positive int.
         NonConvergence: tolerance unreachable within TERM_CAP terms.
         ComputationError: the value leaves the float range.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
-    _require_finite_input("s", s)
-    _require_finite_input("z", z)
-    if dps is None:
-        s, z = finite_complex("s", s), finite_complex("z", z)
-    else:
+    given = s, z
+    s, z = finite_complex("s", s), finite_complex("z", z)
+    if dps is not None:
         from . import extended
 
         bits = extended.working_bits(dps)
-        exact = extended.exact_parts(s, bits), extended.exact_parts(z, bits)
+        exact = [extended.exact_parts(x, bits) for x in given]
         s, z = (complex(*map(float, parts)) for parts in exact)
     r = abs(z)
     if r > 1.0 - EPS_DOMAIN:
@@ -334,16 +332,16 @@ def zeta_real(s: float, tol: float = 1e-12, *, dps: int | None = None) -> Series
     rounded once to working_bits(dps) bits.
 
     Raises:
-        DomainError: s not finite, too close to (or below) 1, or dps not
+        DomainError: s not a finite double, too close to (or below) 1, or dps not
             a positive int.
         NonConvergence: no admissible N within TERM_CAP meets tol.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
-    if isinstance(s, complex):
+    value = finite_complex("s", s)
+    if isinstance(s, complex) or value.imag:
         raise DomainError("zeta_real takes a real order")
-    _require_finite_input("s", s)
-    s = float(s)
+    s = value.real
     if not in_zeta_domain(s):
         raise DomainError(f"zeta_real requires s >= 1 + {EPS_ZETA!r}, got {s!r}")
     order = s

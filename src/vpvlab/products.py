@@ -38,9 +38,9 @@ _ZETA_MODE_LEVEL_MAX = 4000
 # Relative error denominators are floored here to avoid division blowups.
 REL_ERR_FLOOR = 1e-300
 # (d, mu(d)) for the squarefree d that divide g, at index g >= 1, grown by
-# _squarefree_divisors on first need. The work budget keeps the row gcds
-# of verify's kernel calls below about 6,325, so the table stays within a
-# few MB; a direct product_log_sum call past the budget grows it further.
+# _squarefree_divisors to the longest row of the axes before the last. The
+# work budget keeps those below about 6,325 in verify's kernel calls, so the
+# table stays within a few MB; a direct product_log_sum call grows it further.
 _DIVISORS: list[list[tuple[int, int]]] = [[], [(1, 1)]]
 
 
@@ -303,7 +303,7 @@ def product_log_sum(
     """Sum of -prod a_i^-s_i log(1 - prod x_i^a_i) over visible points
     (a_1, ..., a_n) with a_1 mu_1 + ... + a_n mu_n <= degree_cap, for n >= 2.
     Every |x_i| must be below 1 (DomainError otherwise); 0 is allowed. A
-    weight a^-s_i past the float range is a ComputationError.
+    weight a^-s_i that a point needs past the float range is a ComputationError.
 
     Returns (value, number of product factors summed). Orders are taken
     as given; the product equals exp(prod Li_s_i(x_i)) only when the
@@ -337,9 +337,9 @@ def product_log_sum(
 
     The walk keeps the coordinates before the last head axis on a stack
     and runs the rows of that axis in a loop, from its largest coordinate
-    down, the order in which a stack of rows would pop them. When the
-    first axis has no coordinate the region is empty, and the call
-    returns (0j, 0) before it builds any table.
+    down, the order in which a stack of rows would pop them. The tables run
+    to each axis's longest row (every other coordinate at 1): an empty
+    region builds tables of one entry, a nearly empty one its short rows.
     """
     n = len(orders)
     if n < 2 or len(args) != n:
@@ -356,11 +356,10 @@ def product_log_sum(
     # covers the rounding of the running budget, so no point of the region
     # is lost; at equal moduli every budget is an exact integer
     slack = 1e-9 * degree_cap
-    if int((degree_cap - later[0] + slack) / mu[0]) < 1:
-        # the walk's first axis has no coordinate: the region is empty
-        return 0j, 0
-    tops = [max(0, int(degree_cap / m)) + 1 for m in mu]
-    ln = log_table(tops[-1])
+    # each axis's longest row, reached with every other coordinate at 1; a
+    # second slack keeps the walk's rounded budgets inside every table
+    tops = [max(0, int((degree_cap - (later[0] + mu[0] - m) + 2 * slack) / m)) for m in mu]
+    ln = log_table(max(tops))
     try:
         weights = [list(map(cmath.exp, map(mul, itertools.repeat(-complex(orders[i])), ln[:top + 1])))
                    for i, top in zip(axes, tops)]

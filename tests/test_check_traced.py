@@ -30,7 +30,7 @@ PINS = {
         "cli.exit_code.1": (12, "cli.exit_code.0/1/2/3"),
         "cli.exit_code.2": (0, "cli.exit_code.0/1/2/3"),
         "cli.exit_code.3": (0, "cli.exit_code.0/1/2/3"),
-        "cli.out_bytes": (123522, "cli.out_bytes"),
+        "cli.out_bytes": (123511, "cli.out_bytes"),
     },
 }
 

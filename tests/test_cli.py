@@ -629,19 +629,29 @@ def _contract_argv(draw):
 # Orders at which the polylog stopping-index guess, the lattice weights
 # a^-s, a right-side magnitude estimate, the extended guard bits, a
 # phase Im(s) ln k or the negative-order floor leave the float range.
-_OVERFLOW_ARGV = [
-    ["polylog", "--s=-1e308", "--z", "0.5"],
-    ["polylog", "--s=-6.588739302961221e+307+976.0311053020514i", "--z=0.998"],
-    ["polylog", "--s=-1e308", "--z", "0.5", "--precision", "extended:20"],
-    ["verify2", "--s=-800.5", "--x=0", "--y=0.3"],
-    ["verify2", "--s=1500.5", "--x=0.3", "--y=0"],
-    ["verify3", "--s=-900.5", "--t=1", "--x=0", "--y=.3", "--z=.3"],
-    ["verify2", "--s=1e308+1i", "--x=.5", "--y=.5"],
-    ["polylog", "--s=1e308+1e308i", "--z=0.5", "--precision", "extended:20"],
-    ["scan", "--T", "5e307"],
-    ["polylog", "--s=0.5+9e307i", "--z=0.5"],
-    ["verify2", "--s=1.501e308", "--x=.5", "--y=0.06481051124429528-0.04254761711361023i"],
-]
+# Extreme orders, numbered: a case keeps its number (its test id) when
+# it moves between the two tables.
+_OVERFLOW_ARGV = {
+    0: ["polylog", "--s=-1e308", "--z", "0.5"],
+    1: ["polylog", "--s=-6.588739302961221e+307+976.0311053020514i", "--z=0.998"],
+    2: ["polylog", "--s=-1e308", "--z", "0.5", "--precision", "extended:20"],
+    6: ["verify2", "--s=1e308+1i", "--x=.5", "--y=.5"],
+    7: ["polylog", "--s=1e308+1e308i", "--z=0.5", "--precision", "extended:20"],
+    8: ["scan", "--T", "5e307"],
+    9: ["polylog", "--s=0.5+9e307i", "--z=0.5"],
+    10: ["verify2", "--s=1.501e308", "--x=.5", "--y=0.06481051124429528-0.04254761711361023i"],
+    # x^a is tiny but nonzero, so the region reaches a = 3, where 3^800.5
+    # leaves the float range
+    11: ["verify2", "--s=-800.5", "--x=1e-300", "--y=0.3"],
+}
+# A zero argument kills every term of the product and one factor. The
+# weight that leaves the float range (at a = 3) lies past the region of
+# the level the cap search picks, whose one point has every coordinate 1.
+_ZERO_ARGUMENT_ARGV = {
+    3: ["verify2", "--s=-800.5", "--x=0", "--y=0.3"],
+    4: ["verify2", "--s=1500.5", "--x=0.3", "--y=0"],
+    5: ["verify3", "--s=-900.5", "--t=1", "--x=0", "--y=.3", "--z=.3"],
+}
 
 
 @settings(derandomize=True, database=None, max_examples=150, deadline=None)
@@ -651,14 +661,15 @@ _OVERFLOW_ARGV = [
 @example(_OVERFLOW_ARGV[0])
 @example(_OVERFLOW_ARGV[1])
 @example(_OVERFLOW_ARGV[2])
-@example(_OVERFLOW_ARGV[3])
-@example(_OVERFLOW_ARGV[4])
-@example(_OVERFLOW_ARGV[5])
+@example(_ZERO_ARGUMENT_ARGV[3])
+@example(_ZERO_ARGUMENT_ARGV[4])
+@example(_ZERO_ARGUMENT_ARGV[5])
 @example(_OVERFLOW_ARGV[6])
 @example(_OVERFLOW_ARGV[7])
 @example(_OVERFLOW_ARGV[8])
 @example(_OVERFLOW_ARGV[9])
 @example(_OVERFLOW_ARGV[10])
+@example(_OVERFLOW_ARGV[11])
 # tol/2 underflows to 0.0: a typed refusal naming the share, not exit 1
 @example(["verify2", "--s=2", "--x=0.5", "--y=0.3", "--tol=5e-324"])
 def test_cli_exit_code_contract(argv):
@@ -684,13 +695,24 @@ def test_cli_exit_code_contract(argv):
         assert call([argv[0], f"@{args_file}"]) == outcome
 
 
-@pytest.mark.parametrize("argv", _OVERFLOW_ARGV)
+@pytest.mark.parametrize("argv", _OVERFLOW_ARGV.values(), ids=[f"argv{k}" for k in _OVERFLOW_ARGV])
 def test_overflow_at_extreme_orders_is_a_tolerance_error(capsys, argv):
     # A typed refusal with one error line, not exit 1 from a NaN guess
     # or exit 3 from a bare OverflowError.
     code, out, err = _run(capsys, argv)
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", _ZERO_ARGUMENT_ARGV.values(), ids=[f"argv{k}" for k in _ZERO_ARGUMENT_ARGV])
+def test_a_zero_argument_at_extreme_orders_is_exactly_zero(capsys, argv):
+    # The kernel builds each weight table only as far as its longest row,
+    # so a weight past the float range that no point of the region needs
+    # is never formed: both sides are exactly 0.
+    code, out, err = _run(capsys, argv + ["--format", "json"])
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert report["lhs_log"] == report["rhs_log"] == {"re": 0.0, "im": 0.0}
 
 
 @pytest.mark.parametrize("argv", [

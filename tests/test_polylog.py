@@ -919,14 +919,16 @@ def test_dps_must_be_a_positive_int(call, dps):
 
 @pytest.mark.parametrize("dps", [None, 30], ids=["double", "dps30"])
 @pytest.mark.parametrize("where", ["order", "argument"])
-@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, Decimal("1e400")],
+                         ids=["inf", "-inf", "nan", "1e400"])
 def test_non_finite_input_is_a_domain_error(value, where, dps):
-    # Refused before any conversion, in either part, an mpmath order too.
-    # Unchecked, polylog(inf, .5) raised OverflowError, polylog(2, nan)
-    # searched to TERM_CAP, and with dps Fraction raised ValueError or
-    # OverflowError.
+    # Refused as a double, before extended precision reads its digits, in
+    # either part, an mpmath order too. Unchecked, polylog(inf, .5) raised
+    # OverflowError, polylog(2, nan) searched to TERM_CAP, and with dps
+    # Fraction raised ValueError or OverflowError; Decimal('1e400') raised
+    # OverflowError with dps, and double zeta_real returned 1.0 for it.
     calls = ([lambda: polylog(value, 0.5, dps=dps), lambda: polylog(complex(2, value), 0.5, dps=dps),
-              lambda: polylog(mpmath.mpf(value), 0.5, dps=dps), lambda: zeta_real(value, dps=dps)]
+              lambda: polylog(mpmath.mpf(str(value)), 0.5, dps=dps), lambda: zeta_real(value, dps=dps)]
              if where == "order" else
              [lambda: polylog(2, value, dps=dps), lambda: polylog(2, complex(0.25, value), dps=dps)])
     for call in calls:
@@ -941,6 +943,20 @@ def test_a_non_finite_string_is_a_domain_error_in_double(text):
     for call in (lambda: polylog(text, 0.5), lambda: polylog(2, text)):
         with pytest.raises(DomainError, match="is not finite"):
             call()
+
+
+def test_a_string_is_read_as_in_double_with_dps():
+    # A string is parsed by complex() in both precisions: a non-finite one
+    # is refused, and a finite one gives the parsed number's result. With
+    # dps each polylog call raised AttributeError from extended.exact_parts.
+    for text in ("nan", "inf", "-inf", "nan+1j"):
+        for call in (lambda: polylog(text, 0.5, dps=30), lambda: polylog(2, text, dps=30),
+                     lambda: zeta_real(text, dps=30)):
+            with pytest.raises(DomainError, match="is not finite"):
+                call()
+    assert polylog("2", "0.5", dps=30) == polylog(2, 0.5, dps=30)
+    assert polylog("0.5+1j", "0.25j", dps=30) == polylog(0.5 + 1j, 0.25j, dps=30)
+    assert zeta_real("3", dps=30) == zeta_real(3.0, dps=30)
 
 
 @pytest.mark.parametrize("z", [math.nan, math.inf, complex(0, math.inf), complex(math.nan, 0),

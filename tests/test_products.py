@@ -638,17 +638,16 @@ def _product_log_sum_reference(orders, args, degree_cap):
     # The kernel before the row weight was hoisted: the head weight w is
     # applied to every term, and log1m is the degree-8 series. Returns
     # (value, count, sum of |terms|); the last sets the rounding scale.
+    # Each weight and power is formed where a point needs it, so no table
+    # bounds the walk.
     n = len(orders)
     mu = _decay_ratios(args)
     axes = sorted(range(n), key=mu.__getitem__, reverse=True)
     mu = [mu[i] for i in axes]
     later = [math.fsum(mu[i + 1:]) for i in range(n)]
     slack = 1e-9 * degree_cap
-    tops = [max(0, int(degree_cap / m)) + 1 for m in mu]
-    ln = [0.0] + [math.log(k) for k in range(1, tops[-1] + 1)]
-    weights = [[cmath.exp(-complex(orders[i]) * lk) for lk in ln[:top + 1]]
-               for i, top in zip(axes, tops)]
-    powers = [[complex(args[i]) ** k for k in range(top + 1)] for i, top in zip(axes, tops)]
+    weights = [lambda a, s=-complex(orders[i]): cmath.exp(s * math.log(a)) for i in axes]
+    powers = [lambda a, x=complex(args[i]): x ** a for i in axes]
     wb, pb = weights[-1], powers[-1]
     re_parts, im_parts = [], []
     count, magnitude = 0, 0.0
@@ -656,7 +655,7 @@ def _product_log_sum_reference(orders, args, degree_cap):
     def rows(i, g, budget, w, p):
         nonlocal count, magnitude
         if i == n - 1:
-            row = [w * wb[b] * _log1m_degree8(p * pb[b])
+            row = [w * wb(b) * _log1m_degree8(p * pb(b))
                    for b in range(1, int(budget + slack) + 1) if math.gcd(g, b) == 1]
             count += len(row)
             magnitude += math.fsum(abs(z) for z in row)
@@ -664,7 +663,7 @@ def _product_log_sum_reference(orders, args, degree_cap):
             im_parts.append(math.fsum([z.imag for z in row]))
             return
         for a in range(1, int((budget - later[i] + slack) / mu[i]) + 1):
-            rows(i + 1, math.gcd(g, a), budget - a * mu[i], w * weights[i][a], p * powers[i][a])
+            rows(i + 1, math.gcd(g, a), budget - a * mu[i], w * weights[i](a), p * powers[i](a))
 
     rows(0, 0, float(degree_cap), 1.0, 1.0)
     return 0j - complex(math.fsum(re_parts), math.fsum(im_parts)), count, magnitude
@@ -730,9 +729,10 @@ def test_product_log_sum_with_a_zero_argument(orders, args, level):
 def test_weight_past_the_float_range_is_a_computation_error(orders, args):
     # a^-s overflows once -Re s ln a passes 709.8, here at a = 3: a typed
     # error, not a bare OverflowError (exit 3 in the CLI). A zero argument
-    # still walks the region, so the weights are built there too.
+    # still walks the region, so the weights are built there too, as far
+    # as the longest row: at level n + 2 every axis reaches a = 3.
     with pytest.raises(ComputationError, match="lattice weight"):
-        product_log_sum(orders, args, 3)
+        product_log_sum(orders, args, len(orders) + 2)
 
 
 @pytest.mark.parametrize("orders, args, level", [
@@ -805,6 +805,30 @@ def test_product_log_sum_matches_the_reference_property(draw):
     _assert_matches_reference(free + [1 - sum(free)], args, level)
 
 
+@st.composite
+def _extreme_ratio_draws(draw):
+    # one or two moduli far below the rest, so the decay ratios reach
+    # thousands; levels from just below sum mu_i (an empty region) to
+    # about 30 rows past it
+    n = draw(st.integers(2, 4))
+    tiny = draw(st.integers(1, min(2, n - 1)))
+    moduli = draw(st.permutations(
+        [10.0 ** draw(st.floats(-300.0, -3.0)) for _ in range(tiny)]
+        + [draw(st.floats(0.3, 0.9)) for _ in range(n - tiny)]))
+    args = [cmath.rect(m, draw(st.floats(-math.pi, math.pi))) for m in moduli]
+    free = draw(st.lists(_ORDER, min_size=n - 1, max_size=n - 1))
+    level = int(math.fsum(_decay_ratios(args))) + draw(st.integers(-1, 30))
+    return free + [1 - sum(free)], args, level
+
+
+@settings(derandomize=True, database=None, max_examples=120, deadline=None)
+@given(_extreme_ratio_draws())
+def test_product_log_sum_at_extreme_decay_ratios(draw):
+    # Each table ends at its axis's longest row; the walk's rounded
+    # budgets must stay inside it (an index past it is an IndexError).
+    _assert_matches_reference(*draw)
+
+
 def test_product_log_sum_leaves_no_reference_cycle():
     # Every table of a call is freed when it returns, without waiting for
     # the cyclic collector.
@@ -872,6 +896,23 @@ def test_empty_region_returns_before_building_tables():
     finally:
         tracemalloc.stop()
     assert peak < 2e6
+
+
+def test_nearly_empty_region_builds_only_its_short_rows():
+    # mu_x is about 690,000, so the level-698,040 region holds only the
+    # row a = 1, with b up to 7,609: each table runs to its axis's longest
+    # row, not to the level (a 310 MB kernel peak when it did).
+    orders, args, level = (0.5, 0.5), (1e-300, 0.999), 698040
+    log_table(level + 1)
+    tracemalloc.start()
+    try:
+        product_log_sum(orders, args, level)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10e6
+    _, count = _assert_matches_reference(orders, args, level)
+    assert count == 7609
 
 
 def test_product_log_sum_rejects_mismatched_shapes():
