@@ -1,64 +1,63 @@
-"""Check one traced benchmark report against the seed-1 pins.
+"""Check one traced benchmark report against its seed's pins.
 
-usage: python3 .github/scripts/check_traced.py REPORT_JSON WORKLOAD
+usage: python3 .github/scripts/check_traced.py REPORT_JSON WORKLOAD SEED
 
 REPORT_JSON is the last line that `bench/run.py --workload WORKLOAD
---seed 1 --seconds 1 --trace 1` prints. The script exits 0 when the run
-is correct and every pinned count holds, and otherwise exits with a
-message that names the count.
+--seed SEED --seconds 1 --trace 1` prints; counts are pinned at seeds 1
+and 7. The script exits 0 when the run is correct and every pinned count
+holds, and otherwise exits with a message that names the count.
 """
 import json, sys
-report, workload = json.loads(sys.argv[1]), sys.argv[2]
+report, workload, seed = json.loads(sys.argv[1]), sys.argv[2], int(sys.argv[3])
+# The exact counts of each seed's batches:
+# - products.lhs_terms: the kernel counts its tail points by Moebius
+#   inversion, and an off-by-one there moves this count, which a nonzero
+#   check would miss; on series and cli, the zeta-mode levels and the
+#   audit and verify work that a cache must not skip.
+# - products.degree_cap_sum and products.cap_search_evals: the levels the
+#   cap search picks and its tail-bound evaluations; a change of the bound
+#   or of the search moves them, and so does a search that no longer
+#   starts at its guess (2 evaluations each).
+# - polylog.series_terms: the polylog stopping indices, which a change of
+#   summation, rounding or of how extended weights are built must not move.
+# - cli.exit_code.*: a typed refusal that turned into a usage error or an
+#   internal error, or a value into a refusal, moves these.
+# - cli.out_bytes: any change to what the CLI prints on the batch argv.
+PINS = {
+    1: {
+        "lattice": {"products.lhs_terms": 379742, "products.degree_cap_sum": 11239,
+                    "products.cap_search_evals": 216},
+        "series": {"polylog.series_terms": 317142, "products.lhs_terms": 3364,
+                   "products.cap_search_evals": 50},
+        "cli": {"polylog.series_terms": 3171, "products.lhs_terms": 39821, "products.cap_search_evals": 252,
+                "cli.exit_code.0": 108, "cli.exit_code.1": 12, "cli.exit_code.2": 0, "cli.exit_code.3": 0,
+                "cli.out_bytes": 123511},
+    },
+    7: {
+        "lattice": {"products.lhs_terms": 423021, "products.degree_cap_sum": 11270,
+                    "products.cap_search_evals": 216},
+        "series": {"polylog.series_terms": 317291, "products.lhs_terms": 3370,
+                   "products.cap_search_evals": 50},
+        "cli": {"polylog.series_terms": 3152, "products.lhs_terms": 39090, "products.cap_search_evals": 252,
+                "cli.exit_code.0": 108, "cli.exit_code.1": 12, "cli.exit_code.2": 0, "cli.exit_code.3": 0,
+                "cli.out_bytes": 124256},
+    },
+}
+if seed not in PINS:
+    sys.exit(f"no counts are pinned at seed {seed}; pinned seeds: {sorted(PINS)}")
+where = workload + " --trace 1"
 if report.get("correct") is not True:
-    sys.exit(workload + " --trace 1: not correct")
+    sys.exit(where + ": not correct")
+metrics = {name: m["value"] for name, m in report["metrics"].items()}
 # polylog.series_terms is read from the terms_used of the polylog the tracer wraps by name
 counts = ("lattice.points", "products.cap_search_evals") if workload == "lattice" else ("polylog.series_terms",)
-zero = [name for name in counts if not report["metrics"][name]["value"]]
+zero = [name for name in counts if not metrics[name]]
 if zero:
-    sys.exit(workload + " --trace 1: zero " + ", ".join(zero))
-# The kernel counts its tail points by Moebius inversion; an off-by-one
-# there moves this exact count, which a nonzero check would miss.
-terms = report["metrics"]["products.lhs_terms"]["value"]
-if workload == "lattice" and terms != 379742:
-    sys.exit("lattice --trace 1: products.lhs_terms " + str(terms) + ", expected 379742 at seed 1")
-# The levels the cap search picks, and its tail-bound evaluations:
-# a change of the bound or of the search moves these, and so does
-# a search that no longer starts at its guess (2 evaluations each).
-if workload == "lattice":
-    search = tuple(report["metrics"]["products." + c]["value"] for c in ("degree_cap_sum", "cap_search_evals"))
-    if search != (11239, 216):
-        sys.exit("lattice --trace 1: products.degree_cap_sum/cap_search_evals " + str(search)
-                 + ", expected (11239, 216) at seed 1")
-evals = report["metrics"]["products.cap_search_evals"]["value"]
-expected_evals = {"series": 50, "cli": 252}.get(workload, evals)
-if evals != expected_evals:
-    sys.exit(workload + " --trace 1: products.cap_search_evals " + str(evals) + ", expected "
-             + str(expected_evals) + " at seed 1")
-# A change of summation or rounding must not move the series counts:
-# the zeta-mode levels and the polylog stopping indices at seed 1.
-if workload == "series":
-    series_terms = report["metrics"]["polylog.series_terms"]["value"]
-    if (series_terms, terms) != (317142, 3364):
-        sys.exit("series --trace 1: polylog.series_terms " + str(series_terms) + " and products.lhs_terms "
-                 + str(terms) + ", expected 317142 and 3364 at seed 1")
-# A change of how extended weights are built must not move a polylog
-# stopping index, and a cache must not skip real audit or verify
-# work: the series and kernel terms of the cli batch at seed 1.
-if workload == "cli":
-    series_terms = report["metrics"]["polylog.series_terms"]["value"]
-    if (series_terms, terms) != (3171, 39821):
-        sys.exit("cli --trace 1: polylog.series_terms " + str(series_terms) + " and products.lhs_terms "
-                 + str(terms) + ", expected 3171 and 39821 at seed 1")
-    # A typed refusal that turned into a usage error or an internal
-    # error, or a value into a refusal, moves these counts.
-    codes = tuple(report["metrics"]["cli.exit_code." + c]["value"] for c in "0123")
-    if codes != (108, 12, 0, 0):
-        sys.exit("cli --trace 1: cli.exit_code.0/1/2/3 " + str(codes) + ", expected (108, 12, 0, 0) at seed 1")
-    # Any change to what the CLI prints on the batch argv moves the byte count.
-    out_bytes = report["metrics"]["cli.out_bytes"]["value"]
-    if out_bytes != 123511:
-        sys.exit("cli --trace 1: cli.out_bytes " + str(out_bytes) + ", expected 123511 at seed 1")
+    sys.exit(where + ": zero " + ", ".join(zero))
+for name, expected in PINS[seed][workload].items():
+    if metrics[name] != expected:
+        sys.exit(f"{where}: {name} {metrics[name]}, expected {expected} at seed {seed}")
 # One pinned defect (the polylog phase case) is open; lower this as defects close.
-open_defects = report["metrics"]["cli.pinned_defects_open"]["value"]
+open_defects = metrics["cli.pinned_defects_open"]
 if open_defects > 1:
-    sys.exit(workload + " --trace 1: " + str(open_defects) + " pinned defects open, at most 1 allowed")
+    sys.exit(f"{where}: {open_defects} pinned defects open, at most 1 allowed")

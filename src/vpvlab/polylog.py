@@ -12,7 +12,7 @@ import cmath
 import math
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, chain, islice, repeat
+from itertools import accumulate, islice, repeat
 from operator import mul
 from typing import NamedTuple
 
@@ -39,31 +39,18 @@ EPS_ZETA = 1e-3
 _ROUTED_NEG_ORDER_MAX = 1000
 # A complex modulus past exp(710.5) > sqrt(2) * max float has a part that overflows.
 _LOG_PAST_FLOAT_RANGE = 710.5
-_INFINITIES = (math.inf, -math.inf)
-
-
-def _require_finite_input(name: str, x) -> None:
-    """DomainError unless both parts of x are finite. The parts are
-    compared, not converted, so a Decimal or an mpmath number is checked
-    as it is given (a NaN is the one value unequal to itself). A string,
-    which has no parts, is left to complex() to parse."""
-    re, im = getattr(x, "real", 0), getattr(x, "imag", 0)
-    try:
-        finite = re == re and im == im and re not in _INFINITIES and im not in _INFINITIES
-    except ArithmeticError:  # decimal.InvalidOperation: a Decimal sNaN signals
-        finite = False
-    if not finite:
-        raise DomainError(f"{name} = {x!r} is not finite")
 
 
 def finite_complex(name: str, x) -> complex:
-    """complex(x), or DomainError where x is not finite: checked as
-    converted, or as given where complex() refuses it (a Decimal sNaN)."""
+    """complex(x), or DomainError where x is not finite, checked as
+    converted. Where complex() refuses x, a string (unparsable) keeps its
+    ValueError, and any other value (a Decimal sNaN) is a DomainError."""
     try:
         value = complex(x)
     except ValueError:
-        _require_finite_input(name, x)
-        raise
+        if isinstance(x, str):
+            raise
+        raise DomainError(f"{name} = {x!r} is not finite")
     if not cmath.isfinite(value):
         raise DomainError(f"{name} = {value!r} is not finite")
     return value
@@ -154,8 +141,8 @@ def polylog_partial(s: complex, z: complex, n_terms: int) -> complex:
 
     No domain or tolerance logic; polylog returns this sum at its
     stopping index. The terms run through C-level iterators: z^k by
-    repeated products, term 1 is z itself, and k^-s = exp(-s ln k) with
-    ln k from the shared table; the sum is exact per part within blocks
+    repeated products, and k^-s = exp(-s ln k) with ln k from the shared
+    table, from k = 1; the sum is exact per part within blocks
     (exact_sum). Extended precision sums the same terms in
     extended.partial_sum.
 
@@ -164,11 +151,11 @@ def polylog_partial(s: complex, z: complex, n_terms: int) -> complex:
             or its phase Im s ln k passes the float range.
     """
     s, z = complex(s), complex(z)
-    logs = islice(log_table(n_terms), 2, n_terms + 1)
+    logs = islice(log_table(n_terms), 1, n_terms + 1)
     weights = map(cmath.exp, map(mul, repeat(-s), logs))
     powers = accumulate(repeat(z, n_terms), mul)
     try:
-        return exact_sum(chain(islice(powers, 1), map(mul, powers, weights)))
+        return exact_sum(map(mul, powers, weights))
     except (OverflowError, ValueError):  # cmath.exp raises ValueError at an infinite phase
         raise ComputationError(
             f"Li_s(z) series term k^-s leaves the float range for some k <= {n_terms} at s = {s!r}"

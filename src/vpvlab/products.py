@@ -269,6 +269,19 @@ def _pow_table(base: complex, cap: int) -> list[complex]:
     return list(map(pow, itertools.repeat(base), range(cap + 1)))
 
 
+def _weight_table(order: complex, top: int) -> list[complex]:
+    """k^-s = exp(-s ln k) at index k for 0 <= k <= top, ln k from
+    log_table. A weight past the float range (-Re s ln k past ~709.8), or
+    an infinite phase Im s ln k, is a ComputationError naming s and top."""
+    s = complex(order)
+    try:
+        return list(map(cmath.exp, map(mul, itertools.repeat(-s), log_table(top)[:top + 1])))
+    except (OverflowError, ValueError):  # cmath.exp raises ValueError at an infinite phase
+        raise ComputationError(
+            f"a lattice weight k^-s leaves the float range for some k <= {top} at s = {s!r}"
+        ) from None
+
+
 def _squarefree_divisors(top: int) -> list[list[tuple[int, int]]]:
     """_DIVISORS, grown to index top: entry g lists (d, mu(d)) for the
     squarefree d | g, those of g with its smallest prime p taken out
@@ -303,7 +316,8 @@ def product_log_sum(
     """Sum of -prod a_i^-s_i log(1 - prod x_i^a_i) over visible points
     (a_1, ..., a_n) with a_1 mu_1 + ... + a_n mu_n <= degree_cap, for n >= 2.
     Every |x_i| must be below 1 (DomainError otherwise); 0 is allowed. A
-    weight a^-s_i that a point needs past the float range is a ComputationError.
+    weight a^-s_i that a point needs past the float range is a
+    ComputationError naming that axis's order s_i and longest row.
 
     Returns (value, number of product factors summed). Orders are taken
     as given; the product equals exp(prod Li_s_i(x_i)) only when the
@@ -359,15 +373,7 @@ def product_log_sum(
     # each axis's longest row, reached with every other coordinate at 1; a
     # second slack keeps the walk's rounded budgets inside every table
     tops = [max(0, int((degree_cap - (later[0] + mu[0] - m) + 2 * slack) / m)) for m in mu]
-    ln = log_table(max(tops))
-    try:
-        weights = [list(map(cmath.exp, map(mul, itertools.repeat(-complex(orders[i])), ln[:top + 1])))
-                   for i, top in zip(axes, tops)]
-    except OverflowError:
-        raise ComputationError(
-            f"a lattice weight a^-s_i leaves the float range for some a <= {max(tops)} "
-            f"at orders {list(orders)!r}"
-        ) from None
+    weights = [_weight_table(orders[i], top) for i, top in zip(axes, tops)]
     powers = [_pow_table(complex(args[i]), top) for i, top in zip(axes, tops)]
     gcd = math.gcd
     log = cmath.log
@@ -509,16 +515,17 @@ def _zeta_mode_log_sum(
     Returns (value, certified bound, product factors summed = b_cap).
     exact_sum sums the terms f_b c_b. zeta(s) is evaluated once; its
     remainder times sum_b |f_b| c_b is added to the bound, and its
-    tolerance keeps that share <= 1e-15.
+    tolerance keeps that share <= 1e-15. The weights b^-t come from
+    _weight_table, which refuses one past the float range.
     """
     sr = complex(s).real
     yp = _pow_table(complex(y), b_cap)
     c = _coprime_factors(sr, b_cap)
-    ln = log_table(b_cap)
+    bt = _weight_table(t, b_cap)
     terms = []
     weight = 0.0
     for b in range(1, b_cap + 1):
-        f = -cmath.exp(-t * ln[b]) * log1m(yp[b]) if b > 1 else -log1m(yp[1])
+        f = -bt[b] * log1m(yp[b])
         terms.append(f * c[b])
         weight += abs(f) * c[b]
     zeta = zeta_real(sr, 1e-15 / max(1.0, weight))

@@ -9,63 +9,83 @@ import pytest
 
 SCRIPT = Path(__file__).resolve().parents[1] / ".github" / "scripts" / "check_traced.py"
 
-# The seed-1 counts of each workload that the check pins, and the text its
-# message names each one by.
+# The counts the check pins, by seed and workload. The message names each
+# count by its metric.
 PINS = {
-    "lattice": {
-        "products.lhs_terms": (379742, "products.lhs_terms"),
-        "products.degree_cap_sum": (11239, "products.degree_cap_sum"),
-        "products.cap_search_evals": (216, "cap_search_evals"),
+    1: {
+        "lattice": {"products.lhs_terms": 379742, "products.degree_cap_sum": 11239,
+                    "products.cap_search_evals": 216},
+        "series": {"products.lhs_terms": 3364, "polylog.series_terms": 317142,
+                   "products.cap_search_evals": 50},
+        "cli": {"products.lhs_terms": 39821, "polylog.series_terms": 3171, "products.cap_search_evals": 252,
+                "cli.exit_code.0": 108, "cli.exit_code.1": 12, "cli.exit_code.2": 0, "cli.exit_code.3": 0,
+                "cli.out_bytes": 123511},
     },
-    "series": {
-        "products.lhs_terms": (3364, "products.lhs_terms"),
-        "polylog.series_terms": (317142, "polylog.series_terms"),
-        "products.cap_search_evals": (50, "products.cap_search_evals"),
-    },
-    "cli": {
-        "products.lhs_terms": (39821, "products.lhs_terms"),
-        "polylog.series_terms": (3171, "polylog.series_terms"),
-        "products.cap_search_evals": (252, "products.cap_search_evals"),
-        "cli.exit_code.0": (108, "cli.exit_code.0/1/2/3"),
-        "cli.exit_code.1": (12, "cli.exit_code.0/1/2/3"),
-        "cli.exit_code.2": (0, "cli.exit_code.0/1/2/3"),
-        "cli.exit_code.3": (0, "cli.exit_code.0/1/2/3"),
-        "cli.out_bytes": (123511, "cli.out_bytes"),
+    7: {
+        "lattice": {"products.lhs_terms": 423021, "products.degree_cap_sum": 11270,
+                    "products.cap_search_evals": 216},
+        "series": {"products.lhs_terms": 3370, "polylog.series_terms": 317291,
+                   "products.cap_search_evals": 50},
+        "cli": {"products.lhs_terms": 39090, "polylog.series_terms": 3152, "products.cap_search_evals": 252,
+                "cli.exit_code.0": 108, "cli.exit_code.1": 12, "cli.exit_code.2": 0, "cli.exit_code.3": 0,
+                "cli.out_bytes": 124256},
     },
 }
+WORKLOADS = sorted(PINS[1])
 
 
-def _report(workload, **changed):
+def _report(workload, seed=1, **changed):
     values = {"lattice.points": 746623, "cli.pinned_defects_open": 1}
-    values.update({name: value for name, (value, _) in PINS[workload].items()})
+    values.update(PINS[seed][workload])
     values.update(changed)
     return {"correct": True, "metrics": {name: {"value": v} for name, v in values.items()}}
 
 
-def _check(report, workload):
-    return subprocess.run([sys.executable, str(SCRIPT), json.dumps(report), workload],
+def _check(report, workload, seed=1):
+    return subprocess.run([sys.executable, str(SCRIPT), json.dumps(report), workload, str(seed)],
                           capture_output=True, text=True)
 
 
-@pytest.mark.parametrize("workload", sorted(PINS))
+def _assert_off_by_one_fails(workload, name, seed):
+    value = PINS[seed][workload][name]
+    for moved in (value - 1, value + 1):
+        if moved < 0:
+            continue
+        run = _check(_report(workload, seed, **{name: moved}), workload, seed)
+        assert run.returncode == 1, (name, moved)
+        assert f"{name} {moved}, expected {value} at seed {seed}" in run.stderr, run.stderr
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
 def test_seed_one_pins_pass(workload):
     run = _check(_report(workload), workload)
     assert run.returncode == 0, run.stderr
     assert run.stdout == run.stderr == ""
 
 
-@pytest.mark.parametrize("workload, name", [(w, n) for w in sorted(PINS) for n in PINS[w]])
+@pytest.mark.parametrize("workload, name", [(w, n) for w in WORKLOADS for n in PINS[1][w]])
 def test_a_pin_off_by_one_fails_naming_its_metric(workload, name):
-    value, named = PINS[workload][name]
-    for moved in (value - 1, value + 1):
-        if moved < 0:
-            continue
-        run = _check(_report(workload, **{name: moved}), workload)
-        assert run.returncode == 1, (name, moved)
-        assert named in run.stderr and str(moved) in run.stderr, run.stderr
+    _assert_off_by_one_fails(workload, name, 1)
 
 
-@pytest.mark.parametrize("workload", sorted(PINS))
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_seed_seven_pins_pass_and_differ_from_seed_one(workload):
+    run = _check(_report(workload, 7), workload, 7)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == run.stderr == ""
+    # each seed's report fails the other's pins, and a seed with no pins is refused
+    assert _check(_report(workload, 7), workload, 1).returncode == 1
+    assert _check(_report(workload), workload, 7).returncode == 1
+    run = _check(_report(workload), workload, 2)
+    assert run.returncode == 1 and "no counts are pinned at seed 2" in run.stderr
+
+
+@pytest.mark.parametrize("workload, name", [(w, n) for w in WORKLOADS for n in PINS[7][w]])
+def test_a_seed_seven_pin_off_by_one_fails_naming_its_metric(workload, name):
+    _assert_off_by_one_fails(workload, name, 7)
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
 def test_incorrect_runs_zero_counts_and_open_defects_fail(workload):
     report = _report(workload)
     report["correct"] = False

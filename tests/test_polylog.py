@@ -510,6 +510,13 @@ def test_polylog_partial_matches_the_per_part_loop():
         z = 0.999 * math.sqrt(rng.random()) * cmath.exp(2j * math.pi * rng.random())
         n = rng.randrange(1, 600)
         assert polylog_partial(s, z, n) == _exact_sum(_polylog_partial_terms(s, z, n)), (s, z, n)
+    # Term 1 is z times 1^-s = exp(0) in the pipeline and z itself in the
+    # loop: one and two terms, at signed-zero parts of s and z.
+    zeros = (0.0, -0.0)
+    orders = [complex(re, im) for re in zeros + (2.5, -3.0) for im in zeros + (-7.25,)]
+    args = [complex(re, im) for re in zeros + (0.6, -0.6) for im in zeros + (0.3, -0.3)]
+    for s, z, n in product(orders, args, (1, 2)):
+        assert polylog_partial(s, z, n) == _exact_sum(_polylog_partial_terms(s, z, n)), (s, z, n)
 
 
 def test_polylog_partial_rounds_once_per_block():
@@ -943,6 +950,15 @@ def test_a_non_finite_string_is_a_domain_error_in_double(text):
     for call in (lambda: polylog(text, 0.5), lambda: polylog(2, text)):
         with pytest.raises(DomainError, match="is not finite"):
             call()
+
+
+def test_an_unparsable_string_is_a_plain_value_error():
+    # complex() cannot parse it; that is not a non-finite number.
+    for call in (lambda: polylog("abc", 0.5), lambda: polylog(2, "abc", dps=30),
+                 lambda: zeta_real("abc"), lambda: polylog_neg_int(2, "abc")):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert not isinstance(info.value, DomainError)
 
 
 def test_a_string_is_read_as_in_double_with_dps():

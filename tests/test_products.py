@@ -735,6 +735,21 @@ def test_weight_past_the_float_range_is_a_computation_error(orders, args):
         product_log_sum(orders, args, len(orders) + 2)
 
 
+@pytest.mark.parametrize("call, named", [
+    # Im s ln k passes the float range from k = 7, an infinite phase; at
+    # level 12 each axis's rows reach k = 11 (at level 4 no weight
+    # overflows). It was a bare ValueError.
+    (lambda: product_log_sum((0.5 + 1e308j, 0.5 - 1e308j), (0.3, 0.3), 12), "k <= 11 at s = (0.5+1e+308j)"),
+    # zeta mode's b^-t at t = -399.5 passes the float range from b = 6. It
+    # was a bare OverflowError.
+    (lambda: _eval_lhs(IdentityCase(2, 400.5, 1, 0.5), 10), "k <= 10 at s = (-399.5+0j)"),
+], ids=["infinite-phase", "zeta-mode"])
+def test_a_weight_refusal_names_its_order_and_row(call, named):
+    with pytest.raises(ComputationError, match="lattice weight") as info:
+        call()
+    assert named in str(info.value)
+
+
 @pytest.mark.parametrize("orders, args, level", [
     # |y| >= 1 on the slow axis, where |w| = |x|^a |y|^b would rise along
     # each row (in row a = 1 from 3e-9 to 0.13, and from 0.15 past 1e4 at
