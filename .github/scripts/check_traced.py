@@ -5,7 +5,8 @@ usage: python3 .github/scripts/check_traced.py REPORT_JSON WORKLOAD SEED
 REPORT_JSON is the last line that `bench/run.py --workload WORKLOAD
 --seed SEED --seconds 1 --trace 1` prints; counts are pinned at seeds 1
 and 7. The script exits 0 when the run is correct and every pinned count
-holds, and otherwise exits with a message that names the count.
+holds, and otherwise exits 1 with a message that names the count, one
+line for each pinned count that moved.
 """
 import json, sys
 report, workload, seed = json.loads(sys.argv[1]), sys.argv[2], int(sys.argv[3])
@@ -31,7 +32,7 @@ PINS = {
                    "products.cap_search_evals": 50},
         "cli": {"polylog.series_terms": 3171, "products.lhs_terms": 39821, "products.cap_search_evals": 252,
                 "cli.exit_code.0": 108, "cli.exit_code.1": 12, "cli.exit_code.2": 0, "cli.exit_code.3": 0,
-                "cli.out_bytes": 123511},
+                "cli.out_bytes": 123489},
     },
     7: {
         "lattice": {"products.lhs_terms": 423021, "products.degree_cap_sum": 11270,
@@ -40,7 +41,7 @@ PINS = {
                    "products.cap_search_evals": 50},
         "cli": {"polylog.series_terms": 3152, "products.lhs_terms": 39090, "products.cap_search_evals": 252,
                 "cli.exit_code.0": 108, "cli.exit_code.1": 12, "cli.exit_code.2": 0, "cli.exit_code.3": 0,
-                "cli.out_bytes": 124256},
+                "cli.out_bytes": 124222},
     },
 }
 if seed not in PINS:
@@ -54,9 +55,11 @@ counts = ("lattice.points", "products.cap_search_evals") if workload == "lattice
 zero = [name for name in counts if not metrics[name]]
 if zero:
     sys.exit(where + ": zero " + ", ".join(zero))
-for name, expected in PINS[seed][workload].items():
-    if metrics[name] != expected:
-        sys.exit(f"{where}: {name} {metrics[name]}, expected {expected} at seed {seed}")
+# every moved pin is named, one line each, so one run shows all that a change moved
+moved = [f"{where}: {name} {metrics[name]}, expected {expected} at seed {seed}"
+         for name, expected in PINS[seed][workload].items() if metrics[name] != expected]
+if moved:
+    sys.exit("\n".join(moved))
 # One pinned defect (the polylog phase case) is open; lower this as defects close.
 open_defects = metrics["cli.pinned_defects_open"]
 if open_defects > 1:

@@ -3,8 +3,8 @@ audits, and lattice enumeration, with JSON/CSV/human output.
 
 Exit codes: 0 success; 1 usage, domain, or validation error; 2
 tolerance unachievable (tail bound, non-convergence, an overflowing or
-non-finite evaluation, or a verify2/verify3 error above 3*tol) or a
-`visible` degree cap past the work budget; 3 internal error.
+non-finite evaluation, or a verify2/verify3, catalog or scan error above
+3*tol) or a `visible` degree cap past the work budget; 3 internal error.
 """
 from __future__ import annotations
 
@@ -340,6 +340,11 @@ def _verified(res: dict) -> str:
 
 def _cmd_catalog(res: dict) -> str:
     reports = run_catalog(res["tol"])
+    for r in reports:  # each row is held to verify2's verdict, abs_err <= 3 * tol
+        try:
+            r.require_passed()
+        except ComputationError as exc:
+            raise ComputationError(f"catalog row {r.case.label}: {exc}") from None
     records = [[("label", r.case.label, False)] + _report_record(r) for r in reports]
     return _render(res["format"], records, _CATALOG_LINE)
 

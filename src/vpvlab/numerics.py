@@ -140,15 +140,16 @@ def certified_tail(bound) -> float:
     return bound if bound >= sys.float_info.min else bound + math.ulp(0.0)
 
 
-def power_geometric_tail(cap: int, p: float, r: float) -> float:
-    """Upper bound on sum_{d > cap} d^p * r^d for 0 <= r < 1, p >= 0.
+def power_geometric_tail(cap: int, p: float, r: float, log_divisor: float = 0.0) -> float:
+    """Upper bound on sum_{d > cap} d^p * r^d / exp(log_divisor) for 0 <= r < 1, p >= 0.
 
     Past the peak of d^p r^d the term ratio is at most
     q = ((cap + 2)/(cap + 1))^p * r, so the tail is dominated by the
     geometric series t0 * (1 + q + q^2 + ...) with t0 the first dropped
-    term. Returns inf when q >= 1 (cap not yet past the peak) or when
-    the bound is past the float range; the caller then increases cap.
-    It is 0.0 at r = 0 and, by certified_tail, positive at every other r.
+    term. The bound, the caller's divisor included, is one log, leaving
+    by certified_tail once. Returns inf when q >= 1 (cap not yet past
+    the peak) or when the bound is past the float range; the caller then
+    increases cap. It is 0.0 at r = 0 and positive at every other r.
     """
     if r < 0 or r >= 1:
         raise ValueError("r must lie in [0, 1)")
@@ -160,18 +161,12 @@ def power_geometric_tail(cap: int, p: float, r: float) -> float:
         return math.inf
     if q >= 1.0:
         return math.inf
-    # Log-space first term avoids overflow of (cap+1)^p at large p.
-    log_t0 = p * math.log(cap + 1) + (cap + 1) * math.log(r)
+    log_bound = p * math.log(cap + 1) + (cap + 1) * math.log(r) - math.log1p(-q) - log_divisor
+    # exp(log(...)) can land an ulp under the exact bound; inflate it
     try:
-        t0 = math.exp(log_t0)
+        return certified_tail(math.exp(log_bound) * (1.0 + 1e-12))
     except OverflowError:
         return math.inf
-    # exp(log(...)) can land an ulp under the exact tail; inflate so the
-    # result stays a true upper bound. A t0 below the normal range has
-    # lost its relative accuracy, so there 1 - q divides in log space.
-    if t0 >= sys.float_info.min:  # then so is the quotient
-        return t0 / (1.0 - q) * (1.0 + 1e-12)
-    return certified_tail(math.exp(log_t0 - math.log1p(-q)) * (1.0 + 1e-12))
 
 
 def power_geometric_guess(p: float, r: float, target: float) -> int:

@@ -24,7 +24,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 from .errors import ComputationError, DomainError, TailBoundExceedsTol
 from .forms import _PRINTED_FORMS, _evaluate, _term_values
-from .numerics import (_BLOCK, LOG1M_SERIES_MAX, TERM_CAP, certified_tail, exact_sum, first_within,
+from .numerics import (_BLOCK, LOG1M_SERIES_MAX, TERM_CAP, exact_sum, first_within,
                        log1m, log_table, power_geometric_guess, power_geometric_tail,
                        require_finite, smallest_prime_factors)
 from .polylog import (EPS_DOMAIN, EPS_ZETA, finite_complex, in_zeta_domain, polylog,
@@ -221,6 +221,14 @@ def _decay_ratios(args: Sequence[complex]) -> list[float]:
     return [rate / slowest for rate in rates]
 
 
+def _shell_envelope(orders: Sequence[complex], args: Sequence[complex]) -> tuple[float, float, float]:
+    """(n - 1 + P, r, (n-1)! prod mu_i): _shell_tail's power, ratio and point-count divisor."""
+    n = len(args)
+    r = max(abs(complex(x)) for x in args)
+    power = n - 1 + sum(max(0.0, -complex(o).real) for o in orders)
+    return power, r, math.factorial(n - 1) * math.prod(_decay_ratios(args))
+
+
 def _shell_tail(orders: Sequence[complex], args: Sequence[complex], level: int) -> float:
     """Certified bound on the terms past sum a_i mu_i = level.
 
@@ -230,23 +238,20 @@ def _shell_tail(orders: Sequence[complex], args: Sequence[complex], level: int) 
     r = max |x_i|, weight |prod a_i^-s_i| <= (m+1)^P with P = sum max(0,
     -Re s_i), and |log(1 - w)| <= |w| / (1 - r^level). Summed over the
     shells m >= level this is power_geometric_tail(level, n-1+P, r) /
-    (r (1 - r^level) (n-1)! prod mu_i). The same envelope without the log
-    factor covers the full-lattice sum past the diagonal a_1 + ... + a_n =
-    level, whose dropped points all lie past the weighted level too. The
-    float mu_i are within a few ulp of the exact ratios, which moves r^m
-    by under 1e-12 relative wherever r^m is above the float range's
-    floor; the point count overshoots by far more. The quotient leaves
-    by certified_tail, so below the float range it is never 0.0.
+    (r (1 - r^level) (n-1)! prod mu_i), the divisor passed by its log, with
+    ln r apart, as a subnormal r times the rest rounds to a few bits. The
+    same envelope without the log factor covers the full-lattice sum past
+    the diagonal a_1 + ... + a_n = level, whose dropped points all lie
+    past the weighted level too. The float mu_i are within a few ulp of
+    the exact ratios, which moves r^m by under 1e-12 relative above the
+    float range's floor; the point count overshoots by far more.
     """
     # Every term carries prod x_i^a_i with all a_i >= 1, so a zero
     # argument kills the whole sum and the zero bound is exact.
     if any(x == 0 for x in args):
         return 0.0
-    n = len(args)
-    r = max(abs(complex(x)) for x in args)
-    power = n - 1 + sum(max(0.0, -complex(o).real) for o in orders)
-    scale = r * (1.0 - r ** level) * math.factorial(n - 1) * math.prod(_decay_ratios(args))
-    return certified_tail(power_geometric_tail(level, power, r) / scale)
+    power, r, spread = _shell_envelope(orders, args)
+    return power_geometric_tail(level, power, r, math.log(r) + math.log(spread) + math.log1p(-r ** level))
 
 
 # the names _tail_bound calls _shell_tail by, for the bench (ROADMAP item 1)
@@ -254,11 +259,10 @@ tail_bound_2d = tail_bound_3d = _shell_tail
 
 
 def _zeta_mode_b_tail(s: complex, t: complex, y: complex, b_cap: int) -> float:
-    # dropped b > b_cap: |S_b| <= zeta_bound(Re s), per-b factor b^max(0,-Re t) r^b
+    # dropped b > b_cap: |S_b| <= zeta_bound(Re s), per-b factor b^max(0,-Re t) r^b / (1 - r^(b_cap+1))
     r = abs(y)
-    sigma_t = max(0.0, -complex(t).real)
-    crowd = 1.0 / (1.0 - r ** (b_cap + 1))
-    return zeta_bound(complex(s).real) * crowd * power_geometric_tail(b_cap, sigma_t, r)
+    log_divisor = math.log1p(-r ** (b_cap + 1)) - math.log(zeta_bound(complex(s).real))
+    return power_geometric_tail(b_cap, max(0.0, -complex(t).real), r, log_divisor)
 
 
 # ---------------------------------------------------------------------------
@@ -670,17 +674,13 @@ def _budget_level(n: int, mu_product: float = 1.0) -> int:
 
 
 def _cap_guess(case: IdentityCase, tol: float) -> int:
-    """Where the cap search starts: the guess of power_geometric_guess for
-    the power_geometric_tail inside _tail_bound's bound, at tol times the
-    constants the bound divides it by (all but 1 - r^(cap+1), near 1)."""
+    """Where the cap search starts: power_geometric_guess for _tail_bound's
+    power_geometric_tail, at tol times its divisor less 1 - r^(cap+1), near 1."""
     if case.is_zeta_mode:
         sigma_t = max(0.0, -case.orders[1].real)
         return power_geometric_guess(sigma_t, abs(case.y), tol / zeta_bound(case.s.real))
-    n = case.dimension
-    r = max(map(abs, case.args))
-    power = n - 1 + sum(max(0.0, -o.real) for o in case.orders)
-    scale = r * math.factorial(n - 1) * math.prod(_decay_ratios(case.args))
-    return power_geometric_guess(power, r, tol * scale)
+    power, r, spread = _shell_envelope(case.orders, case.args)
+    return power_geometric_guess(power, r, tol * (r * spread))
 
 
 def choose_degree_cap(case: IdentityCase, tol: float) -> int:

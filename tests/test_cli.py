@@ -18,7 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vpvlab import (
-    IdentityReport, ProbeRow, ScanRow, SeriesResult, SpecialValueRecord, catalog, visible_points,
+    IdentityReport, ProbeRow, ScanRow, SeriesResult, SpecialValueRecord, catalog, run_catalog, visible_points,
 )
 from vpvlab.cli import _build_parser, _complex_flags, main
 
@@ -318,6 +318,20 @@ def test_scan_row_past_three_tol_is_a_tolerance_error(capsys):
     assert "exceeds 3*tol = 3.0000000000000004e-08" in err
     _, _, verify_err = _run(capsys, ["verify2", "--s=0.5+1e20i", "--x=0.2", "--y=0.2"])
     assert err == verify_err
+
+
+@pytest.mark.parametrize("tol, label", [("1e-14", "zeta-s5"), ("1e-15", "vpv2-s4")])
+def test_catalog_row_past_three_tol_is_a_tolerance_error(capsys, tol, label):
+    # At tol 1e-14 zeta-s5's abs_err is 4.263e-14 against 3e-14, and at
+    # 1e-15 five rows miss 3*tol; catalog printed them with exit 0, where
+    # scan and verify2 exit 2. The error names the first such row.
+    code, out, err = _run(capsys, ["catalog", "--tol", tol])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: catalog row {label}: abs_err ") and err.count("\n") == 1
+    assert f"exceeds 3*tol = {3 * float(tol)!r}" in err
+    # the library still returns every report, the failing rows included
+    reports = run_catalog(float(tol))
+    assert len(reports) == 14 and label in [r.case.label for r in reports if not r.passed]
 
 
 def test_probe_row_past_three_tol_is_an_error_row(capsys):
@@ -717,6 +731,23 @@ def test_a_zero_argument_at_extreme_orders_is_exactly_zero(capsys, argv):
     assert (code, err) == (0, "")
     report = json.loads(out)
     assert report["lhs_log"] == report["rhs_log"] == {"re": 0.0, "im": 0.0}
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify2", "--s=2", "--x=1e-320", "--y=1e-320"],
+    ["verify3", "--s=2", "--t=1", "--x=1e-320", "--y=1e-320", "--z=1e-320"],
+    ["verify2", "--s=2", "--x=1e-200", "--y=1e-200"],
+])
+def test_tiny_arguments_certify_with_the_least_tail_bound(capsys, argv):
+    # Every term is below the float range, so both sides are 0. The shell
+    # tail divided its floored power-geometric tail by the subnormal r
+    # outside log space: exit 2 with "achievable bound is 0.000494..." at
+    # 1e-320, and a bound of 4.9e-124 at 1e-200.
+    code, out, err = _run(capsys, argv + ["--format", "json"])
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert report["lhs_log"] == report["rhs_log"] == {"re": 0.0, "im": 0.0}
+    assert report["tail_bound"] == math.ulp(0.0)
 
 
 @pytest.mark.parametrize("argv", [

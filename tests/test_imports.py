@@ -112,13 +112,13 @@ def test_record_repr_and_pickle_round_trip_are_unchanged():
               "z=(-0-0.1j), closed_form_id=None, label='a')",
         TruncationSpec(12, 1e-8): "TruncationSpec(degree_cap=12, tol=1e-08, tail_bound=None)",
         polylog(2, 0.5): "SeriesResult(value=(0.582240526465012+0j), terms_used=40, "
-                         "tail_bound=9.094947017738394e-13)",
+                         "tail_bound=9.094947017738378e-13)",
         verify(IdentityCase(2, 2, 0.5, 0.3), 1e-6): (
             "IdentityReport(case=IdentityCase(dimension=2, s=(2+0j), x=(0.5+0j), y=(0.3+0j), "
             "t=None, z=None, closed_form_id=None, label=''), lhs_log=(0.35647378570948873+0j), "
             "rhs_log=(0.3564737915955119+0j), abs_err=5.886023168866217e-09, "
             "rel_err=1.6511797802922473e-08, degree_cap=32, tol=1e-06, "
-            "tail_bound=3.110883749006839e-07, terms=178, "
+            "tail_bound=3.110883749006836e-07, terms=178, "
             "rhs_factors=((0.5822405262726695+0j), (0.6122448979591836+0j)))"),
         ProbeRow(0.5, 0.5, error="x"): (
             "ProbeRow(delta=0.5, y=0.5, lhs_log=None, rhs_log=None, abs_err=None, "

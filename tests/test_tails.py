@@ -10,7 +10,7 @@ import math
 from fractions import Fraction
 
 import mpmath
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vpvlab.numerics import em_bracket, power_geometric_tail
@@ -100,13 +100,21 @@ def test_em_bracket_bounds_the_hurwitz_remainder(log_s1, log_n, log_tol):
 
 
 @_PROPERTY
-@given(st.lists(st.floats(0.01, 0.999), min_size=2, max_size=3),
+@given(st.lists(st.floats(1e-320, 0.999), min_size=2, max_size=3),
        st.lists(st.floats(-6.0, 3.0), min_size=3, max_size=3),
        st.integers(-330, 100), st.integers(0, 3))
+# subnormal moduli: the quotient by the subnormal r once reported 4.9e-4
+# at 1e-320, and a subnormal r times the point-count divisor rounds to a
+# few bits, so ln r is added apart
+@example([1e-320, 1e-320], [2.0, -1.0, 0.0], -330, 0)
+@example([1e-320, 1e-320, 1e-320], [2.0, 1.0, -2.0], -330, 0)
+@example([2.110164e-318, 5.1773e-320], [-4.0, 5.0, 0.0], -330, 0)
 def test_shell_tail_bounds_its_envelope_in_2d_and_3d(moduli, real_orders, decade, offset):
     # The envelope the docstring derives: the power-geometric tail past the
     # level over r (1 - r^level) (n-1)! prod mu_i, evaluated exactly. A
-    # quotient below the float range must round up, not to 0.0.
+    # quotient below the float range must round up, not to 0.0, and by
+    # no floor: exp rounds a subnormal bound to the nearest float, up to
+    # half an ulp of 0 above the envelope, and certified_tail adds one.
     n = len(moduli)
     orders = [complex(o) for o in real_orders[:n]]
     args = [complex(m) for m in moduli]
@@ -118,3 +126,7 @@ def test_shell_tail_bounds_its_envelope_in_2d_and_3d(moduli, real_orders, decade
         scale = (mpmath.mpf(r) * (1 - mpmath.mpf(r) ** level) * math.factorial(n - 1)
                  * mpmath.fprod(map(mpmath.mpf, _decay_ratios(args))))
         _assert_bounds(bound, _exact_power_tail(level, power, r) / scale, (moduli, orders, level))
+        a = mpmath.mpf(level + 1)
+        envelope = a ** power * mpmath.mpf(r) ** a / (1 - (1 + 1 / a) ** power * r) / scale
+        assert bound <= envelope * (1 + mpmath.mpf("1e-10")) + 2 * math.ulp(0.0), (
+            bound, moduli, orders, level)
